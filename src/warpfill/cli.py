@@ -208,7 +208,10 @@ def cmd_poincare(ns) -> dict:
 
 def cmd_counterexample(ns) -> dict:
     space = load_space(ns.space)
-    schedule = [float(s) for s in ns.schedule.split(",")]
+    try:
+        schedule = [float(s) for s in ns.schedule.split(",")]
+    except ValueError as exc:
+        raise SchemaError(f"--schedule must be comma-separated numbers, got {ns.schedule!r}") from exc
     report = counterexample_suite(space, ns.y0, ns.r, ns.alpha, ns.beta, ns.p,
                                   schedule, ns.dt)
     if ns.out_prefix:

@@ -27,3 +27,7 @@ class SchemaError(ValueError):
 
 class ResourceCapError(RuntimeError):
     """A construction would exceed the configured resource cap."""
+
+
+class ConvergenceError(RuntimeError):
+    """An iterative solver hit its internal iteration cap: a bug, not bad input."""

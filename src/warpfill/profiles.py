@@ -8,9 +8,13 @@ boundary formula in this package reduces to minimizing the tradeoff
     F(rho) = psi(rho) * d - 2 * rho
 
 over an interval [0, tmax]: descending/ascending legs pay 2*rho while the
-horizontal crossing at level rho costs psi(rho)*d. `minimize_F` returns
-the largest minimizer, which is the canonical horizontal level of the
-corresponding down-across-up curve.
+horizontal crossing at level rho costs psi(rho)*d. `minimize_F_batch`
+returns the largest minimizer, which is the canonical horizontal level of
+the corresponding down-across-up curve; `minimize_F` and `sup_G` are
+batches of one. Branches: closed forms for exp and for sinh with alpha 1
+or 2; for other sinh alphas, a safeguarded Newton iteration (`_newton_root`)
+stopped on a tolerance, not an iteration count; for custom profiles, a
+knot scan and a golden section.
 """
 
 from __future__ import annotations
@@ -21,9 +25,18 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, SchemaError, UnboundedError
+from .errors import ConvergenceError, DomainError, SchemaError, UnboundedError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_EPS = np.finfo(float).eps
+_RTOL = 1e-14  # Newton stops once its step in log rho is this small
+_MAXIT = 100   # iteration cap of `_newton_root`; reaching it is a bug
+_CHUNK = 2 ** 13  # elements per pass of the iterative branches, ~1 MB of arrays
+# custom-profile scan knots as fractions of [0, T], scanned in chunks of
+# _SCAN_CELLS knots (0.5 MB per temporary)
+_KNOTS = np.unique(np.concatenate([[0.0], np.geomspace(1e-9, 1.0, 512),
+                                   np.linspace(0.0, 1.0, 1024)]))
+_SCAN_CELLS = 2 ** 16
 
 
 class WarpProfile:
@@ -64,12 +77,14 @@ class WarpProfile:
     @staticmethod
     def parse(spec: str) -> "WarpProfile":
         """Parse a selection string: exp:<alpha> | sinh:<alpha>."""
-        spec = spec.strip()
-        if spec.startswith("exp:"):
-            return WarpProfile.exp(float(spec[4:]))
-        if spec.startswith("sinh:"):
-            return WarpProfile.sinh_pow(float(spec[5:]))
-        raise SchemaError(f"unknown profile selection {spec!r}")
+        kind, sep, alpha = spec.strip().partition(":")
+        if not sep or kind not in ("exp", "sinh"):
+            raise SchemaError(f"unknown profile selection {spec!r}")
+        try:
+            value = float(alpha)
+        except ValueError as exc:
+            raise SchemaError(f"profile alpha must be a number, got {alpha!r}") from exc
+        return WarpProfile(kind, value)
 
     def label(self) -> str:
         return f"{self.kind}:{self.alpha:g}"
@@ -128,234 +143,216 @@ class ProfileValidation:
     violations: list
 
 
-def golden_section(f: Callable, a: float, b: float, tol: float = 1e-12):
-    """Golden-section search for a minimum of f on [a, b].
+def golden_section(f: Callable, a, b, tol: float = 1e-12):
+    """Golden-section search for a minimum of f on [a, b], elementwise.
 
-    Returns (x, f(x)) at the center of the final bracket. f should be
-    unimodal on [a, b]; on flat stretches the result is the bracket center.
+    a and b are scalars or arrays, and f maps an array of points to its
+    values. Each element narrows its own bracket until it is at most tol
+    (or a few ulps) wide and gets (x, f(x)) at the bracket center, as
+    floats for scalar a and b. f should be unimodal on [a, b].
     """
-    if b < a:
-        a, b = b, a
-    if b - a <= tol:
-        x = 0.5 * (a + b)
-        return x, f(x)
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    while (active := b - a > np.maximum(tol, 4.0 * _EPS * np.abs(b))).any():
+        x1, x2 = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+        left = f(x1) <= f(x2)  # a minimum lies in [a, x2]
+        a, b = np.where(active & ~left, x1, a), np.where(active & left, x2, b)
     x = 0.5 * (a + b)
-    return x, f(x)
+    fx = f(x)
+    return (float(x[0]), float(fx[0])) if scalar else (x, fx)
 
 
-def _bisect_root(g: Callable, lo: float, hi: float, increasing: bool,
-                 iters: int = 120) -> float:
-    """Root of a monotone g with g(lo), g(hi) of opposite signs."""
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        below = gm < 0.0 if increasing else gm > 0.0
-        if below:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+def _newton_root(g: Callable, x, lo, hi, gtol):
+    """Roots of increasing functions, one per element, by safeguarded Newton.
 
-
-def _sinh_stationary(alpha: float, d: float) -> float:
-    """Largest stationary point of F for psi = sinh^alpha, alpha >= 1,
-    i.e. the unique root of alpha*sinh^{alpha-1}(r)*cosh(r)*d = 2
-    (0 if the derivative is already nonnegative at 0)."""
-    if alpha == 1.0:
-        return math.acosh(2.0 / d) if d < 2.0 else 0.0
-    if alpha == 2.0:
-        return 0.5 * math.asinh(2.0 / d)
-    hi = math.asinh((2.0 / (d * alpha)) ** (1.0 / alpha)) + 1.0
-
-    def fprime(r):
-        return d * alpha * math.sinh(r) ** (alpha - 1.0) * math.cosh(r) - 2.0
-
-    if fprime(0.0) >= 0.0:
-        return 0.0
-    return _bisect_root(fprime, 0.0, hi, increasing=True)
-
-
-def _sinh_argmin_shallow(alpha: float, d: float, tmax: float) -> float:
-    """Largest minimizer for psi = sinh^alpha with alpha < 1.
-
-    F' = d*alpha*sinh^{alpha-1}*cosh - 2 starts at +inf, may dip negative
-    and then grows again, so F can have two local minima: rho = 0 (where
-    F = 0) and an interior point. Candidates are compared directly; ties
-    go to the larger rho.
+    g(r, k) gives g and r*g'(r) for the elements k at points r > 0. Each
+    step is a Newton step in log r, or a bisection of the bracket [lo, hi]
+    where that would leave it. An element stops once its step is at most
+    _RTOL or |g| <= gtol, its rounding-noise floor, and leaves the active
+    set. An element still active after _MAXIT iterations, which only a
+    bracket without a sign change leaves, raises ConvergenceError.
     """
+    out = np.empty_like(x)
+    k = np.arange(x.size)
+    for iteration in range(_MAXIT + 1):
+        if not k.size:
+            return out
+        if iteration == _MAXIT:
+            raise ConvergenceError(f"Newton left {k.size} elements unconverged after {_MAXIT} iterations")
+        val, slope = g(x, k)
+        step = val / slope
+        done = (np.abs(step) <= _RTOL) | (np.abs(val) <= gtol)
+        if done.any():
+            out[k[done]] = x[done]
+            k, x, lo, hi, gtol, val, step = (v[~done] for v in (k, x, lo, hi, gtol, val, step))
+        lo, hi = np.where(val < 0.0, x, lo), np.where(val < 0.0, hi, x)
+        x = x * np.exp(-step)
+        x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
+
+
+def _sinh_root(alpha: float, logc, x, lo, hi):
+    """Root in [lo, hi] of g(r) = log(d*psi'(r)/2) = logc + (alpha-1)*log sinh r
+    + log cosh r for psi = sinh^alpha, logc = log(alpha*d/2); F' = 2*(e^g - 1).
+    Near the root no term of g exceeds about (1 + |logc|)/min(alpha, 1)."""
+    def g(r, k):
+        s, c = np.sinh(r), np.cosh(r)
+        return (logc[k] + (alpha - 1.0) * np.log(s) + np.log(c),
+                r * ((alpha - 1.0) * c / s + s / c))
+    return _newton_root(g, x, lo, hi, 32.0 * _EPS * (1.0 + np.abs(logc)) / min(alpha, 1.0))
+
+
+def _sinh_steep_argmin(profile: WarpProfile, d, tmax):
+    """alpha > 1: F' increases from F'(0) = -2; its root, clipped to tmax."""
+    alpha = profile.alpha
+    logc = np.log(0.5 * alpha * d)
+    # the root of the small-r asymptote (sinh r ~ r, cosh r ~ 1) bounds the
+    # root above and is exact once its square is below (alpha-1)*eps, which
+    # covers roots that underflow; sinh^alpha <= sinh^{alpha-1} cosh gives
+    # hi, and the large-r asymptote (both ~ e^r/2) helps start elsewhere
+    log_small = -logc / (alpha - 1.0)
+    tau = np.exp(np.minimum(log_small, 709.0))
+    k = np.flatnonzero(2.0 * log_small > math.log((alpha - 1.0) * _EPS))
+    logc = logc[k]
+    hi = np.arcsinh(np.exp(-logc / alpha))
+    x0 = np.minimum(np.maximum(tau[k], (alpha * math.log(2.0) - logc) / alpha), hi)
+    tau[k] = _sinh_root(alpha, logc, x0, np.zeros_like(hi), hi)
+    return np.minimum(tau, tmax)
+
+
+def _sinh_shallow_argmin(profile: WarpProfile, d, tmax):
+    """alpha < 1: F' falls from +inf to its minimum at rho_c = acosh(alpha^{-1/2})
+    and rises after it, so F has at most two local minima: 0, where F = 0,
+    and the root rho2 of F' past rho_c. F(min(rho2, tmax)) is compared with
+    F(0), ties toward the larger rho; F increases up to the descending root
+    of F', so a tmax below it gives 0 through the same comparison."""
+    alpha = profile.alpha
     rho_c = math.acosh(1.0 / math.sqrt(alpha))
-
-    def h(r):
-        return alpha * math.sinh(r) ** (alpha - 1.0) * math.cosh(r)
-
-    def fprime(r):
-        return d * h(r) - 2.0
-
-    if d * h(rho_c) >= 2.0:
-        return 0.0  # F' >= 0 everywhere: F nondecreasing
-    # descending branch root (log-refined bracket near 0, first knot 1e-8)
-    if fprime(1e-8) <= 0.0:
-        rho1 = 0.0
-    else:
-        rho1 = _bisect_root(fprime, 1e-8, rho_c, increasing=False)
-    # ascending branch root
-    hi = max(rho_c + 1.0, math.asinh((2.0 / (d * alpha)) ** (1.0 / alpha)) + 1.0)
-    rho2 = _bisect_root(fprime, rho_c, hi, increasing=True)
-    if tmax <= rho1:
-        return 0.0
-    cand = min(rho2, tmax)
-    f_cand = math.sinh(cand) ** alpha * d - 2.0 * cand
-    return cand if f_cand <= 0.0 else 0.0
+    tau = np.zeros_like(d)
+    k = np.flatnonzero(d * profile.dpsi(rho_c) < 2.0)  # else F is nondecreasing
+    logc = np.log(0.5 * alpha * d[k])
+    # sinh^alpha <= sinh^{alpha-1} cosh bounds rho2, so cand = min(rho2, tmax)
+    # unless F' > 0 at cand; past rho_c F' is convex and Newton descends
+    with np.errstate(over="ignore"):
+        cand = np.minimum(np.arcsinh(np.exp(-logc / alpha)), tmax[k])
+    if np.isinf(cand).any():
+        raise DomainError(f"the minimizer for sinh^{alpha:g} overflows psi")
+    j = np.flatnonzero((cand > rho_c) & (d[k] * profile.dpsi(cand) > 2.0))
+    cand[j] = _sinh_root(alpha, logc[j], cand[j], np.full(j.size, rho_c), cand[j])
+    tau[k] = np.where(profile.psi(cand) * d[k] - 2.0 * cand <= 0.0, cand, 0.0)
+    return tau
 
 
-def _scan_argmin(profile: WarpProfile, d: float, tmax: float) -> float:
-    """Generic largest-minimizer search: bracketing grid scan followed by
-    golden-section refinement to 1e-10 in rho. Used for custom profiles."""
-    def F(r):
-        return float(profile.psi(r)) * d - 2.0 * r
+def _custom_argmin(profile: WarpProfile, d, tmax):
+    """Knot scan of [0, T] (T = tmax, or where tmax = inf the first 2^k at
+    which F has turned upward), golden section to 1e-10 between the
+    neighbours of the best knot, then the best of 0, that point and a
+    finite T, ties toward the larger rho."""
+    def F(r, dd):
+        return profile.psi(r) * dd - 2.0 * r
 
-    if math.isinf(tmax):
-        # double the bracket until F has turned and is increasing
-        T = 1.0
-        f0 = F(0.0)
-        while not (F(T) > F(T / 2.0) and F(T / 2.0) > F(T / 4.0) and F(T) > f0):
-            T *= 2.0
-            if T > 2.0 ** 200:
-                raise UnboundedError("tradeoff objective does not turn upward")
-    else:
-        T = tmax
-    if T <= 0.0:
-        return 0.0
-    knots = np.unique(np.concatenate([
-        [0.0],
-        np.geomspace(min(1e-8, T / 2.0), T, 512),
-        np.linspace(0.0, T, 1024),
-    ]))
-    vals = profile.psi(knots) * d - 2.0 * knots
-    idx = int(np.where(vals <= vals.min())[0][-1])  # ties toward larger rho
-    lo = knots[max(idx - 1, 0)]
-    hi = knots[min(idx + 1, knots.size - 1)]
-    x, fx = golden_section(F, float(lo), float(hi), tol=1e-10)
-    candidates = [(F(0.0), 0.0), (fx, x)]
-    if not math.isinf(tmax):
-        candidates.append((F(T), T))
-    fbest = min(c[0] for c in candidates)
-    return max(r for f, r in candidates if f <= fbest + 1e-15 * max(1.0, abs(fbest)))
-
-
-def minimize_F(profile: WarpProfile, d: float, tmax: float) -> FMinResult:
-    """Largest minimizer of F(rho) = psi(rho)*d - 2*rho over [0, tmax].
-
-    tmax may be math.inf when d > 0; for d = 0 the objective -2*rho is
-    unbounded below on [0, inf) and the call is rejected.
-    """
-    if not (d >= 0.0) or not (tmax >= 0.0):
-        raise DomainError(f"minimize_F requires d >= 0 and tmax >= 0, got d={d}, tmax={tmax}")
-    if d == 0.0:
-        if math.isinf(tmax):
-            raise UnboundedError("F(rho) = -2*rho has no minimum over [0, inf)")
-        return FMinResult(tmax, -2.0 * tmax, tmax > 0.0)
-    if profile.kind == "exp":
-        alpha = profile.alpha
-        tau = min(max(math.log(2.0 / (alpha * d)) / alpha, 0.0), tmax)
-    elif profile.kind == "sinh":
-        if profile.alpha >= 1.0:
-            tau = min(_sinh_stationary(profile.alpha, d), tmax)
-        else:
-            tau = _sinh_argmin_shallow(profile.alpha, d, tmax)
-    else:
-        tau = _scan_argmin(profile, d, tmax)
-    fmin = float(profile.psi(tau)) * d - 2.0 * tau
-    return FMinResult(tau, fmin, tau > 0.0)
-
-
-def _sinh_stationary_batch(alpha: float, d: np.ndarray) -> np.ndarray:
-    """Vectorized `_sinh_stationary` (alpha >= 1, all d > 0)."""
-    if alpha == 1.0:
-        return np.arccosh(np.maximum(2.0 / d, 1.0))
-    if alpha == 2.0:
-        return 0.5 * np.arcsinh(2.0 / d)
-    hi = np.arcsinh((2.0 / (d * alpha)) ** (1.0 / alpha)) + 1.0
-    lo = np.zeros_like(d)
-    # F' is increasing; F'(0+) = -2 for alpha > 1, so the root is interior
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        neg = d * alpha * np.sinh(mid) ** (alpha - 1.0) * np.cosh(mid) < 2.0
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
-    return 0.5 * (lo + hi)
+    f0 = F(np.zeros_like(d), d)
+    T = tmax.copy()
+    k = np.flatnonzero(np.isinf(tmax))
+    t = 1.0
+    while k.size:
+        f_t, f_half = F(t, d[k]), F(0.5 * t, d[k])
+        turned = (f_t > f_half) & (f_half > F(0.25 * t, d[k])) & (f_t > f0[k])
+        T[k[turned]] = t
+        k, t = k[~turned], 2.0 * t
+        if k.size and t > 2.0 ** 200:
+            raise UnboundedError("tradeoff objective does not turn upward")
+    lo, hi = np.empty_like(T), np.empty_like(T)
+    rows = _SCAN_CELLS // _KNOTS.size
+    for i in range(0, T.size, rows):
+        s = slice(i, i + rows)
+        vals = F(T[s, None] * _KNOTS, d[s, None])
+        best = _KNOTS.size - 1 - np.argmin(vals[:, ::-1], axis=1)  # ties toward larger rho
+        lo[s] = T[s] * _KNOTS[np.maximum(best - 1, 0)]
+        hi[s] = T[s] * _KNOTS[np.minimum(best + 1, _KNOTS.size - 1)]
+    x, fx = golden_section(lambda r: F(r, d), lo, hi, tol=1e-10)
+    fT = np.where(np.isinf(tmax), np.inf, F(T, d))
+    fbest = np.minimum(np.minimum(f0, fx), fT)
+    tie = fbest + 1e-15 * np.maximum(1.0, np.abs(fbest))
+    return np.where(fT <= tie, T, np.where(fx <= tie, x, 0.0))
 
 
 def minimize_F_batch(profile: WarpProfile, d, tmax):
-    """Vectorized `minimize_F`: returns (tau, fmin) arrays.
+    """Largest minimizer of F(rho) = psi(rho)*d - 2*rho over [0, tmax],
+    elementwise: returns (tau, fmin) arrays of d's shape.
 
-    Evaluation order of the batch never affects the results. Shallow sinh
-    profiles (alpha < 1) and custom profiles fall back to the scalar path
-    per element.
+    d must be finite and >= 0; tmax broadcasts against d and may be inf
+    where d > 0. Every element is computed on its own, so neither the order
+    nor the size of the batch changes a result. The iterative branches
+    (see the module docstring) run on chunks of _CHUNK elements.
     """
     d = np.asarray(d, dtype=float)
-    tmax = np.broadcast_to(np.asarray(tmax, dtype=float), d.shape).copy()
-    if np.any(d < 0.0) or np.any(tmax < 0.0):
-        raise DomainError("minimize_F_batch requires d >= 0 and tmax >= 0")
+    shape = d.shape
+    d = d.ravel()
+    flat = np.empty_like(d)
+    flat.reshape(shape)[...] = tmax
+    tmax = flat  # frees a temporary argument early
+    bad = ~((d >= 0.0) & (d < np.inf) & (tmax >= 0.0))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise DomainError("minimize_F requires finite d >= 0 and tmax >= 0, "
+                          f"got d={d[k]}, tmax={tmax[k]}")
     if np.any((d == 0.0) & np.isinf(tmax)):
         raise UnboundedError("F(rho) = -2*rho has no minimum over [0, inf)")
 
+    pos = d > 0.0
     if profile.kind == "exp":
         alpha = profile.alpha
         with np.errstate(divide="ignore"):
-            star = np.where(d > 0.0, np.log(2.0 / (alpha * np.where(d > 0.0, d, 1.0))) / alpha, np.inf)
+            star = np.where(pos, np.log(2.0 / (alpha * np.where(pos, d, 1.0))) / alpha, np.inf)
         tau = np.clip(star, 0.0, tmax)
         psi_tau = np.exp(alpha * tau)
-    elif profile.kind == "sinh" and profile.alpha >= 1.0:
-        pos = d > 0.0
-        star = np.where(pos, _sinh_stationary_batch(profile.alpha, np.where(pos, d, 1.0)), np.inf)
-        tau = np.clip(star, 0.0, tmax)
+    elif profile.kind == "sinh" and profile.alpha in (1.0, 2.0):
+        star = (np.arccosh(np.maximum(2.0 / np.where(pos, d, 1.0), 1.0)) if profile.alpha == 1.0
+                else 0.5 * np.arcsinh(2.0 / np.where(pos, d, 1.0)))
+        tau = np.clip(np.where(pos, star, np.inf), 0.0, tmax)
         psi_tau = np.sinh(tau) ** profile.alpha
     else:
-        flat_d = d.ravel()
-        flat_t = tmax.ravel()
-        tau = np.empty_like(flat_d)
-        for i in range(flat_d.size):
-            tau[i] = minimize_F(profile, float(flat_d[i]), float(flat_t[i])).tau
-        tau = tau.reshape(d.shape)
+        if profile.kind == "custom":
+            argmin = _custom_argmin
+        else:
+            argmin = _sinh_shallow_argmin if profile.alpha < 1.0 else _sinh_steep_argmin
+        tau = tmax.copy()  # d == 0: F = -2*rho decreases
+        for i in range(0, d.size, _CHUNK):
+            s = slice(i, i + _CHUNK)
+            p = pos[s]
+            tau[s][p] = argmin(profile, d[s][p], tmax[s][p])
         psi_tau = np.asarray(profile.psi(tau), dtype=float)
     # guard inf * 0 at d == 0 entries whose tau is a huge tmax
-    fmin = np.where(d > 0.0, psi_tau, 0.0) * d - 2.0 * tau
-    return tau, fmin
+    fmin = np.where(pos, psi_tau, 0.0) * d - 2.0 * tau
+    return tau.reshape(shape), fmin.reshape(shape)
 
 
-def sup_G(profile: WarpProfile, d: float) -> float:
-    """sup over rho in [0, inf) of (2*rho - psi(rho)*d), for d > 0.
+def minimize_F(profile: WarpProfile, d: float, tmax: float) -> FMinResult:
+    """`minimize_F_batch` for a batch of one. tmax may be math.inf when
+    d > 0; for d = 0 the objective -2*rho is unbounded below on [0, inf)
+    and the call is rejected."""
+    tau, fmin = minimize_F_batch(profile, [d], [tmax])
+    return FMinResult(float(tau[0]), float(fmin[0]), bool(tau[0] > 0.0))
+
+
+def sup_G_batch(profile: WarpProfile, d) -> np.ndarray:
+    """sup over rho in [0, inf) of (2*rho - psi(rho)*d), elementwise, for d > 0.
 
     Finite because psi eventually dominates any e^{alpha t} lower bound;
     custom profiles locate the turning point by doubling the bracket
     until the tradeoff objective increases.
     """
-    if not (d > 0.0):
-        raise DomainError(f"sup_G requires d > 0, got {d}")
-    return -minimize_F(profile, d, math.inf).fmin
-
-
-def sup_G_batch(profile: WarpProfile, d) -> np.ndarray:
     d = np.asarray(d, dtype=float)
-    if np.any(d <= 0.0):
-        raise DomainError("sup_G_batch requires d > 0")
+    if not np.all(d > 0.0):
+        raise DomainError(f"sup_G requires d > 0, got {d[~(d > 0.0)].flat[0]}")
     _, fmin = minimize_F_batch(profile, d, np.full(d.shape, math.inf))
     return -fmin
+
+
+def sup_G(profile: WarpProfile, d: float) -> float:
+    """`sup_G_batch` for a single d."""
+    return float(sup_G_batch(profile, [d])[0])
 
 
 def exp_supremizer_bounds(K: float, D: float, alpha: float, d: float) -> SupremizerBounds:

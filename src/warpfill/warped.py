@@ -63,11 +63,24 @@ class MixedSegment:
     y_speed: Callable
 
 
+def _check_points(space: CarrierSpace, t, y):
+    """Validate radial coordinates and carrier indices (scalars or arrays):
+    t finite and >= 0, y integer with 0 <= y < n. Returns them as arrays."""
+    t = np.asarray(t, dtype=float)
+    y = np.asarray(y)
+    if t.size and not (t.min() >= 0.0 and t.max() < math.inf):
+        bad = t[~((t >= 0.0) & (t < math.inf))].flat[0]
+        raise DomainError(f"radial coordinate must be finite and >= 0, got {bad}")
+    if y.dtype.kind not in "iu":
+        raise DomainError(f"carrier indices must be integers, got dtype {y.dtype}")
+    if y.size and not (y.min() >= 0 and y.max() < space.n):
+        bad = y[(y < 0) | (y >= space.n)].flat[0]
+        raise DomainError(f"carrier index {bad} out of range [0, {space.n})")
+    return t, y
+
+
 def _check_point(space: CarrierSpace, p: WarpedPoint) -> None:
-    if not (p.t >= 0.0) or not math.isfinite(p.t):
-        raise DomainError(f"radial coordinate must be finite and >= 0, got {p.t}")
-    if not (0 <= p.y < space.n):
-        raise DomainError(f"carrier index {p.y} out of range [0, {space.n})")
+    _check_points(space, p.t, p.y)
 
 
 def distance(profile: WarpProfile, space: CarrierSpace,
@@ -82,9 +95,9 @@ def distance(profile: WarpProfile, space: CarrierSpace,
 
 def distance_batch(profile: WarpProfile, space: CarrierSpace, t1, y1, t2, y2) -> np.ndarray:
     """Vectorized `distance` over index arrays."""
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
-    d_y = space.dist[np.asarray(y1), np.asarray(y2)]
+    t1, y1 = _check_points(space, t1, y1)
+    t2, y2 = _check_points(space, t2, y2)
+    d_y = space.dist[y1, y2]
     _, fmin = minimize_F_batch(profile, d_y, np.minimum(t1, t2))
     return t1 + t2 + fmin
 
@@ -118,8 +131,7 @@ def gromov_product(profile: WarpProfile, space: CarrierSpace, basepoint_y: int,
     """
     _check_point(space, p1)
     _check_point(space, p2)
-    if not (0 <= basepoint_y < space.n):
-        raise DomainError(f"basepoint index {basepoint_y} out of range")
+    _check_points(space, 0.0, basepoint_y)
     d_y = float(space.dist[p1.y, p2.y])
     res = minimize_F(profile, d_y, min(p1.t, p2.t))
     d10 = float(space.dist[p1.y, basepoint_y])
@@ -129,10 +141,9 @@ def gromov_product(profile: WarpProfile, space: CarrierSpace, basepoint_y: int,
 
 def gromov_product_batch(profile: WarpProfile, space: CarrierSpace, basepoint_y: int,
                          t1, y1, t2, y2) -> np.ndarray:
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
-    y1 = np.asarray(y1)
-    y2 = np.asarray(y2)
+    t1, y1 = _check_points(space, t1, y1)
+    t2, y2 = _check_points(space, t2, y2)
+    _check_points(space, 0.0, basepoint_y)
     d_y = space.dist[y1, y2]
     _, fmin = minimize_F_batch(profile, d_y, np.minimum(t1, t2))
     d0 = space.dist[:, basepoint_y]
@@ -257,7 +268,6 @@ def chordal_length(profile: WarpProfile, space: CarrierSpace,
             raise PreconditionError(
                 f"segment {k} moves both coordinates; chordal refinement needs "
                 "vertical or horizontal segments")
-    total = 0.0
-    for k in range(len(pts) - 1):
-        total += distance(profile, space, pts[k], pts[k + 1])
-    return total
+    t = np.array([p.t for p in pts], dtype=float)
+    y = np.array([p.y for p in pts])
+    return float(np.sum(distance_batch(profile, space, t[:-1], y[:-1], t[1:], y[1:])))

@@ -78,6 +78,15 @@ def test_dist_bad_point_syntax(capsys, circle_path):
     assert code == 2 and "schema mismatch" in err
 
 
+def test_bad_numbers_exit_2(capsys, circle_path):
+    code, _, err = run(capsys, ["dist", "--space", circle_path, "--profile", "exp:abc",
+                                "--from", "5,0", "--to", "5,1"])
+    assert code == 2 and "schema mismatch" in err and "'abc'" in err
+    code, _, err = run(capsys, ["counterexample", "--space", circle_path,
+                                "--schedule", "1,x", "--dt", "0.05"])
+    assert code == 2 and "schema mismatch" in err and "1,x" in err
+
+
 def test_delta_seeded_and_deterministic(capsys, circle_path):
     argv = ["delta", "--space", circle_path, "--profile", "sinh:1", "--tmax", "6",
             "--count", "2000", "--seed", "42"]

@@ -5,7 +5,14 @@ import pytest
 
 from warpfill import (WarpProfile, exp_supremizer_bounds, minimize_F, minimize_F_batch,
                       sup_G, sup_G_batch, validate_profile)
-from warpfill.errors import DomainError, SchemaError, UnboundedError
+from warpfill.errors import ConvergenceError, DomainError, SchemaError, UnboundedError
+from warpfill.profiles import _newton_root
+
+COSH = WarpProfile.custom(lambda t: np.cosh(np.asarray(t, float)),
+                          lambda t: np.sinh(np.asarray(t, float)), 1.0)
+# psi = sinh t + (cosh t - 1)/2 with alpha 1: psi(0) = 0, like the sinh family
+SINH_COSH = WarpProfile.custom(lambda t: np.sinh(t) + 0.5 * (np.cosh(t) - 1.0),
+                               lambda t: np.cosh(t) + 0.5 * np.sinh(t), 1.0)
 
 
 def brute_force_tau(profile, d, tmax, step=1e-4):
@@ -118,6 +125,76 @@ def test_batch_matches_scalar():
             assert tau[k] == pytest.approx(r.tau, abs=1e-10)
             assert fmin[k] == pytest.approx(r.fmin, abs=1e-10)
 
+
+def test_batch_composition_invariance():
+    # each element equals, bitwise, its batch-of-one result and its result
+    # in a permuted batch, on every kernel branch
+    rng = np.random.default_rng(17)
+    n = 120
+    d = 10.0 ** rng.uniform(-6, 1, n)
+    d[1::23] = 0.0
+    tmax = rng.uniform(0, 10, n)
+    tmax[::11] = math.inf
+    perm = rng.permutation(n)
+    for profile in (WarpProfile.exp(1.0), WarpProfile.sinh_pow(1.0), WarpProfile.sinh_pow(2.0),
+                    WarpProfile.sinh_pow(1.5), WarpProfile.sinh_pow(0.7), SINH_COSH):
+        tau, fmin = minimize_F_batch(profile, d, tmax)
+        tau_p, fmin_p = minimize_F_batch(profile, d[perm], tmax[perm])
+        assert np.array_equal(tau_p, tau[perm]), profile.label()
+        assert np.array_equal(fmin_p, fmin[perm]), profile.label()
+        for k in range(0, n, 5):
+            one_tau, one_fmin = minimize_F_batch(profile, d[k:k + 1], tmax[k:k + 1])
+            assert one_tau[0] == tau[k] and one_fmin[0] == fmin[k], (profile.label(), k)
+
+
+def test_batch_shallow_and_custom_against_oracle():
+    rng = np.random.default_rng(23)
+    d = np.concatenate([[1e-6, 10.0], 10.0 ** rng.uniform(-6, 1, 28)])
+    tmax = rng.uniform(0.01, 8.0, d.size)
+    for profile in (WarpProfile.sinh_pow(0.7), WarpProfile.sinh_pow(0.3), COSH, SINH_COSH):
+        tau, fmin = minimize_F_batch(profile, d, tmax)
+        for k in range(d.size):
+            tau_o, f_o = brute_force_tau(profile, d[k], tmax[k])
+            assert abs(tau[k] - tau_o) <= 1e-3, (profile.label(), d[k], tmax[k])
+            assert abs(fmin[k] - f_o) <= 1e-8, (profile.label(), d[k], tmax[k])
+    # tmax = inf through sup_G_batch: both custom minimizers lie below 16
+    # for d >= 1e-6, and F only grows past them
+    d = np.concatenate([[1e-6, 10.0], 10.0 ** rng.uniform(-6, 1, 6)])
+    for profile in (COSH, SINH_COSH):
+        sup = sup_G_batch(profile, d)
+        for k in range(d.size):
+            _, f_o = brute_force_tau(profile, d[k], 16.0)
+            assert abs(sup[k] + f_o) <= 1e-8, (profile.label(), d[k])
+
+
+def test_custom_flat_minimum_takes_larger_rho():
+    # F = psi - 2*rho is 0 on [0.5, 1] and grows past 1: ties in the knot
+    # scan resolve toward the larger rho, so tau lands at the right end
+    prof = WarpProfile.custom(
+        lambda t: np.maximum(np.maximum(1.0, 2.0 * np.asarray(t)), 4.0 * np.asarray(t) - 2.0),
+        lambda t: np.full(np.shape(t), 4.0), 1.0)
+    tau, fmin = minimize_F_batch(prof, [1.0], [3.0])
+    assert tau[0] > 0.99 and abs(fmin[0]) <= 1e-12
+
+def test_batch_rejects_nan():
+    p = WarpProfile.sinh_pow(1.5)
+    for d, tmax in (([math.nan], [1.0]), ([1.0], [math.nan]), ([math.inf], [1.0])):
+        with pytest.raises(DomainError):
+            minimize_F_batch(p, d, tmax)
+    with pytest.raises(DomainError):
+        sup_G_batch(p, [1.0, math.nan])
+
+
+def test_newton_root_converges_or_raises():
+    def g(r, k):  # log r - log 3, with log-derivative 1
+        return np.log(r) - math.log(3.0), np.ones_like(r)
+
+    lo, hi, gtol = np.array([1.0]), np.array([5.0]), np.array([1e-15])
+    root = _newton_root(g, np.array([4.0]), lo, hi, gtol)
+    assert root[0] == pytest.approx(3.0, rel=1e-13)
+    # no sign change on [4, 5]: the iteration cap is reached and reported
+    with pytest.raises(ConvergenceError):
+        _newton_root(g, np.array([4.5]), np.array([4.0]), hi, gtol)
 
 def test_sup_g_examples():
     p = WarpProfile.exp(1.0)

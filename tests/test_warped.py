@@ -7,7 +7,7 @@ from warpfill import (MixedSegment, Norm2, WarpProfile, WarpedPoint, build_ucurv
                       chordal_length, circle, distance, distance_batch,
                       distance_bounds_other_norm, gromov_product, gromov_product_batch,
                       minimize_F, polyline_length)
-from warpfill.errors import PreconditionError
+from warpfill.errors import DomainError, PreconditionError
 
 EXP1 = WarpProfile.exp(1.0)
 SINH1 = WarpProfile.sinh_pow(1.0)
@@ -102,6 +102,28 @@ def test_gromov_batch_matches_scalar():
                                 WarpedPoint(float(t2[k]), int(y2[k])))
         assert vals[k] == pytest.approx(expect, abs=1e-12)
 
+
+
+def test_batch_points_validated_like_scalar():
+    t, y = np.array([1.0, 2.0]), np.array([0, 3])
+    bad_inputs = [
+        (np.array([1.0, np.nan]), y),    # NaN radial coordinate
+        (np.array([1.0, np.inf]), y),
+        (np.array([1.0, -0.5]), y),
+        (t, np.array([0, -1])),          # would wrap to the last node
+        (t, np.array([0, 8])),
+        (t, np.array([0.0, 3.0])),       # not an index
+    ]
+    for bt, by in bad_inputs:
+        with pytest.raises(DomainError):
+            distance_batch(EXP1, Y8, bt, by, t, y)
+        with pytest.raises(DomainError):
+            gromov_product_batch(EXP1, Y8, 0, t, y, bt, by)
+        if by.dtype.kind == "i":
+            with pytest.raises(DomainError):
+                distance(EXP1, Y8, WarpedPoint(float(bt[1]), int(by[1])), WarpedPoint(1.0, 0))
+    with pytest.raises(DomainError):
+        gromov_product_batch(EXP1, Y8, 8, t, y, t, y)
 
 def test_ucurve_matches_distance_at_tight_length():
     p1, p2 = WarpedPoint(3.0, 0), WarpedPoint(5.0, 4)
