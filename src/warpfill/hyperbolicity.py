@@ -220,29 +220,35 @@ def boundary_metric(profile: WarpProfile, space: CarrierSpace, eps: float | None
     return BoundaryMetric(float(eps), basepoint_y, premetric, chained, delta, eps_warning)
 
 
+def _snowflake_constant(bm: BoundaryMetric, space: CarrierSpace, s: float):
+    """Carrier and boundary distances (d, chained) over the distinct pairs
+    where both are positive, and the empirical snowflake constant
+    C0 = max(chained / d^s, d^s / chained) over them (nan without pairs)."""
+    iu = np.triu_indices(space.n, 1)
+    d = space.dist[iu]
+    c = bm.chained[iu]
+    mask = (d > 0.0) & (c > 0.0)
+    d, c = d[mask], c[mask]
+    if d.size == 0:
+        return d, c, math.nan
+    snow = d ** s
+    return d, c, float(np.max(np.maximum(c / snow, snow / c)))
+
+
 def snowflake_check(bm: BoundaryMetric, space: CarrierSpace, alpha: float,
                     slope_rtol: float = 0.02) -> SnowflakeReport:
     """Least-squares exponent of ln(chained) against ln(d_Y) over distinct
     pairs, compared with eps/alpha, plus the empirical snowflake constant
     C0 = max(chained / d^s, d^s / chained)."""
-    D = space.dist
-    n = space.n
-    if n < 3:
+    if space.n < 3:
         raise DomainError("snowflake_check needs at least 3 distinct points")
-    iu = np.triu_indices(n, 1)
-    d = D[iu]
-    c = bm.chained[iu]
-    mask = (d > 0.0) & (c > 0.0)
-    if mask.sum() < 2:
-        raise DomainError("not enough distinct pairs for a snowflake fit")
-    x = np.log(d[mask])
-    yv = np.log(c[mask])
-    slope, _ = np.polyfit(x, yv, 1)
     target = bm.eps / alpha
-    snow = d[mask] ** target
-    C0 = float(np.max(np.maximum(c[mask] / snow, snow / c[mask])))
+    d, c, C0 = _snowflake_constant(bm, space, target)
+    if d.size < 2:
+        raise DomainError("not enough distinct pairs for a snowflake fit")
+    slope, _ = np.polyfit(np.log(d), np.log(c), 1)
     passed = abs(float(slope) - target) <= slope_rtol * target and math.isfinite(C0)
-    return SnowflakeReport(float(slope), target, C0, passed, int(mask.sum()))
+    return SnowflakeReport(float(slope), target, C0, passed, int(d.size))
 
 
 def quasisymmetry_modulus(bm: BoundaryMetric, space: CarrierSpace, alpha: float,
@@ -271,12 +277,7 @@ def quasisymmetry_modulus(bm: BoundaryMetric, space: CarrierSpace, alpha: float,
     ratio_out = dout_num[ok] / dout_den[ok]
 
     s = bm.eps / alpha
-    iu = np.triu_indices(n, 1)
-    d = D[iu]
-    c = bm.chained[iu]
-    mask = (d > 0.0) & (c > 0.0)
-    snow = d[mask] ** s
-    C0 = float(np.max(np.maximum(c[mask] / snow, snow / c[mask])))
+    _, _, C0 = _snowflake_constant(bm, space, s)
     viol = int(np.sum(ratio_out > C0 ** 2 * ratio_in ** s * (1.0 + 1e-12)))
     pairs = list(zip(ratio_in[:max_samples].tolist(), ratio_out[:max_samples].tolist()))
     return QuasisymmetryReport(pairs, skipped, s, C0 ** 2, viol)

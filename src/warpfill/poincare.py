@@ -25,15 +25,21 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.sparse import coo_matrix
 from scipy.special import roots_jacobi
 
-from .errors import DomainError, PreconditionError, ResourceCapError, ValidationError
+from .errors import (ConvergenceError, DomainError, PreconditionError, ResourceCapError,
+                     ValidationError)
 from .profiles import WarpProfile
 from .spaces import CarrierSpace
 
 DEFAULT_MAX_NODES = 2_000_000
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_CHUNK = 1 << 16
+# brentq iterations before ConvergenceError; roots many decades below the bracket
+# width (near 0 under steep weights) have taken up to about 1400
+_ROOT_MAXITER = 3000
 
 
 def _max_nodes_cap(override: int | None) -> int:
@@ -98,7 +104,8 @@ class FillingGraph:
             raise ResourceCapError(
                 f"filling graph would have {n_nodes} nodes, above the cap {cap} "
                 "(WARPFILL_MAX_NODES)")
-        masses = _cell_masses(weight_kind, beta, self.levels, dt)
+        with np.errstate(over="ignore", invalid="ignore"):
+            masses = _cell_masses(weight_kind, beta, self.levels, dt)
         if self.has_apex:
             t_upper = np.repeat(self.levels[1:], n)
             y_upper = np.tile(np.arange(n), n_levels - 1)
@@ -110,6 +117,10 @@ class FillingGraph:
             self.node_t = np.repeat(self.levels, n)
             self.node_y = np.tile(np.arange(n), n_levels)
             self.node_measure = np.repeat(masses, n) * np.tile(carrier.measure, n_levels)
+        if not np.all(np.isfinite(self.node_measure)):
+            raise DomainError(
+                f"{weight_kind} weight with beta={beta} overflows double precision before "
+                f"t_max={t_max}: node measures must be finite")
         if np.any(self.node_measure <= 0.0):
             raise ValidationError("graph has a nonpositive node measure")
         self._edges = None
@@ -225,11 +236,47 @@ def lp_norm(values: np.ndarray, weights: np.ndarray, p: float) -> float:
     return total ** (1.0 / p)
 
 
+def _chunked_dot(values: np.ndarray, weights: np.ndarray, c: float, exponent: float,
+                 signed: bool, buf: np.ndarray) -> float:
+    """sum_i w_i |c - v_i|^exponent, times sign(c - v_i) when signed, in chunks
+    of _CHUNK elements through the (2, _CHUNK) scratch array buf, so that no
+    N-sized temporary is allocated."""
+    total = 0.0
+    for s in range(0, values.size, _CHUNK):
+        d, a = buf[:, :min(values.size - s, _CHUNK)]
+        np.subtract(c, values[s:s + _CHUNK], out=d)
+        np.abs(d, out=a)
+        np.power(a, exponent, out=a)
+        if signed:
+            np.copysign(a, d, out=a)
+        total += float(np.dot(a, weights[s:s + _CHUNK]))
+    return total
+
+
+def _slope(c: float, values: np.ndarray, weights: np.ndarray, p: float,
+           buf: np.ndarray) -> float:
+    """sum_i w_i sign(c - v_i) |c - v_i|^{p-1}, the derivative of the L^p
+    objective over p."""
+    s = _chunked_dot(values, weights, c, p - 1.0, signed=True, buf=buf)
+    if not math.isfinite(s):
+        raise DomainError(f"the L^{p} objective overflows double precision at c = {c!r}; "
+                          "rescale the function or the weights")
+    return s
+
+
 def optimal_subtracted_constant(values: np.ndarray, weights: np.ndarray, p: float) -> float:
     """Minimizer of c -> ||values - c||_p with the given weights.
 
-    Weighted median for p = 1, weighted mean for p = 2, golden-section on
-    the convex objective otherwise.
+    Weighted median for p = 1 and weighted mean for p = 2. Otherwise the
+    objective is convex and its derivative, p times
+    sum_i w_i sign(c - v_i) |c - v_i|^{p-1}, is continuous and nondecreasing,
+    so brentq finds its sign change on [min v, max v] to 4 ulp (2e-323
+    absolute near 0), or raises ConvergenceError after _ROOT_MAXITER
+    iterations; an end where the derivative is exactly 0 is returned as
+    is. The result is the best of that root and the nearest data value on
+    each side: with steep weights the optimum often sits exactly on a data
+    value. Values must be finite, and DomainError is raised when the
+    objective overflows.
     """
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -245,37 +292,28 @@ def optimal_subtracted_constant(values: np.ndarray, weights: np.ndarray, p: floa
             return 0.5 * (float(v[k]) + float(v[k + 1]))
         return float(v[min(k, v.size - 1)])
     lo, hi = float(values.min()), float(values.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError("values must be finite")
     if lo == hi:
         return lo
 
-    def objective(c):
-        return float(np.sum(np.abs(values - c) ** p * weights))
-
-    # golden-section on the convex objective, run until the bracket is tight
-    # relative to its own endpoints: rapidly growing weights can push the
-    # optimum many orders of magnitude below the value span
-    inv_phi = 0.5 * (math.sqrt(5.0) - 1.0)
-    a, b = lo, hi
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = objective(x1), objective(x2)
-    for _ in range(400):
-        if b - a <= 1e-15 * (abs(a) + abs(b)) + 5e-324:
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = objective(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = objective(x2)
-    # snap to the best candidate: with steep weights the optimum often sits
-    # exactly on a data value that the bracket merely straddles
-    cands = [a, 0.5 * (a + b), b]
-    inside = np.unique(values[(values >= a) & (values <= b)])
-    cands.extend(inside[:64].tolist())
-    return min(cands, key=objective)
+    # the slope is a module-level function taking the arrays as brentq args:
+    # brentq's wrapper sits in a reference cycle, and a closure over the
+    # arrays would keep them alive until the next garbage collection
+    buf = np.empty((2, min(values.size, _CHUNK)))
+    # xtol = 5e-324 would make brentq's stopping test unreachable for a root at 0
+    root, info = brentq(_slope, lo, hi, args=(values, weights, p, buf),
+                        xtol=4.0 * math.ulp(0.0), rtol=4.0 * np.finfo(float).eps,
+                        maxiter=_ROOT_MAXITER, full_output=True, disp=False)
+    if not info.converged:
+        raise ConvergenceError(
+            f"subtracted-constant root find did not converge in {_ROOT_MAXITER} "
+            f"iterations (bracket around {root!r})")
+    # lo <= root <= hi, so both neighbours exist; ties go to the data value
+    below = float(np.max(values, where=values <= root, initial=-math.inf))
+    above = float(np.min(values, where=values >= root, initial=math.inf))
+    return min((below, above, root),
+               key=lambda c: _chunked_dot(values, weights, c, p, signed=False, buf=buf))
 
 
 @dataclass

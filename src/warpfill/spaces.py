@@ -268,6 +268,15 @@ def save_space(space: CarrierSpace, path: str) -> None:
         fh.write("\n")
 
 
+def _numeric_field(path: str, doc: dict, key: str, kind=None):
+    """doc[key] as a float array, or as kind(doc[key]); SchemaError naming the
+    field when it does not convert (non-numeric entries, ragged rows)."""
+    try:
+        return kind(doc[key]) if kind else np.asarray(doc[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"space file {path!r}: field {key!r} is malformed: {exc}") from exc
+
+
 def _load_json(path: str) -> CarrierSpace:
     with open(path) as fh:
         try:
@@ -276,13 +285,13 @@ def _load_json(path: str) -> CarrierSpace:
             raise SchemaError(f"space file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "dist" not in doc:
         raise SchemaError(f"space file {path!r} must be an object with a 'dist' matrix")
-    dist = np.asarray(doc["dist"], dtype=float)
+    dist = _numeric_field(path, doc, "dist")
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise SchemaError(f"space file {path!r}: 'dist' must be a square matrix")
     n = dist.shape[0]
-    if "n" in doc and int(doc["n"]) != n:
+    if "n" in doc and _numeric_field(path, doc, "n", int) != n:
         raise SchemaError(f"space file {path!r}: declared n={doc['n']} but matrix is {n}x{n}")
-    measure = np.asarray(doc.get("measure", np.ones(n)), dtype=float)
+    measure = _numeric_field(path, doc, "measure") if "measure" in doc else np.ones(n)
     return from_matrix(dist, measure, doc.get("labels"))
 
 

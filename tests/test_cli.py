@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,19 @@ def test_schema_mismatch_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, ["validate", "--space", str(path)])
     assert code == 2
     assert err.startswith("error: schema mismatch")
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"n": "abc", "dist": [[0, 1], [1, 0]]}, "'n'"),
+    ({"dist": [[0, 1], [1]]}, "'dist'"),
+    ({"dist": [[0, 1], [1, 0]], "measure": ["a", 1]}, "'measure'"),
+])
+def test_malformed_space_fields_exit_2(capsys, tmp_path, doc, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, ["validate", "--space", str(path)])
+    assert code == 2
+    assert err.startswith("error: schema mismatch") and field in err
 
 
 def test_dist_json(capsys, circle_path):
@@ -156,6 +170,16 @@ def test_poincare_family_file(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["result"]["reports"][0]["name"] == "custom_decay"
     assert abs(doc["result"]["reports"][0]["ratio"] - 0.5) < 0.02
+
+
+def test_overflowing_weight_exit_2(capsys):
+    # e^{2t} cell masses overflow double precision before t = 400
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, ["poincare", "--beta", "2", "--p", "1.5",
+                                    "--tmax", "400", "--dt", "0.5"])
+    assert code == 2
+    assert err.startswith("error: invalid input") and "overflows" in err
 
 
 def test_counterexample_cli(capsys, tmp_path, circle_path):

@@ -10,7 +10,8 @@ from warpfill import (WarpProfile, build_filling_graph, builtin_filling_family,
                       halfline_constant_exp, halfline_constant_general,
                       halfline_graph, halfline_verifier, lp_norm, optimal_constant_and_ratio,
                       optimal_subtracted_constant, slice_gradient_check)
-from warpfill.errors import PreconditionError, ResourceCapError
+from warpfill import poincare
+from warpfill.errors import ConvergenceError, PreconditionError, ResourceCapError
 
 EXP1 = WarpProfile.exp(1.0)
 SINH1 = WarpProfile.sinh_pow(1.0)
@@ -110,6 +111,78 @@ def test_optimal_constant_golden_matches_grid():
         rough = scan(values.min(), values.max(), 1e-3)
         c_grid = scan(rough - 2e-3, rough + 2e-3, 1e-6)
         assert abs(c - c_grid) <= 1e-5
+
+
+def _lp_objective(values, weights, c, p):
+    return float(np.sum(np.abs(values - c) ** p * weights))
+
+
+def _grid_oracle_min(values, weights, p):
+    """Minimum of the convex objective over repeatedly zoomed dense grids:
+    the minimizer always lies between the grid neighbours of the argmin."""
+    lo, hi = values.min(), values.max()
+    best = math.inf
+    for _ in range(12):
+        grid = np.linspace(lo, hi, 401)
+        obj = np.sum(np.abs(values[None, :] - grid[:, None]) ** p * weights[None, :], axis=1)
+        k = int(np.argmin(obj))
+        best = min(best, float(obj[k]))
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+    return best
+
+
+@pytest.mark.parametrize("p", [1.05, 1.5, 3.0, 4.0])
+def test_optimal_constant_steep_weights_against_oracle(p):
+    # e^{2t} weights put the optimum many decades below the value span
+    t = np.linspace(0.0, 20.0, 401)
+    weights = np.exp(2.0 * t)
+    for values in (np.exp(-t), np.cos(3.0 * t) * np.exp(-0.25 * t), np.clip(t - 1.0, 0.0, 1.0)):
+        c = optimal_subtracted_constant(values, weights, p)
+        oracle = _grid_oracle_min(values, weights, p)
+        assert _lp_objective(values, weights, c, p) <= oracle * (1.0 + 1e-12)
+
+
+def test_optimal_constant_on_a_data_value():
+    # the exact minimizer is 1 + delta with delta far below one ulp of 1
+    values = np.array([0.0, 1.0, 3.0])
+    weights = np.array([1.0, 1e60, 1.0])
+    for p in (1.5, 3.0):
+        c = optimal_subtracted_constant(values, weights, p)
+        assert c == 1.0
+        for nb in (np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)):
+            assert _lp_objective(values, weights, c, p) <= _lp_objective(values, weights, nb, p)
+
+
+@pytest.mark.parametrize("chunk", [1 << 16, 7])
+def test_optimal_constant_mixed_signs_against_oracle(monkeypatch, chunk):
+    # a chunk of 7 splits the 80 values into ragged chunks
+    monkeypatch.setattr(poincare, "_CHUNK", chunk)
+    rng = np.random.default_rng(7)
+    values = np.concatenate([-np.exp(rng.uniform(-5, 3, 40)), np.exp(rng.uniform(-5, 3, 40))])
+    weights = rng.uniform(0.1, 3.0, size=80)
+    for p in (1.2, 1.5, 2.7, 4.0):
+        c = optimal_subtracted_constant(values, weights, p)
+        oracle = _grid_oracle_min(values, weights, p)
+        assert _lp_objective(values, weights, c, p) <= oracle * (1.0 + 1e-12)
+
+
+def test_optimal_constant_weight_scale_invariant():
+    rng = np.random.default_rng(11)
+    values = rng.normal(size=200)
+    weights = rng.uniform(0.2, 2.0, size=200) * np.exp(np.linspace(0.0, 30.0, 200))
+    for p in (1.05, 1.5, 3.0):
+        c = optimal_subtracted_constant(values, weights, p)
+        c_big = optimal_subtracted_constant(values, weights * 1e200, p)
+        assert abs(c_big - c) <= 1e-12 * max(abs(c), 1e-300)
+        assert _lp_objective(values, weights, c_big, p) <= \
+            _lp_objective(values, weights, c, p) * (1.0 + 1e-12)
+
+
+def test_optimal_constant_raises_at_iteration_cap(monkeypatch):
+    monkeypatch.setattr(poincare, "_ROOT_MAXITER", 1)
+    values = np.random.default_rng(4).normal(size=60)
+    with pytest.raises(ConvergenceError):
+        optimal_subtracted_constant(values, np.ones(60), 1.5)
 
 
 def test_spreport_constant_function():
