@@ -68,6 +68,13 @@ def _envelope(subcommand: str, config: dict, seed, constants: dict, result) -> d
     }
 
 
+def _family_field(k: int, item: dict, key: str) -> np.ndarray:
+    try:
+        return np.asarray(item[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"family entry {k}: field {key!r} is not a list of numbers: {exc}") from exc
+
+
 def _load_family(G, spec: str):
     if spec == "builtin":
         return None
@@ -78,14 +85,16 @@ def _load_family(G, spec: str):
             raise SchemaError(f"family file {spec!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "family" not in doc:
         raise SchemaError(f"family file {spec!r} must be {{'family': [...]}}")
+    if not isinstance(doc["family"], list):
+        raise SchemaError(f"family file {spec!r}: 'family' must be a list")
     family = []
     for k, item in enumerate(doc["family"]):
-        if not {"name", "t", "values"} <= set(item):
-            raise SchemaError(f"family entry {k} needs 'name', 't' and 'values'")
-        ts = np.asarray(item["t"], dtype=float)
-        vs = np.asarray(item["values"], dtype=float)
-        if ts.shape != vs.shape or ts.ndim != 1:
-            raise SchemaError(f"family entry {item['name']!r} has mismatched t/values")
+        if not isinstance(item, dict) or not {"name", "t", "values"} <= set(item):
+            raise SchemaError(f"family entry {k} must be an object with 'name', 't' and 'values'")
+        ts = _family_field(k, item, "t")
+        vs = _family_field(k, item, "values")
+        if ts.shape != vs.shape or ts.ndim != 1 or ts.size == 0:
+            raise SchemaError(f"family entry {item['name']!r} has mismatched or empty t/values")
         family.append((item["name"],
                        np.interp(G.node_t, ts, vs)))
     return family
@@ -307,7 +316,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(ns) -> None:
+def _from_config(action: argparse.Action, value):
+    """A config-file value read as the same option on the command line would be:
+    its argparse type (str if none) applied to its text, then its choices; a
+    flag takes a JSON bool."""
+    if action.nargs == 0:  # store_true
+        if not isinstance(value, bool):
+            raise SchemaError(f"config key {action.dest!r} must be true or false, got {value!r}")
+        return value
+    convert = action.type or str
+    try:
+        value = convert(str(value))
+    except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+        raise SchemaError(f"config key {action.dest!r}: {value!r} is not a valid "
+                          f"{convert.__name__}") from exc
+    if action.choices is not None and value not in action.choices:
+        raise SchemaError(f"config key {action.dest!r} must be one of {list(action.choices)}, "
+                          f"got {value!r}")
+    return value
+
+
+def _resolve_config(ns, parser: argparse.ArgumentParser) -> None:
     """Fill None-valued options from --config, then from builtin defaults."""
     cfg = {}
     if getattr(ns, "config", None):
@@ -318,9 +347,12 @@ def _resolve_config(ns) -> None:
                 raise SchemaError(f"config file {ns.config!r} is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise SchemaError("config file must hold a JSON object")
-    for key, value in vars(ns).items():
-        if value is None and key in cfg:
-            setattr(ns, key, cfg[key])
+    values = vars(ns)
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for action in sub.choices[ns.subcommand]._actions:
+        key = action.dest
+        if key in values and values[key] is None and cfg.get(key) is not None:
+            setattr(ns, key, _from_config(action, cfg[key]))
     defaults = _DEFAULTS.get(ns.subcommand, {})
     for key, value in vars(ns).items():
         if value is None and key in defaults:
@@ -343,7 +375,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        _resolve_config(ns)
+        _resolve_config(ns, parser)
         if ns.subcommand in ("dist", "delta", "boundary", "counterexample") and not ns.space:
             raise SchemaError(f"{ns.subcommand} requires --space")
         if ns.subcommand in ("dist", "delta", "boundary") and not ns.profile:

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.sparse import coo_matrix
-from scipy.special import roots_jacobi
+from scipy.special import expit, roots_jacobi
 
 from .errors import (ConvergenceError, DomainError, PreconditionError, ResourceCapError,
                      ValidationError)
@@ -461,7 +461,7 @@ def builtin_halfline_family() -> list:
         ("damped_cosine", lambda t: np.cos(2.0 * t) * np.exp(-3.0 * t)),
         ("hat_at_2", lambda t: np.maximum(0.0, 1.0 - np.abs(t - 2.0))),
         ("damped_sine", lambda t: np.sin(5.0 * t) * np.exp(-2.0 * t)),
-        ("smooth_step_down", lambda t: 1.0 / (1.0 + np.exp(4.0 * (t - 3.0)))),
+        ("smooth_step_down", lambda t: expit(-4.0 * (t - 3.0))),  # 1/(1 + e^{4(t-3)})
     ]
 
 

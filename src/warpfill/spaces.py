@@ -10,7 +10,6 @@ sampled midpoint check `approx_length_check`.
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -19,6 +18,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra, shortest_path
 from .errors import DomainError, SchemaError, ValidationError
 
 _MAX_REPORTED = 200
+_TILE_CELLS = 1 << 16
 
 
 class CarrierSpace:
@@ -54,27 +54,11 @@ class CarrierSpace:
         return doc
 
     def adjacency(self):
-        """Essential edges of the metric: pairs (i, j) whose distance is not
-        realized through any third point. Shortest paths over these edges
-        reproduce the full matrix. Cached; costs O(n^3)."""
+        """Essential edges (rows, cols, lens), row-major: pairs i < j whose
+        `_detours` exceed d(i, j) + 1e-12 * max(1, max d), so that shortest paths
+        over them reproduce the matrix. Cached; `from_matrix` seeds it."""
         if self._adjacency is None:
-            D = self.dist
-            n = self.n
-            atol = 1e-12 * max(1.0, float(D.max()))
-            rows, cols, lens = [], [], []
-            diag = np.arange(n)
-            for i in range(n):
-                through = D[i][:, None] + D
-                through[i, :] = np.inf
-                through[diag, diag] = np.inf  # excludes k == j per column
-                relax = through.min(axis=0)
-                keep = np.flatnonzero((relax > D[i] + atol) & (diag > i))
-                rows.extend([i] * keep.size)
-                cols.extend(keep.tolist())
-                lens.extend(D[i, keep].tolist())
-            self._adjacency = (np.asarray(rows, dtype=np.int64),
-                               np.asarray(cols, dtype=np.int64),
-                               np.asarray(lens, dtype=float))
+            self._adjacency = _skeleton(self.dist, _detours(self.dist))
         return self._adjacency
 
     def _skeleton_csr(self):
@@ -100,21 +84,54 @@ class CarrierSpace:
         return path[::-1]
 
 
+def _min_over_k(A, op):
+    """out[i, j] = min over k of op(A[i, k], A[k, j]): an O(n^3) sweep over k,
+    accumulated in place, in row tiles of 2^16 cells that stay in cache."""
+    n = A.shape[0]
+    out = np.full((n, n), np.inf)
+    step = max(1, _TILE_CELLS // max(n, 1))
+    buf = np.empty((min(step, n), n))
+    for r0 in range(0, n, step):
+        acc, tile = out[r0:r0 + step], A[r0:r0 + step]
+        for k in range(n):
+            np.minimum(acc, op(tile[:, k, None], A[k], out=buf[:len(tile)]), out=acc)
+    return out
+
+
+def _detours(D):
+    """min over k not in {i, j} of D[i, k] + D[k, j] for i != j (inf when n <= 2),
+    the sweep behind both the triangle check and the skeleton. An infinite
+    diagonal makes the terms k = i and k = j infinite."""
+    return _min_over_k(np.where(np.eye(len(D), dtype=bool), np.inf, D), np.add)
+
+
+def _skeleton(D, detour):
+    """(rows, cols, lens) of the pairs i < j with detour > D + atol."""
+    atol = 1e-12 * max(1.0, float(D.max()))
+    rows, cols = np.nonzero(np.triu(detour > D + atol, 1))
+    return rows.astype(np.int64), cols.astype(np.int64), D[rows, cols]
+
+
 def validate_matrix(dist, measure=None, atol: float = 1e-12) -> list:
     """Collect every metric violation of a candidate distance matrix.
 
     Returns a list of (kind, indices, details) tuples; empty means valid.
     The triangle tolerance is atol scaled by the largest entry.
     """
+    return _check_matrix(dist, measure, atol)[0]
+
+
+def _check_matrix(dist, measure=None, atol: float = 1e-12):
+    """validate_matrix's list and `_detours(D)` (None if triangles went unchecked)."""
     D = np.asarray(dist, dtype=float)
     violations = []
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
-        return [("shape", D.shape, "matrix must be square")]
+        return [("shape", D.shape, "matrix must be square")], None
     n = D.shape[0]
     if not np.all(np.isfinite(D)):
         i, j = np.argwhere(~np.isfinite(D))[0]
         violations.append(("finite", (int(i), int(j)), float(D[i, j])))
-        return violations
+        return violations, None
     scale = max(1.0, float(np.abs(D).max()))
     tol = atol * scale
 
@@ -129,7 +146,11 @@ def validate_matrix(dist, measure=None, atol: float = 1e-12) -> list:
     for i, j in bad[:_MAX_REPORTED]:
         violations.append(("asymmetry", (int(i), int(j)), float(D[i, j]), float(D[j, i])))
 
-    if not violations:
+    detour = None if violations else _detours(D)
+    # D - detour is exactly the largest excess over k not in {i, j} (rounding is
+    # monotone), and a zero diagonal makes the excess for k in {i, j} exactly 0. So
+    # when neither test fires, the per-k report loop would find nothing.
+    if detour is not None and (np.any(np.diag(D) != 0.0) or np.any(np.triu(D - detour, 1) > tol)):
         count = 0
         for k in range(n):
             excess = D - (D[:, [k]] + D[[k], :])
@@ -152,23 +173,26 @@ def validate_matrix(dist, measure=None, atol: float = 1e-12) -> list:
             bad = np.argwhere(m <= 0.0)
             for (i,) in bad[:_MAX_REPORTED]:
                 violations.append(("measure_positive", int(i), float(m[i])))
-    return violations
+    return violations, detour
 
 
 def from_matrix(matrix, measure=None, labels=None) -> CarrierSpace:
     """Validated carrier from an explicit distance matrix.
 
     Raises ValidationError carrying every violation found (asymmetry,
-    negative entries, triangle failures, nonpositive measures).
+    negative entries, triangle failures, nonpositive measures). The validation
+    sweep also seeds the skeleton, so `adjacency()` costs nothing more.
     """
     D = np.asarray(matrix, dtype=float)
     if measure is None:
         measure = np.ones(D.shape[0] if D.ndim == 2 else 0)
-    violations = validate_matrix(D, measure)
+    violations, detour = _check_matrix(D, measure)
     if violations:
         raise ValidationError(f"invalid carrier: {len(violations)} violation(s), "
                               f"first: {violations[0]}", violations)
-    return CarrierSpace(D, measure, labels)
+    space = CarrierSpace(D, measure, labels)
+    space._adjacency = _skeleton(space.dist, detour)
+    return space
 
 
 def from_graph(edges, n: int | None = None, measure=None, labels=None) -> CarrierSpace:
@@ -241,25 +265,14 @@ def approx_length_check(space: CarrierSpace, eps: float) -> LengthCheckReport:
     if not (eps > 0.0):
         raise DomainError("approx_length_check requires eps > 0")
     D = space.dist
-    n = space.n
-    worst_excess = -math.inf
-    worst_pair = None
-    checked = 0
-    for i in range(n):
-        mids = np.minimum.reduce(np.maximum(D[i][:, None], D))  # min over k of max(d(i,k), d(k,j))
-        sel = np.flatnonzero(D[i] > eps)
-        sel = sel[sel > i]
-        if sel.size == 0:
-            continue
-        checked += sel.size
-        excess = mids[sel] - 0.5 * D[i, sel]
-        k = int(np.argmax(excess))
-        if excess[k] > worst_excess:
-            worst_excess = float(excess[k])
-            worst_pair = (i, int(sel[k]))
-    if worst_pair is None:
+    i, j = np.nonzero(np.triu(D > eps, 1))
+    if i.size == 0:
         return LengthCheckReport(True, eps, 0.0, None, 0)
-    return LengthCheckReport(worst_excess <= 0.5 * eps, eps, worst_excess, worst_pair, checked)
+    # min over k of max(d(i, k), d(k, j)), minus half the distance
+    excess = _min_over_k(D, np.maximum)[i, j] - 0.5 * D[i, j]
+    k = int(np.argmax(excess))  # the first worst pair in row-major order
+    worst = float(excess[k])
+    return LengthCheckReport(worst <= 0.5 * eps, eps, worst, (int(i[k]), int(j[k])), int(i.size))
 
 
 def save_space(space: CarrierSpace, path: str) -> None:

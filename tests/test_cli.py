@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import warpfill
 from warpfill import circle, save_space
 from warpfill.cli import main
 
@@ -222,3 +226,58 @@ def test_roundtrip_export_import(tmp_path, capsys):
     assert np.array_equal(s.dist, s2.dist) and np.array_equal(s.measure, s2.measure)
     code, _, _ = run(capsys, ["validate", "--space", str(path)])
     assert code == 0
+
+
+@pytest.mark.parametrize("doc, names", [
+    ({"family": [{"name": "a", "t": ["x"], "values": [1]}]}, ["entry 0", "'t'"]),
+    ({"family": [{"name": "a", "t": [0, 1], "values": [[1], 2]}]}, ["entry 0", "'values'"]),
+    ({"family": [3]}, ["entry 0", "'name'"]),
+    ({"family": [{"name": "a", "t": [], "values": []}]}, ["'a'", "empty"]),
+    ({"family": 3}, ["'family'", "list"]),
+])
+def test_malformed_family_exit_2(capsys, tmp_path, doc, names):
+    fam = tmp_path / "family.json"
+    fam.write_text(json.dumps(doc))
+    code, _, err = run(capsys, ["poincare", "--tmax", "5", "--dt", "0.5", "--family", str(fam)])
+    assert code == 2
+    assert err.startswith("error: schema mismatch") and err.count("\n") == 1
+    assert all(name in err for name in names)
+
+
+@pytest.mark.parametrize("argv, cfg, key", [
+    (["poincare"], {"p": "abc"}, "'p'"),
+    (["poincare"], {"dt": [0.1]}, "'dt'"),
+    (["poincare"], {"model": "cosh"}, "'model'"),
+    (["delta", "--profile", "exp:1"], {"count": 1.5}, "'count'"),
+    (["boundary", "--profile", "exp:1"], {"plot_data": "no"}, "'plot_data'"),
+    (["counterexample"], {"schedule": [10, 20]}, "--schedule"),
+])
+def test_wrong_typed_config_exit_2(capsys, tmp_path, circle_path, argv, cfg, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run(capsys, argv + ["--space", circle_path, "--config", str(path)])
+    assert code == 2
+    assert err.startswith("error: schema mismatch") and err.count("\n") == 1
+    assert key in err
+
+
+def test_config_values_read_as_flags(capsys, tmp_path, circle_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"count": 50, "seed": "3", "tmax": 4}))
+    code, out, _ = run(capsys, ["delta", "--space", circle_path, "--profile", "exp:1",
+                                "--config", str(path)])
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert (config["count"], config["seed"], config["tmax"]) == (50, 3, 4.0)
+
+
+def test_halfline_far_tail_has_no_overflow_warning():
+    # smooth_step_down at t up to 354, where e^{4(t-3)} overflows double precision
+    src = os.path.dirname(os.path.dirname(warpfill.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "warpfill.cli", "poincare", "--beta", "2", "--p", "1.5",
+         "--tmax", "354", "--dt", "0.5"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    reports = json.loads(proc.stdout)["result"]["reports"]
+    assert len(reports) == 12 and all(r["passed"] for r in reports)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from warpfill import (ValidationError, approx_length_check, circle, from_graph,
-                      from_matrix, load_space, save_space, validate_matrix)
+from warpfill import (CarrierSpace, ValidationError, WarpProfile, approx_length_check,
+                      build_filling_graph, circle, from_graph, from_matrix, load_space,
+                      save_space, spaces, validate_matrix)
 from warpfill.errors import DomainError, SchemaError
 
 
@@ -157,3 +158,152 @@ def test_json_schema_errors(tmp_path):
     path.write_text('{"n": 3, "dist": [[0,1],[1,0]]}')
     with pytest.raises(SchemaError):
         load_space(str(path))
+
+
+def _oracle_violations(D, atol=1e-12):
+    """validate_matrix's list (no measure), brute force over Python floats."""
+    D = np.asarray(D, dtype=float).tolist()
+    n = len(D)
+    tol = atol * max(1.0, max(abs(x) for row in D for x in row))
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    out = [("diagonal", i, D[i][i]) for i in range(n) if abs(D[i][i]) > tol][:200]
+    out += [("negative", (i, j), D[i][j]) for i, j in pairs if D[i][j] < -tol][:200]
+    out += [("asymmetry", (i, j), D[i][j], D[j][i]) for i, j in pairs
+            if i < j and abs(D[i][j] - D[j][i]) > tol][:200]
+    if out:
+        return out
+    tri = [("triangle", (i, j, k), D[i][j], D[i][k] + D[k][j])
+           for k in range(n) for i, j in pairs if i < j and D[i][j] - (D[i][k] + D[k][j]) > tol]
+    if len(tri) > 200:
+        return tri[:200] + [("triangle_overflow", len(tri), "additional violations elided")]
+    return tri
+
+
+def _dist(pts):
+    return np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
+
+
+def _euclid(rng, n):
+    return _dist(rng.normal(size=(n, 2)))
+
+
+def _violation_cases():
+    rng = np.random.default_rng(20)
+    junk = rng.uniform(0, 10, size=(30, 30))
+    junk = junk + junk.T
+    np.fill_diagonal(junk, 0.0)
+    yield "overflow", junk
+    near_zero_diag = _euclid(rng, 9)
+    near_zero_diag[np.diag_indices(9)] = rng.uniform(-9e-13, 9e-13, 9)
+    yield "diagonal_within_tol", near_zero_diag
+    stretched = near_zero_diag.copy()
+    stretched[0, 5] = stretched[5, 0] = 3 * stretched[0, 5]
+    yield "diagonal_within_tol_and_triangle", stretched
+    at_tol = 1000.0 * _euclid(np.random.default_rng(0), 4)
+    at_tol[0, 0] = -1e-12 * at_tol.max()  # rounding lifts the k = i excess over tol
+    yield "diagonal_at_tol", at_tol
+    asym = _euclid(rng, 8) + np.triu(rng.uniform(0, 9e-13, (8, 8)), 1)
+    yield "asymmetric_within_tol", asym
+    asym[1, 6] += 5.0
+    asym[6, 1] += 5.0
+    yield "asymmetric_within_tol_and_triangle", asym
+    pts = rng.normal(size=(7, 2))
+    pts[1] = pts[0]
+    twins = _dist(pts)
+    yield "zero_distance", twins
+    twins[2, 3] = twins[3, 2] = 0.0
+    yield "zero_distance_and_triangle", twins
+    edge = _euclid(rng, 6)
+    edge[0, 1] = edge[1, 0] = edge[0, 2] + edge[2, 1] + 1.5e-12 * max(1.0, edge.max())
+    yield "triangle_at_tolerance", edge
+    yield "n1", np.zeros((1, 1))
+    yield "n2", np.array([[0.0, 2.0], [2.0, 0.0]])
+    yield "n3_valid", np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    yield "n3_triangle", np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
+    yield "n3_negative", np.array([[0.0, -1.0, 3.0], [-1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
+
+
+@pytest.mark.parametrize("name, D", list(_violation_cases()), ids=lambda v: v if isinstance(v, str) else "")
+def test_validate_matrix_matches_brute_force_oracle(name, D):
+    got = validate_matrix(D)
+    want = _oracle_violations(D)
+    assert len(got) == len(want)
+    assert got == want
+    if name == "overflow":
+        assert got[-1][0] == "triangle_overflow" and got[-1][1] > 200
+
+
+def _oracle_skeleton(D):
+    """Pairs i < j not realized through a third point, brute force."""
+    L = D.tolist()
+    n = len(L)
+    atol = 1e-12 * max(1.0, float(D.max()))
+    keep = [(i, j) for i in range(n) for j in range(i + 1, n)
+            if min((L[i][k] + L[k][j] for k in range(n) if k not in (i, j)),
+                   default=math.inf) > L[i][j] + atol]
+    rows = np.array([i for i, _ in keep], dtype=np.int64)
+    cols = np.array([j for _, j in keep], dtype=np.int64)
+    return rows, cols, D[rows, cols]
+
+
+def _same_bits(a, b):
+    return all(x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+def _skeleton_carriers():
+    rng = np.random.default_rng(30)
+    edges = [(int(rng.integers(30)), int(rng.integers(30)), float(rng.uniform(0.1, 2)))
+             for _ in range(60)]
+    edges.extend((i, i + 1, 0.5) for i in range(29))
+    lattice = np.abs(np.arange(6)[:, None] - np.arange(6)[None, :]).astype(float)
+    return {"from_matrix": from_matrix(_euclid(rng, 25)),
+            "from_matrix_ties": from_matrix(lattice),
+            "from_matrix_n2": from_matrix([[0, 1], [1, 0]]),
+            "from_matrix_twins": from_matrix(_dist(np.repeat(rng.normal(size=(5, 2)), 2, axis=0))),
+            "from_graph": from_graph(edges, n=30),
+            "circle12": circle(12, 12.0),
+            "circle40": circle(40, 2 * math.pi)}
+
+
+@pytest.mark.parametrize("name", list(_skeleton_carriers()))
+def test_adjacency_matches_brute_force_oracle(name, monkeypatch):
+    s = _skeleton_carriers()[name]
+    seeded = s._adjacency
+    assert (seeded is not None) == name.startswith("from_matrix")
+    fresh = CarrierSpace(s.dist, s.measure).adjacency()
+    assert _same_bits(fresh, _oracle_skeleton(s.dist))
+    assert _same_bits(s.adjacency(), fresh)
+    monkeypatch.setattr(spaces, "_TILE_CELLS", 3 * s.n)  # three rows per tile
+    assert _same_bits(CarrierSpace(s.dist, s.measure).adjacency(), fresh)
+
+
+def test_load_and_filling_graph_pay_one_sweep(tmp_path, monkeypatch):
+    path = tmp_path / "c16.json"
+    save_space(circle(16, 2 * math.pi), str(path))
+    calls = []
+    sweep = spaces._detours
+    monkeypatch.setattr(spaces, "_detours", lambda D: calls.append(len(D)) or sweep(D))
+    G = build_filling_graph(load_space(str(path)), WarpProfile.exp(1.0), "exp", 2.0, 4.0, 0.5)
+    assert G.edges[0].size > 0
+    assert calls == [16]
+
+
+def test_length_check_matches_brute_force_oracle():
+    rng = np.random.default_rng(40)
+    for s in (circle(9, 9.0), from_matrix(_euclid(rng, 15)), from_graph(
+            [(i, (i + 1) % 12, float(rng.uniform(0.5, 2))) for i in range(12)])):
+        L = s.dist.tolist()
+        for eps in (0.01, 0.6, 2.0):
+            worst, pair, count = -math.inf, None, 0
+            for i in range(s.n):
+                for j in range(i + 1, s.n):
+                    if L[i][j] > eps:
+                        count += 1
+                        excess = min(max(L[i][k], L[k][j]) for k in range(s.n)) - 0.5 * L[i][j]
+                        if excess > worst:
+                            worst, pair = excess, (i, j)
+            want = ({"passed": worst <= 0.5 * eps, "eps": eps, "worst_excess": worst,
+                     "worst_pair": pair, "pairs_checked": count} if pair else
+                    {"passed": True, "eps": eps, "worst_excess": 0.0, "worst_pair": None,
+                     "pairs_checked": 0})
+            assert approx_length_check(s, eps).to_dict() == want
