@@ -23,8 +23,7 @@ from .hyperbolicity import boundary_metric, estimate_delta, snowflake_check
 from .norms import Norm2
 from .poincare import (build_filling_graph, builtin_filling_family,
                        builtin_halfline_family, counterexample_suite, filling_verifier,
-                       halfline_constant_exp, halfline_constant_general, halfline_graph,
-                       halfline_verifier)
+                       halfline_constant_exp, halfline_constant_general, halfline_verifier)
 from .profiles import WarpProfile, minimize_F
 from .spaces import approx_length_check, load_space
 from .warped import WarpedPoint, distance, distance_bounds_other_norm, gromov_product
@@ -70,14 +69,17 @@ def _envelope(subcommand: str, config: dict, seed, constants: dict, result) -> d
 
 def _family_field(k: int, item: dict, key: str) -> np.ndarray:
     try:
-        return np.asarray(item[key], dtype=float)
+        arr = np.asarray(item[key], dtype=float)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"family entry {k}: field {key!r} is not a list of numbers: {exc}") from exc
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError(f"family entry {k}: field {key!r} must hold finite numbers")
+    return arr
 
 
-def _load_family(G, spec: str):
-    if spec == "builtin":
-        return None
+def _load_family(spec: str) -> list:
+    """(name, u) pairs from a family file; u(t, y=None) interpolates the
+    entry's table in t and ignores y, so it is radial on any graph."""
     with open(spec) as fh:
         try:
             doc = json.load(fh)
@@ -95,8 +97,9 @@ def _load_family(G, spec: str):
         vs = _family_field(k, item, "values")
         if ts.shape != vs.shape or ts.ndim != 1 or ts.size == 0:
             raise SchemaError(f"family entry {item['name']!r} has mismatched or empty t/values")
-        family.append((item["name"],
-                       np.interp(G.node_t, ts, vs)))
+        if np.any(np.diff(ts) <= 0.0):
+            raise SchemaError(f"family entry {k}: field 't' must strictly increase")
+        family.append((item["name"], lambda t, y=None, ts=ts, vs=vs: np.interp(t, ts, vs)))
     return family
 
 
@@ -185,11 +188,8 @@ def cmd_poincare(ns) -> dict:
         "threshold": "p <= beta/alpha expected to pass",
     }
     if ns.space is None:
-        if ns.family == "builtin":
-            family = builtin_halfline_family()
-        else:
-            G = halfline_graph(profile_kind, ns.beta, ns.tmax, ns.dt)
-            family = _load_family(G, ns.family)
+        family = (builtin_halfline_family() if ns.family == "builtin"
+                  else _load_family(ns.family))
         reports = halfline_verifier(profile_kind, ns.beta, ns.p, family, ns.dt,
                                     ns.tmax, ns.slack)
         result = {"model": f"halfline:{profile_kind}",
@@ -199,11 +199,10 @@ def cmd_poincare(ns) -> dict:
             result["paper_constant_sharp"] = halfline_constant_exp(ns.beta, ns.p)
     else:
         space = load_space(ns.space)
-        profile = (WarpProfile.exp(ns.alpha) if profile_kind == "exp"
-                   else WarpProfile.sinh_pow(ns.alpha))
-        G = build_filling_graph(space, profile, profile_kind, ns.beta, ns.tmax, ns.dt)
+        G = build_filling_graph(space, WarpProfile(profile_kind, ns.alpha), profile_kind,
+                                ns.beta, ns.tmax, ns.dt)
         family = (builtin_filling_family(G) if ns.family == "builtin"
-                  else _load_family(G, ns.family))
+                  else _load_family(ns.family))
         reports = filling_verifier(G, ns.p, family, ns.slack)
         result = {"model": f"filling:{profile_kind}", "nodes": G.n_nodes,
                   "has_apex": G.has_apex,

@@ -11,7 +11,7 @@ finite boundary is plain min-plus matrix closure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -64,10 +64,7 @@ class SnowflakeReport:
     pairs: int
 
     def to_dict(self) -> dict:
-        return {"fitted_exponent": self.fitted_exponent,
-                "target_exponent": self.target_exponent,
-                "C0_empirical": self.C0_empirical,
-                "passed": self.passed, "pairs": self.pairs}
+        return asdict(self)
 
 
 @dataclass
@@ -79,10 +76,7 @@ class QuasisymmetryReport:
     violations: int
 
     def to_dict(self) -> dict:
-        return {"eta_samples": self.eta_samples, "skipped": self.skipped,
-                "eta_exponent": self.eta_exponent,
-                "eta_coefficient": self.eta_coefficient,
-                "violations": self.violations}
+        return asdict(self)
 
 
 def delta_bound(profile: WarpProfile, space: CarrierSpace) -> float:

@@ -58,7 +58,11 @@ class Norm2:
 
     @staticmethod
     def from_table(values, theta=None) -> "Norm2":
-        values = np.asarray(values, dtype=float)
+        try:
+            values = np.asarray(values, dtype=float)
+            theta = None if theta is None else np.asarray(theta, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"table norm values and angles must be numbers: {exc}") from exc
         if values.ndim != 1 or values.size < 2:
             raise SchemaError("table norm needs a 1-d array of at least 2 values")
         if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
@@ -66,7 +70,6 @@ class Norm2:
         if theta is None:
             theta = np.linspace(0.0, QUARTER, values.size)
         else:
-            theta = np.asarray(theta, dtype=float)
             if theta.shape != values.shape:
                 raise SchemaError("table norm theta/values length mismatch")
             if np.any(np.diff(theta) <= 0.0):
@@ -99,7 +102,11 @@ class Norm2:
         if spec == "linf":
             return Norm2.linf()
         if spec.startswith("lp:"):
-            return Norm2.lp(float(spec[3:]))
+            try:
+                p = float(spec[3:])
+            except ValueError as exc:
+                raise SchemaError(f"lp norm exponent must be a number, got {spec[3:]!r}") from exc
+            return Norm2.lp(p)
         if spec.startswith("table:"):
             return Norm2.from_file(spec[6:])
         raise SchemaError(f"unknown norm selection {spec!r}")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -195,8 +195,9 @@ class FillingGraph:
         return m.tocsr()
 
     def sample(self, fn: Callable) -> np.ndarray:
-        """Node values of fn(t, y_index); the apex gets fn(0.0, -1)."""
-        return np.asarray(fn(self.node_t, self.node_y), dtype=float)
+        """Node values of fn(t, y_index), broadcast to one per node (so a
+        constant return is fine); the apex gets fn(0.0, -1)."""
+        return np.asarray(fn(self.node_t, self.node_y), dtype=float) + np.zeros(self.n_nodes)
 
 
 def build_filling_graph(carrier: CarrierSpace, profile: WarpProfile, weight_kind: str,
@@ -332,10 +333,7 @@ class SPReport:
     sharp_passed: bool | None = None
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "name", "p", "c_star", "lp_u_minus_c", "lp_g", "ratio",
-            "paper_constant", "passed", "slack", "divergent",
-            "sharp_constant", "sharp_passed")}
+        return asdict(self)
 
 
 def halfline_constant_general(alpha: float, p: float) -> float:
@@ -361,51 +359,53 @@ def optimal_constant_and_ratio(G: FillingGraph, u: np.ndarray, p: float,
                                name: str = "", sharp_constant: float | None = None) -> SPReport:
     """Optimal subtracted constant, both norms and their ratio for one
     discrete function, judged against a caller-supplied reference constant
-    (pass iff ratio <= constant * (1 + slack))."""
+    (pass iff ratio <= constant * (1 + slack)). A function with zero
+    gradient norm is constant: it keeps c = u[0] and ratio 0."""
     if p < 1.0:
         raise DomainError("p must be >= 1")
     u = np.asarray(u, dtype=float)
     g = discrete_upper_gradient(G, u)
     w = G.node_measure
     lp_g = lp_norm(g.node, w, p)
-    divergent = not math.isfinite(lp_g)
     if lp_g == 0.0:
-        c = float(u[0])
-        return SPReport(name, p, c, 0.0, 0.0, 0.0, paper_constant,
-                        None if math.isnan(paper_constant) else True, slack,
-                        divergent, sharp_constant,
-                        None if sharp_constant is None else True)
-    c = optimal_subtracted_constant(u, w, p)
-    lp_u = lp_norm(u - c, w, p)
-    ratio = lp_u / lp_g
+        c, lp_u, ratio = float(u[0]), 0.0, 0.0
+    else:
+        c = optimal_subtracted_constant(u, w, p)
+        lp_u = lp_norm(u - c, w, p)
+        ratio = lp_u / lp_g
     passed = None if math.isnan(paper_constant) else bool(
         ratio <= paper_constant * (1.0 + slack))
     sharp_passed = None if sharp_constant is None else bool(
         ratio <= sharp_constant * (1.0 + slack))
     return SPReport(name, p, c, lp_u, lp_g, ratio, paper_constant, passed, slack,
-                    divergent, sharp_constant, sharp_passed)
-
-
-def _single_point_carrier() -> CarrierSpace:
-    return CarrierSpace(np.zeros((1, 1)), np.ones(1))
+                    not math.isfinite(lp_g), sharp_constant, sharp_passed)
 
 
 def halfline_graph(weight_kind: str, beta: float, t_max: float, dt: float) -> FillingGraph:
     """Weighted half-line as a degenerate filling graph (one-point carrier)."""
-    return build_filling_graph(_single_point_carrier(), WarpProfile.exp(1.0),
-                               weight_kind, beta, t_max, dt)
+    point = CarrierSpace(np.zeros((1, 1)), np.ones(1))
+    return build_filling_graph(point, WarpProfile.exp(1.0), weight_kind, beta, t_max, dt)
 
 
-def _as_node_values(G: FillingGraph, item) -> tuple:
-    if isinstance(item, tuple) and len(item) == 2:
-        name, payload = item
-    else:
-        name, payload = "u", item
-    if callable(payload):
-        vals = np.asarray(payload(G.node_t), dtype=float) + np.zeros(G.n_nodes)
-    else:
-        vals = np.asarray(payload, dtype=float)
-    return name, vals
+def _poincare_reports(G: FillingGraph, p: float, family: Sequence, slack: float,
+                      constant: float, sharp_constant: float | None = None,
+                      radial: bool = False) -> list:
+    """One SPReport per family member. A member is (name, payload) or a bare
+    payload named "u". A callable payload is sampled on G as fn(t, y), or as
+    fn(t) when radial; any other payload is read as node values."""
+    if not family:
+        raise PreconditionError("family must be nonempty")
+    out = []
+    for member in family:
+        name, payload = (member if isinstance(member, tuple) and len(member) == 2
+                         else ("u", member))
+        if callable(payload):
+            vals = G.sample((lambda t, y: payload(t)) if radial else payload)
+        else:
+            vals = np.asarray(payload, dtype=float)
+        out.append(optimal_constant_and_ratio(G, vals, p, constant, slack, name,
+                                              sharp_constant))
+    return out
 
 
 def halfline_verifier(weight_kind: str, beta: float, p: float, family: Sequence,
@@ -417,34 +417,21 @@ def halfline_verifier(weight_kind: str, beta: float, p: float, family: Sequence,
     for the exponential weight the sharper constant is checked as well.
     A non-finite gradient norm flags the report instead of raising.
     """
-    if not family:
-        raise PreconditionError("family must be nonempty")
     G = halfline_graph(weight_kind, beta, t_max, dt)
-    c_general = halfline_constant_general(beta, p)
     c_sharp = halfline_constant_exp(beta, p) if weight_kind == "exp" else None
-    out = []
-    for item in family:
-        name, vals = _as_node_values(G, item)
-        out.append(optimal_constant_and_ratio(G, vals, p, c_general, slack, name, c_sharp))
-    return out
+    return _poincare_reports(G, p, family, slack, halfline_constant_general(beta, p),
+                             c_sharp, radial=True)
 
 
 def filling_verifier(G: FillingGraph, p: float, family: Sequence,
                      slack: float = 0.1) -> list:
     """Global Poincare check on a filling graph, against the exponential
-    weight constant C(beta, p). Expected to pass when p <= beta/alpha."""
-    if not family:
-        raise PreconditionError("family must be nonempty")
-    c_ref = halfline_constant_exp(G.beta, p)
-    out = []
-    for item in family:
-        if isinstance(item, tuple) and len(item) == 2 and callable(item[1]):
-            name, vals = item[0], G.sample(item[1])
-        else:
-            name, vals = item if isinstance(item, tuple) else ("u", item)
-            vals = np.asarray(vals, dtype=float)
-        out.append(optimal_constant_and_ratio(G, vals, p, c_ref, slack, name))
-    return out
+    weight constant C(beta, p). Expected to pass when p <= beta/alpha.
+
+    family: items are (name, callable (t, y) -> u) or (name, node values)
+    or a bare callable/array.
+    """
+    return _poincare_reports(G, p, family, slack, halfline_constant_exp(G.beta, p))
 
 
 def builtin_halfline_family() -> list:
@@ -466,7 +453,8 @@ def builtin_halfline_family() -> list:
 
 
 def builtin_filling_family(G: FillingGraph, y0: int = 0) -> list:
-    """Separable, radial and oscillatory test functions on a filling graph.
+    """Separable, radial and oscillatory test functions on a filling graph,
+    as (name, callable (t, y) -> u) pairs.
 
     Functions vanish at t = 0 whenever the graph has an apex, so they are
     single-valued on the collapsed bottom level.
@@ -485,7 +473,7 @@ def builtin_filling_family(G: FillingGraph, y0: int = 0) -> list:
     harmonic = np.cos(math.pi * d0 / diam)
     # fiber-dependent factors must decay radially: below the threshold the
     # gradient of a persistent fiber oscillation is never p-integrable
-    fams = [
+    return [
         ("constant_one", lambda t, y: np.ones_like(t)),
         ("radial_exp_decay", lambda t, y: np.exp(-2.0 * t)),
         ("radial_ramp", lambda t, y: ramp(t)),
@@ -494,8 +482,6 @@ def builtin_filling_family(G: FillingGraph, y0: int = 0) -> list:
         ("oscillatory_harmonic", lambda t, y: (t * np.exp(-3.0 * t) if G.has_apex
                                                else np.exp(-3.0 * t)) * fiber(y, harmonic, 1.0)),
     ]
-    return [(name, np.asarray(fn(G.node_t, G.node_y), dtype=float) + np.zeros(G.n_nodes))
-            for name, fn in fams]
 
 
 @dataclass
@@ -520,11 +506,7 @@ class CounterexampleReport:
     verdict: str
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "alpha", "beta", "p", "r", "y0", "dt", "schedule", "g_norms",
-            "u_deviations", "tail_discrete", "tail_quadrature", "tail_rel_err",
-            "tail_integral_infinite", "tail_converges", "g_stabilized",
-            "deviation_growing", "annulus_measure", "verdict")}
+        return asdict(self)
 
 
 def counterexample_suite(carrier: CarrierSpace, y0: int, r: float, alpha: float,
@@ -626,10 +608,7 @@ class SliceCheckReport:
     worst_edge: tuple | None
 
     def to_dict(self) -> dict:
-        return {"max_violation": self.max_violation,
-                "radial_violation": self.radial_violation,
-                "horizontal_violation": self.horizontal_violation,
-                "worst_edge": self.worst_edge}
+        return asdict(self)
 
 
 def slice_gradient_check(G: FillingGraph, u: np.ndarray,

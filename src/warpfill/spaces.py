@@ -10,6 +10,7 @@ sampled midpoint check `approx_length_check`.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -241,17 +242,16 @@ def circle(n: int, circumference: float) -> CarrierSpace:
     return CarrierSpace(D, measure)
 
 
+@dataclass
 class LengthCheckReport:
-    def __init__(self, passed, eps, worst_excess, worst_pair, pairs_checked):
-        self.passed = passed
-        self.eps = eps
-        self.worst_excess = worst_excess
-        self.worst_pair = worst_pair
-        self.pairs_checked = pairs_checked
+    passed: bool
+    eps: float
+    worst_excess: float
+    worst_pair: tuple | None
+    pairs_checked: int
 
-    def to_dict(self):
-        return {"passed": self.passed, "eps": self.eps, "worst_excess": self.worst_excess,
-                "worst_pair": self.worst_pair, "pairs_checked": self.pairs_checked}
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 def approx_length_check(space: CarrierSpace, eps: float) -> LengthCheckReport:

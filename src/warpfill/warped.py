@@ -86,11 +86,7 @@ def _check_point(space: CarrierSpace, p: WarpedPoint) -> None:
 def distance(profile: WarpProfile, space: CarrierSpace,
              p1: WarpedPoint, p2: WarpedPoint) -> float:
     """Exact warped distance under the l1 combination."""
-    _check_point(space, p1)
-    _check_point(space, p2)
-    d_y = float(space.dist[p1.y, p2.y])
-    res = minimize_F(profile, d_y, min(p1.t, p2.t))
-    return p1.t + p2.t + res.fmin
+    return float(distance_batch(profile, space, [p1.t], [p1.y], [p2.t], [p2.y])[0])
 
 
 def distance_batch(profile: WarpProfile, space: CarrierSpace, t1, y1, t2, y2) -> np.ndarray:
@@ -129,14 +125,8 @@ def gromov_product(profile: WarpProfile, space: CarrierSpace, basepoint_y: int,
     (2*rho - psi(rho) d_Y(y1,y2))) / 2, and agrees with the three-distance
     definition computed from `distance`.
     """
-    _check_point(space, p1)
-    _check_point(space, p2)
-    _check_points(space, 0.0, basepoint_y)
-    d_y = float(space.dist[p1.y, p2.y])
-    res = minimize_F(profile, d_y, min(p1.t, p2.t))
-    d10 = float(space.dist[p1.y, basepoint_y])
-    d20 = float(space.dist[p2.y, basepoint_y])
-    return 0.5 * (profile.psi0 * (d10 + d20) - res.fmin)
+    return float(gromov_product_batch(profile, space, basepoint_y,
+                                      [p1.t], [p1.y], [p2.t], [p2.y])[0])
 
 
 def gromov_product_batch(profile: WarpProfile, space: CarrierSpace, basepoint_y: int,

@@ -234,6 +234,10 @@ def test_roundtrip_export_import(tmp_path, capsys):
     ({"family": [3]}, ["entry 0", "'name'"]),
     ({"family": [{"name": "a", "t": [], "values": []}]}, ["'a'", "empty"]),
     ({"family": 3}, ["'family'", "list"]),
+    ({"family": [{"name": "a", "t": [3, 2, 1], "values": [1, 2, 3]}]}, ["entry 0", "'t'", "increase"]),
+    ({"family": [{"name": "a", "t": [0, 0, 1], "values": [1, 2, 3]}]}, ["entry 0", "'t'", "increase"]),
+    ({"family": [{"name": "a", "t": [0, math.nan], "values": [1, 2]}]}, ["entry 0", "'t'", "finite"]),
+    ({"family": [{"name": "a", "t": [0, 1], "values": [1, math.inf]}]}, ["entry 0", "'values'", "finite"]),
 ])
 def test_malformed_family_exit_2(capsys, tmp_path, doc, names):
     fam = tmp_path / "family.json"
@@ -242,6 +246,37 @@ def test_malformed_family_exit_2(capsys, tmp_path, doc, names):
     assert code == 2
     assert err.startswith("error: schema mismatch") and err.count("\n") == 1
     assert all(name in err for name in names)
+
+
+def test_halfline_family_file_builds_one_graph(capsys, tmp_path, monkeypatch):
+    from warpfill import poincare
+    calls = []
+    build = poincare.build_filling_graph
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(poincare, "build_filling_graph", counting)
+    fam = tmp_path / "family.json"
+    fam.write_text(json.dumps({"family": [{"name": "a", "t": [0, 5], "values": [1, 0]}]}))
+    code, out, _ = run(capsys, ["poincare", "--tmax", "5", "--dt", "0.5", "--family", str(fam)])
+    assert code == 0 and json.loads(out)["result"]["reports"][0]["name"] == "a"
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("norm, table", [
+    ("table:{}", [1, "a"]),
+    ("table:{}", {"values": [1, 1], "theta": [0, "x"]}),
+    ("lp:abc", None),
+])
+def test_malformed_norm_exit_2(capsys, tmp_path, circle_path, norm, table):
+    path = tmp_path / "norm.json"
+    path.write_text(json.dumps(table))
+    code, _, err = run(capsys, ["dist", "--space", circle_path, "--profile", "exp:1",
+                                "--from", "5,0", "--to", "5,1", "--norm", norm.format(path)])
+    assert code == 2
+    assert err.startswith("error: schema mismatch") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, cfg, key", [

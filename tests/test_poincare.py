@@ -266,6 +266,32 @@ def test_filling_verifier_oscillatory_passes():
     assert abs(rep.ratio - rep2.ratio) / rep2.ratio <= 0.02
 
 
+@pytest.mark.parametrize("form", ["named_callable", "named_array", "bare_callable",
+                                  "bare_array", "constant_callable"])
+@pytest.mark.parametrize("where", ["halfline", "filling"])
+def test_one_family_contract(where, form):
+    # both verifiers read every member form the same way
+    if where == "halfline":
+        G = halfline_graph("exp", 1.0, 20.0, 0.05)
+        fn, const = (lambda t: np.exp(-2.0 * t)), (lambda t: 2.5)
+        vals = np.exp(-2.0 * G.node_t)
+        verify = lambda family: halfline_verifier("exp", 1.0, 1.5, family, dt=0.05, t_max=20.0)
+    else:
+        G = build_filling_graph(circle(8, 2 * math.pi), EXP1, "exp", 2.0, 10.0, 0.1)
+        fn, const = (lambda t, y: np.exp(-2.0 * t) * np.cos(y)), (lambda t, y: 2.5)
+        vals = np.exp(-2.0 * G.node_t) * np.cos(G.node_y)
+        verify = lambda family: filling_verifier(G, 1.5, family)
+    member = {"named_callable": ("f", fn), "named_array": ("f", vals),
+              "bare_callable": fn, "bare_array": vals, "constant_callable": ("f", const)}[form]
+    rep = verify([member])[0]
+    assert rep.name == ("u" if form.startswith("bare") else "f")
+    if form == "constant_callable":
+        assert rep.ratio == 0.0 and rep.c_star == 2.5 and rep.passed
+    else:
+        ref = optimal_constant_and_ratio(G, vals, 1.5)
+        assert rep.ratio == ref.ratio > 0.0 and rep.c_star == ref.c_star
+
+
 def test_builtin_filling_family_passes_below_threshold():
     Y = circle(16, 2 * math.pi)
     G = build_filling_graph(Y, EXP1, "exp", 2.0, 25.0, 0.05)
