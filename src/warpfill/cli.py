@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .errors import (DomainError, PreconditionError, ResourceCapError, SchemaError,
                      UnboundedError, ValidationError)
-from .hyperbolicity import boundary_metric, estimate_delta, snowflake_check
+from .hyperbolicity import boundary_metric, estimate_delta, snowflake_check, snowflake_pairs
 from .norms import Norm2
 from .poincare import (build_filling_graph, builtin_filling_family,
                        builtin_halfline_family, counterexample_suite, filling_verifier,
@@ -164,12 +164,9 @@ def cmd_boundary(ns) -> dict:
                              "chained_le_premetric": upper_ok},
               "snowflake": snow.to_dict()}
     if ns.plot_data:
-        iu = np.triu_indices(space.n, 1)
-        d = space.dist[iu]
-        c = bm.chained[iu]
-        mask = (d > 0) & (c > 0)
+        d, c = snowflake_pairs(bm, space)
         path = f"{prefix}_snowflake.dat"
-        np.savetxt(path, np.column_stack([np.log(d[mask]), np.log(c[mask])]))
+        np.savetxt(path, np.column_stack([np.log(d), np.log(c)]))
         result["plot_data"] = path
     config = {"space": ns.space, "profile": ns.profile, "eps": ns.eps,
               "basepoint_y": ns.basepoint_y, "out_prefix": ns.out_prefix,

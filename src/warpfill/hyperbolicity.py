@@ -5,7 +5,8 @@ coordinate 0; for the builtin profiles the defect is bounded by
 2/alpha (plus 3*psi(0)*diam(Y) when psi(0) != 0). Boundary points are
 identified with carrier nodes; the visual premetric e^{-eps<.,.>} is
 turned into a metric by an exact shortest-chain closure, which for a
-finite boundary is plain min-plus matrix closure.
+finite boundary is plain min-plus matrix closure: scipy's Floyd-Warshall,
+with zero premetric entries kept as zero weights, not missing edges.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import csgraph_from_dense, floyd_warshall
 
 from .errors import DomainError, PreconditionError
 from .profiles import WarpProfile, sup_G_batch
-from .spaces import CarrierSpace
+from .spaces import _TILE_CELLS, CarrierSpace, _min_over_k
 from .warped import WarpedPoint, gromov_product_batch
 
 
@@ -120,32 +122,42 @@ def estimate_delta(profile: WarpProfile, space: CarrierSpace, t_max: float,
 def estimate_delta_exhaustive(profile: WarpProfile, space: CarrierSpace,
                               t_levels, basepoint_y: int = 0) -> DeltaReport:
     """Exhaustive four-point defect over a lattice (t_levels x carrier),
-    still with the basepoint fixed. O(m^3) in m = len(t_levels) * n; meant
-    for small instances."""
+    still with the basepoint fixed. O(m^3) in m = len(t_levels) * n, on the
+    tiled sweep of `spaces`; meant for small instances (1 <= m <= 1259)."""
     t_levels = np.asarray(t_levels, dtype=float)
     tt = np.repeat(t_levels, space.n)
     yy = np.tile(np.arange(space.n), t_levels.size)
     m = tt.size
-    if m ** 3 > 2_000_000_000:
-        raise DomainError(f"lattice of {m} points is too large for an exhaustive scan")
-    G = np.empty((m, m))
-    for i in range(m):
-        G[i] = gromov_product_batch(profile, space, basepoint_y,
-                                    np.full(m, tt[i]), np.full(m, yy[i], dtype=int), tt, yy)
-    delta = 0.0
-    witness_idx = (0, 0, 0)
-    for k in range(m):
-        cand = np.minimum(G[:, [k]], G[[k], :]) - G
-        ij = np.unravel_index(int(np.argmax(cand)), cand.shape)
-        if cand[ij] > delta:
-            delta = float(cand[ij])
-            witness_idx = (ij[0], ij[1], k)
-    i, j, k = witness_idx
-    witness = (WarpedPoint(0.0, basepoint_y),
-               WarpedPoint(float(tt[i]), int(yy[i])),
-               WarpedPoint(float(tt[j]), int(yy[j])),
-               WarpedPoint(float(tt[k]), int(yy[k])))
+    if not 0 < m ** 3 <= 2_000_000_000:
+        raise DomainError(f"an exhaustive scan takes 1 to 1259 lattice points, got {m}")
+    G = gromov_product_batch(profile, space, basepoint_y, tt[:, None], yy[:, None], tt, yy)
+    # max over k of min(G[i, k], G[k, j]), minus G[i, j]: rounding is monotone,
+    # so this is exactly the largest defect over k
+    defect = -_min_over_k(-G, np.maximum) - G
+    delta = max(0.0, float(defect.max()))
+    ijk = _first_witness(G, defect, delta) if delta > 0.0 else (0, 0, 0)
+    witness = (WarpedPoint(0.0, basepoint_y),) + tuple(
+        WarpedPoint(float(tt[q]), int(yy[q])) for q in ijk)
     return DeltaReport(delta, delta_bound(profile, space), m ** 3, witness, basepoint_y)
+
+
+def _first_witness(G: np.ndarray, defect: np.ndarray, delta: float):
+    """(i, j, k) with min(G[i, k], G[k, j]) - G[i, j] == delta = defect[i, j]:
+    the smallest such k, then the first (i, j) in row-major order. Symmetric
+    carriers tie on many pairs, so these go in tiles, each searching only the
+    k below the best so far (a tie at that k keeps the earlier pair)."""
+    I, J = np.nonzero(defect == delta)
+    k_best, q = G.shape[0], 0
+    step = max(1, _TILE_CELLS // G.shape[0])
+    for s in range(0, I.size, step):
+        i, j = I[s:s + step], J[s:s + step]
+        hit = np.minimum(G[i, :k_best], G[:k_best, j].T) - G[i, j, None] == delta
+        rows = np.flatnonzero(hit.any(axis=1))
+        if rows.size:
+            ks = np.argmax(hit[rows], axis=1)
+            r = int(np.argmin(ks))
+            k_best, q = int(ks[r]), s + int(rows[r])
+    return int(I[q]), int(J[q]), k_best
 
 
 def default_eps(delta: float) -> float:
@@ -157,15 +169,11 @@ def default_eps(delta: float) -> float:
 
 
 def _min_plus_closure(M: np.ndarray) -> np.ndarray:
-    """All-pairs shortest chains on the complete graph weighted by M.
-
-    Plain Floyd-Warshall over numpy rows; zero entries are genuine zero
-    weights. O(n^3)."""
-    D = M.copy()
-    n = D.shape[0]
-    for k in range(n):
-        np.minimum(D, D[:, [k]] + D[[k], :], out=D)
-    return D
+    """All-pairs shortest chains on the complete graph weighted by M (zero
+    diagonal): scipy's Floyd-Warshall. M goes in as a sparse graph whose
+    missing entries are the infinite ones, so zero entries stay genuine zero
+    weights (dense input would read them as missing edges). O(n^3)."""
+    return floyd_warshall(csgraph_from_dense(M, null_value=np.inf), directed=True)
 
 
 def boundary_metric(profile: WarpProfile, space: CarrierSpace, eps: float | None = None,
@@ -214,15 +222,19 @@ def boundary_metric(profile: WarpProfile, space: CarrierSpace, eps: float | None
     return BoundaryMetric(float(eps), basepoint_y, premetric, chained, delta, eps_warning)
 
 
-def _snowflake_constant(bm: BoundaryMetric, space: CarrierSpace, s: float):
-    """Carrier and boundary distances (d, chained) over the distinct pairs
-    where both are positive, and the empirical snowflake constant
-    C0 = max(chained / d^s, d^s / chained) over them (nan without pairs)."""
+def snowflake_pairs(bm: BoundaryMetric, space: CarrierSpace):
+    """Carrier and boundary distances (d, chained) over the pairs i < j, in
+    row-major order, where both are positive."""
     iu = np.triu_indices(space.n, 1)
-    d = space.dist[iu]
-    c = bm.chained[iu]
+    d, c = space.dist[iu], bm.chained[iu]
     mask = (d > 0.0) & (c > 0.0)
-    d, c = d[mask], c[mask]
+    return d[mask], c[mask]
+
+
+def _snowflake_constant(bm: BoundaryMetric, space: CarrierSpace, s: float):
+    """`snowflake_pairs` and the empirical snowflake constant
+    C0 = max(chained / d^s, d^s / chained) over them (nan without pairs)."""
+    d, c = snowflake_pairs(bm, space)
     if d.size == 0:
         return d, c, math.nan
     snow = d ** s

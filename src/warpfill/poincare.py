@@ -84,6 +84,8 @@ class FillingGraph:
                  beta: float, t_max: float, dt: float, max_nodes: int | None = None):
         if not (dt > 0.0) or not (t_max >= dt):
             raise DomainError("need dt > 0 and t_max >= dt")
+        if not math.isfinite(t_max):
+            raise DomainError(f"t_max must be finite, got {t_max}")
         if not (beta > 0.0):
             raise DomainError("need beta > 0")
         if weight_kind not in ("exp", "sinh"):
@@ -106,17 +108,15 @@ class FillingGraph:
                 "(WARPFILL_MAX_NODES)")
         with np.errstate(over="ignore", invalid="ignore"):
             masses = _cell_masses(weight_kind, beta, self.levels, dt)
+        # the full product grid, less the first n - 1 nodes when the bottom
+        # level is one apex node (see node_index)
+        self._off = off = n - 1 if self.has_apex else 0
+        self.node_t = np.repeat(self.levels, n)[off:]
+        self.node_y = np.tile(np.arange(n), n_levels)[off:]
+        self.node_measure = (np.repeat(masses, n) * np.tile(carrier.measure, n_levels))[off:]
         if self.has_apex:
-            t_upper = np.repeat(self.levels[1:], n)
-            y_upper = np.tile(np.arange(n), n_levels - 1)
-            self.node_t = np.concatenate([[0.0], t_upper])
-            self.node_y = np.concatenate([[-1], y_upper])
-            m_upper = np.repeat(masses[1:], n) * np.tile(carrier.measure, n_levels - 1)
-            self.node_measure = np.concatenate([[masses[0] * carrier.measure.sum()], m_upper])
-        else:
-            self.node_t = np.repeat(self.levels, n)
-            self.node_y = np.tile(np.arange(n), n_levels)
-            self.node_measure = np.repeat(masses, n) * np.tile(carrier.measure, n_levels)
+            self.node_y[0] = -1
+            self.node_measure[0] = masses[0] * carrier.measure.sum()
         if not np.all(np.isfinite(self.node_measure)):
             raise DomainError(
                 f"{weight_kind} weight with beta={beta} overflows double precision before "
@@ -134,13 +134,10 @@ class FillingGraph:
         return self.levels.size
 
     def node_index(self, level: int, j: int) -> int:
-        """Node id of carrier node j at radial level `level`."""
-        n = self.carrier.n
-        if self.has_apex:
-            if level == 0:
-                return 0
-            return 1 + (level - 1) * n + j
-        return level * n + j
+        """Node id of carrier node j at radial level `level`: level*n + j - off,
+        where off = n - 1 when the bottom level is the apex (id 0, where the
+        formula gives j - off <= 0) and 0 otherwise."""
+        return max(level * self.carrier.n + j - self._off, 0)
 
     @property
     def edges(self):
@@ -151,37 +148,25 @@ class FillingGraph:
 
     def _build_edges(self):
         n = self.carrier.n
-        L = self.n_levels
-        a_parts, b_parts, len_parts = [], [], []
+        ids = np.maximum(np.arange(self.n_levels, dtype=np.int64)[:, None] * n
+                         + np.arange(n) - self._off, 0)  # ids[i, j] = node_index(i, j)
         # radial edges between consecutive levels; the apex fans out to the
         # whole first full level
-        cols = np.arange(n)
-        for i in range(L - 1):
-            if self.has_apex and i == 0:
-                lo = np.zeros(n, dtype=np.int64)
-            else:
-                lo = self.node_index(i, 0) + cols
-            hi = self.node_index(i + 1, 0) + cols
-            a_parts.append(np.asarray(lo, dtype=np.int64))
-            b_parts.append(np.asarray(hi, dtype=np.int64))
-            len_parts.append(np.full(n, self.dt))
+        parts = [(ids[:-1].ravel(), ids[1:].ravel(), np.full(ids[1:].size, self.dt))]
         # horizontal edges along essential carrier edges, level by level
         if n > 1:
             rows, colsj, dd = self.carrier.adjacency()
             start = 1 if self.has_apex else 0
-            for i in range(start, L):
-                scale = float(self.profile.psi(self.levels[i]))
-                if scale <= 0.0:
-                    raise ValidationError(
-                        f"horizontal edges at level {i} would have length 0 "
-                        "(psi vanishes away from the apex)")
-                base = self.node_index(i, 0)
-                a_parts.append(base + rows)
-                b_parts.append(base + colsj)
-                len_parts.append(scale * dd)
-        edge_a = np.concatenate(a_parts) if a_parts else np.empty(0, dtype=np.int64)
-        edge_b = np.concatenate(b_parts) if b_parts else np.empty(0, dtype=np.int64)
-        edge_len = np.concatenate(len_parts) if len_parts else np.empty(0)
+            scales = np.array([float(self.profile.psi(t)) for t in self.levels[start:]])
+            vanish = np.flatnonzero(scales <= 0.0)
+            if vanish.size:
+                raise ValidationError(
+                    f"horizontal edges at level {start + vanish[0]} would have length 0 "
+                    "(psi vanishes away from the apex)")
+            base = ids[start:, :1]
+            parts.append(((base + rows).ravel(), (base + colsj).ravel(),
+                          (scales[:, None] * dd).ravel()))
+        edge_a, edge_b, edge_len = map(np.concatenate, zip(*parts))
         if np.any(edge_len <= 0.0):
             raise ValidationError("graph has a nonpositive edge length")
         return edge_a, edge_b, edge_len
@@ -555,27 +540,30 @@ def counterexample_suite(carrier: CarrierSpace, y0: int, r: float, alpha: float,
         arg = s * log_sinh
         return math.exp(arg) if arg < 700.0 else math.inf
 
+    if not all(T >= dt for T in schedule):
+        raise DomainError("need dt > 0 and t_max >= dt")
+    # one graph at the longest truncation: the graph at T has the first
+    # round(T/dt) levels, whose nodes and cell masses are a prefix of it
+    G = build_filling_graph(carrier, WarpProfile.sinh_pow(alpha), "sinh",
+                            beta, schedule[-1], dt, max_nodes)
+    t, yidx, w = G.node_t, G.node_y, G.node_measure
+    u_r = u_radial(t)
+    lip_r = ((t >= 1.0) & (t <= 2.0)).astype(float)
+    uy = np.where(yidx >= 0, u_y[np.maximum(yidx, 0)], 0.0)
+    ly = np.where(yidx >= 0, lip_y[np.maximum(yidx, 0)], 0.0)
+    u = u_r * uy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        second = np.where(t > 0.0, u_r / np.where(t > 0.0, np.sinh(t) ** alpha, 1.0) * ly, 0.0)
+    g = uy * lip_r + second
+
     g_norms, u_devs, tails_d, tails_q = [], [], [], []
     for T in schedule:
-        G = build_filling_graph(carrier, WarpProfile.sinh_pow(alpha), "sinh",
-                                beta, T, dt, max_nodes)
-        t = G.node_t
-        yidx = G.node_y
-        u_r = u_radial(t)
-        lip_r = ((t >= 1.0) & (t <= 2.0)).astype(float)
-        uy = np.where(yidx >= 0, u_y[np.maximum(yidx, 0)], 0.0)
-        ly = np.where(yidx >= 0, lip_y[np.maximum(yidx, 0)], 0.0)
-        u = u_r * uy
-        psi = np.sinh(t) ** alpha
-        with np.errstate(divide="ignore", invalid="ignore"):
-            second = np.where(t > 0.0, u_r / np.where(t > 0.0, psi, 1.0) * ly, 0.0)
-        g = uy * lip_r + second
-        w = G.node_measure
-        g_norms.append(lp_norm(g, w, p))
-        c = optimal_subtracted_constant(u, w, p)
-        u_devs.append(lp_norm(u - c, w, p))
-        tail_mask = t >= 1.0
-        tails_d.append(float(np.sum((second[tail_mask]) ** p * w[tail_mask])) / mu_annulus)
+        k = G.node_index(int(round(T / dt)) - 1, carrier.n - 1) + 1
+        g_norms.append(lp_norm(g[:k], w[:k], p))
+        c = optimal_subtracted_constant(u[:k], w[:k], p)
+        u_devs.append(lp_norm(u[:k] - c, w[:k], p))
+        tail = t[:k] >= 1.0
+        tails_d.append(float(np.sum((second[:k][tail]) ** p * w[:k][tail])) / mu_annulus)
         q, _ = quad(lambda x: float(u_radial(np.asarray(x))) ** p * sinh_pow(x, s_exp),
                     1.0, T, limit=200)
         tails_q.append(float(q))

@@ -134,7 +134,7 @@ def test_boundary_auto_eps_and_csv(capsys, tmp_path, circle_path):
     chained = np.loadtxt(res["chained_csv"], delimiter=",")
     assert pre.shape == (32, 32) and chained.shape == (32, 32)
     plot = np.loadtxt(res["plot_data"])
-    assert plot.shape[1] == 2
+    assert plot.shape == (res["snowflake"]["pairs"], 2) == (32 * 31 // 2, 2)
 
 
 def test_poincare_halfline(capsys):
@@ -184,6 +184,19 @@ def test_overflowing_weight_exit_2(capsys):
                                     "--tmax", "400", "--dt", "0.5"])
     assert code == 2
     assert err.startswith("error: invalid input") and "overflows" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["poincare", "--tmax", "inf"], "t_max must be finite"),
+    (["poincare", "--space", "{circle}", "--tmax", "inf"], "t_max must be finite"),
+    (["counterexample", "--space", "{circle}", "--schedule", "10,inf"], "t_max must be finite"),
+    (["counterexample", "--space", "{circle}", "--schedule", "0.01,10", "--dt", "0.02"],
+     "t_max >= dt"),
+])
+def test_bad_truncation_exit_2(capsys, circle_path, argv, message):
+    code, out, err = run(capsys, [a.format(circle=circle_path) for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid input") and message in err
 
 
 def test_counterexample_cli(capsys, tmp_path, circle_path):

@@ -5,8 +5,10 @@ import pytest
 
 from warpfill import (WarpProfile, WarpedPoint, boundary_metric, circle, default_eps,
                       delta_bound, estimate_delta, estimate_delta_exhaustive,
-                      from_matrix, gromov_product, quasisymmetry_modulus,
-                      snowflake_check, sup_G)
+                      from_graph, from_matrix, gromov_product, gromov_product_batch,
+                      quasisymmetry_modulus, snowflake_check, sup_G)
+from warpfill.errors import DomainError
+from warpfill import hyperbolicity
 from warpfill.hyperbolicity import _min_plus_closure
 
 SINH1 = WarpProfile.sinh_pow(1.0)
@@ -154,3 +156,77 @@ def test_quasisymmetry_report():
     if np.any(near):
         assert np.all(ratio_out[near] <= 4.0 + 1e-9)
         assert np.all(ratio_out[near] >= 0.25 - 1e-9)
+
+
+def _oracle_closure(M):
+    """Floyd-Warshall over numpy rows, kept as a reference."""
+    D = M.copy()
+    for k in range(D.shape[0]):
+        np.minimum(D, D[:, [k]] + D[[k], :], out=D)
+    return D
+
+
+def test_min_plus_closure_matches_loop_oracle():
+    # zero off-diagonal entries are zero weights, infinite ones missing edges
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 3, 7, 30):
+        for zeros, infs in ((0.0, 0.0), (0.2, 0.0), (0.2, 0.2), (0.0, 0.5)):
+            M = rng.uniform(0.0, 1.0, size=(n, n))
+            M[rng.uniform(size=(n, n)) < zeros] = 0.0
+            M[rng.uniform(size=(n, n)) < infs] = np.inf
+            for A in (M, np.minimum(M, M.T)):
+                A = A.copy()
+                np.fill_diagonal(A, 0.0)
+                got, want = _min_plus_closure(A), _oracle_closure(A)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _oracle_exhaustive(profile, space, t_levels, basepoint_y=0):
+    """The per-row Gromov products and per-k defect loop, kept as a reference:
+    (delta, witness indices (i, j, k))."""
+    tt = np.repeat(np.asarray(t_levels, float), space.n)
+    yy = np.tile(np.arange(space.n), len(t_levels))
+    m = tt.size
+    G = np.empty((m, m))
+    for i in range(m):
+        G[i] = gromov_product_batch(profile, space, basepoint_y, np.full(m, tt[i]),
+                                    np.full(m, yy[i], dtype=int), tt, yy)
+    delta, witness = 0.0, (0, 0, 0)
+    for k in range(m):
+        cand = np.minimum(G[:, [k]], G[[k], :]) - G
+        ij = np.unravel_index(int(np.argmax(cand)), cand.shape)
+        if cand[ij] > delta:
+            delta, witness = float(cand[ij]), (ij[0], ij[1], k)
+    i, j, k = witness
+    return delta, [(0.0, basepoint_y)] + [(float(tt[q]), int(yy[q])) for q in (i, j, k)]
+
+
+@pytest.mark.parametrize("tile", [None, 1])
+def test_delta_exhaustive_matches_loop_oracle(monkeypatch, tile):
+    if tile:  # one tied pair per tile in the witness search
+        monkeypatch.setattr(hyperbolicity, "_TILE_CELLS", tile)
+    rng = np.random.default_rng(12)
+    pts = rng.uniform(0.0, 1.0, size=(9, 2))
+    euclid = from_matrix(np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1)))
+    complete = from_graph([(i, j, 1.0) for i in range(6) for j in range(i + 1, 6)], n=6)
+    one = from_matrix([[0.0]])
+    cases = [(circle(12, 2 * math.pi), [0.0, 0.5, 2.0, 5.0]),  # symmetric: many ties
+             (circle(8, 8.0), [1.0, 3.0]),
+             (euclid, [0.0, 0.7, 3.0]),
+             (complete, [0.0, 1.0, 2.0]),
+             (one, [0.0, 1.0, 2.5]),
+             (one, [4.0])]
+    for space, levels in cases:
+        for profile in (SINH1, EXP1, WarpProfile.sinh_pow(1.5)):
+            for basepoint in {0, space.n - 1}:
+                rep = estimate_delta_exhaustive(profile, space, levels, basepoint)
+                delta, witness = _oracle_exhaustive(profile, space, levels, basepoint)
+                assert rep.delta_basepoint == delta
+                assert [(w.t, w.y) for w in rep.worst_witness] == witness
+                assert rep.samples == (len(levels) * space.n) ** 3
+
+
+@pytest.mark.parametrize("t_levels", [[], list(range(40))])
+def test_delta_exhaustive_rejects_empty_or_huge_lattice(t_levels):
+    with pytest.raises(DomainError):
+        estimate_delta_exhaustive(SINH1, circle(32, 2 * math.pi), t_levels)

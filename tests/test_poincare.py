@@ -6,12 +6,13 @@ from scipy.integrate import quad
 
 from warpfill import (WarpProfile, build_filling_graph, builtin_filling_family,
                       builtin_halfline_family, circle, counterexample_suite,
-                      discrete_upper_gradient, filling_verifier, from_matrix,
+                      discrete_upper_gradient, filling_verifier, from_graph, from_matrix,
                       halfline_constant_exp, halfline_constant_general,
                       halfline_graph, halfline_verifier, lp_norm, optimal_constant_and_ratio,
                       optimal_subtracted_constant, slice_gradient_check)
 from warpfill import poincare
-from warpfill.errors import ConvergenceError, PreconditionError, ResourceCapError
+from warpfill.errors import (ConvergenceError, DomainError, PreconditionError, ResourceCapError,
+                             ValidationError)
 
 EXP1 = WarpProfile.exp(1.0)
 SINH1 = WarpProfile.sinh_pow(1.0)
@@ -355,3 +356,145 @@ def test_counterexample_preconditions():
     two = from_matrix([[0.0, 0.1], [0.1, 0.0]], [1.0, 1.0])
     with pytest.raises(PreconditionError):
         counterexample_suite(two, 0, 0.5, 1.0, 1.0, 2.0, (4.0, 6.0))  # no half-ball mass? r/2 too big
+
+
+def _oracle_edges(G):
+    """The per-level edge loop, kept as a reference: radial edges level by
+    level, then horizontal edges level by level."""
+    n, L = G.carrier.n, G.n_levels
+
+    def first_id(level):  # id of carrier node 0 at the level
+        return (0 if level == 0 else 1 + (level - 1) * n) if G.has_apex else level * n
+
+    a_parts, b_parts, len_parts = [], [], []
+    cols = np.arange(n)
+    for i in range(L - 1):
+        lo = (np.zeros(n, dtype=np.int64) if G.has_apex and i == 0
+              else first_id(i) + cols)
+        a_parts.append(np.asarray(lo, dtype=np.int64))
+        b_parts.append(np.asarray(first_id(i + 1) + cols, dtype=np.int64))
+        len_parts.append(np.full(n, G.dt))
+    if n > 1:
+        rows, colsj, dd = G.carrier.adjacency()
+        for i in range(1 if G.has_apex else 0, L):
+            base = first_id(i)
+            a_parts.append(base + rows)
+            b_parts.append(base + colsj)
+            len_parts.append(float(G.profile.psi(G.levels[i])) * dd)
+    return (np.concatenate(a_parts) if a_parts else np.empty(0, dtype=np.int64),
+            np.concatenate(b_parts) if b_parts else np.empty(0, dtype=np.int64),
+            np.concatenate(len_parts) if len_parts else np.empty(0))
+
+
+def _oracle_nodes(G):
+    """Node arrays built per case, kept as a reference for the sliced grid."""
+    n, L = G.carrier.n, G.n_levels
+    with np.errstate(over="ignore", invalid="ignore"):
+        masses = poincare._cell_masses(G.weight_kind, G.beta, G.levels, G.dt)
+    if not G.has_apex:
+        return (np.repeat(G.levels, n), np.tile(np.arange(n), L),
+                np.repeat(masses, n) * np.tile(G.carrier.measure, L))
+    return (np.concatenate([[0.0], np.repeat(G.levels[1:], n)]),
+            np.concatenate([[-1], np.tile(np.arange(n), L - 1)]),
+            np.concatenate([[masses[0] * G.carrier.measure.sum()],
+                            np.repeat(masses[1:], n) * np.tile(G.carrier.measure, L - 1)]))
+
+
+def _edge_cases():
+    ring = from_graph([(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0), (3, 4, 1.5), (4, 5, 1.0),
+                       (5, 0, 0.5), (0, 3, 2.5)], n=6)
+    return {
+        "circle_apex": lambda: build_filling_graph(circle(8, 2 * math.pi), SINH1, "sinh",
+                                                   1.5, 3.0, 0.1),
+        "circle_no_apex": lambda: small_graph(),
+        "circle_one_level": lambda: small_graph(t_max=0.5),
+        "apex_one_level": lambda: build_filling_graph(circle(5, 5.0), SINH1, "sinh",
+                                                      1.0, 0.1, 0.1),
+        "graph_apex": lambda: build_filling_graph(ring, WarpProfile.sinh_pow(1.5), "sinh",
+                                                  2.0, 4.0, 0.2),
+        "graph_no_apex": lambda: build_filling_graph(ring, EXP1, "exp", 2.0, 4.0, 0.2),
+        "halfline": lambda: halfline_graph("exp", 1.0, 40.0, 0.002),
+        "halfline_one_level": lambda: halfline_graph("sinh", 1.0, 0.5, 0.5),
+    }
+
+
+@pytest.mark.parametrize("name", list(_edge_cases()))
+def test_filling_graph_matches_loop_oracle(name):
+    G = _edge_cases()[name]()
+    n = G.carrier.n
+    if G.has_apex:
+        assert G.node_index(0, n - 1) == 0 and G.node_index(1, 0) == 1
+    assert G.node_index(G.n_levels - 1, n - 1) == G.n_nodes - 1
+    got = G.edges + (G.node_t, G.node_y, G.node_measure)
+    want = _oracle_edges(G) + _oracle_nodes(G)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+def test_vanishing_psi_names_the_level():
+    # psi = 0 on [0, 0.6]: the apex absorbs level 0, level 1 (t = 0.2) has
+    # zero-length horizontal edges
+    flat = WarpProfile.custom(lambda t: np.maximum(np.asarray(t, float) - 0.6, 0.0),
+                              lambda t: (np.asarray(t, float) > 0.6).astype(float), 1.0)
+    G = build_filling_graph(circle(6, 6.0), flat, "exp", 1.0, 2.0, 0.2)
+    assert G.has_apex
+    with pytest.raises(ValidationError, match="horizontal edges at level 1 would have length 0"):
+        G.edges
+
+
+def test_counterexample_builds_one_graph(monkeypatch):
+    calls = []
+    build = poincare.build_filling_graph
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(poincare, "build_filling_graph", counting)
+    Y = circle(16, 2 * math.pi)
+    counterexample_suite(Y, 0, 1.0, 1.0, 2.0, 1.5, (1.0, 3.0, 6.03), dt=0.02)
+    assert len(calls) == 1 and calls[0][4] == 6.03
+
+
+def _oracle_counterexample_norms(Y, y0, r, alpha, beta, p, T, dt):
+    """(||g||_p, inf_c ||u - c||_p, discrete tail) on a graph built at T alone,
+    with the separable gradient of counterexample_suite, kept as a reference."""
+    G = build_filling_graph(Y, WarpProfile.sinh_pow(alpha), "sinh", beta, T, dt)
+    t, w, yy = G.node_t, G.node_measure, np.maximum(G.node_y, 0)
+    d0 = Y.dist[:, y0]
+    lip_y = ((d0 >= 0.5 * r) & (d0 <= r)).astype(float)
+    u_r = np.clip(t - 1.0, 0.0, 1.0)
+    uy = np.where(G.node_y >= 0, np.clip(r - d0, 0.0, 0.5 * r)[yy], 0.0)
+    ly = np.where(G.node_y >= 0, lip_y[yy], 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        second = np.where(t > 0.0, u_r / np.where(t > 0.0, np.sinh(t) ** alpha, 1.0) * ly, 0.0)
+    g = uy * ((t >= 1.0) & (t <= 2.0)) + second
+    u = u_r * uy
+    c = optimal_subtracted_constant(u, w, p)
+    tail = t >= 1.0
+    return (lp_norm(g, w, p), lp_norm(u - c, w, p),
+            float(np.sum(second[tail] ** p * w[tail])) / float(Y.measure[lip_y > 0.0].sum()))
+
+
+@pytest.mark.parametrize("beta, dt", [(0.5, 0.05), (1.0, 0.02), (2.0, 0.01)])
+def test_counterexample_prefix_matches_own_graph(beta, dt):
+    # each truncation read as a level prefix of the longest graph gives, bit
+    # for bit, what a graph built at that truncation alone gives
+    Y = circle(16, 2 * math.pi)
+    schedule = (1.0, 3.0, 6.03)
+    rep = counterexample_suite(Y, 0, 1.0, 1.0, beta, 1.5, schedule, dt=dt)
+    got = list(zip(rep.g_norms, rep.u_deviations, rep.tail_discrete))
+    assert got == [_oracle_counterexample_norms(Y, 0, 1.0, 1.0, beta, 1.5, T, dt)
+                   for T in schedule]
+
+
+@pytest.mark.parametrize("schedule, dt, match", [
+    ((0.01, 10.0), 0.02, "t_max >= dt"),
+    ((1.0, 0.5), 0.02, "strictly increasing"),
+    ((10.0, math.inf), 0.02, "finite"),
+    ((1.0, math.nan, 3.0), 0.02, "t_max >= dt"),
+])
+def test_counterexample_bad_schedule(schedule, dt, match):
+    with pytest.raises(DomainError, match=match):
+        counterexample_suite(circle(8, 2 * math.pi), 0, 1.0, 1.0, 1.0, 2.0, schedule, dt=dt)
