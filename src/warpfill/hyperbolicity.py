@@ -100,8 +100,8 @@ def estimate_delta(profile: WarpProfile, space: CarrierSpace, t_max: float,
     """
     if count < 1:
         raise DomainError("estimate_delta requires count >= 1")
-    if not (t_max >= 0.0):
-        raise DomainError("estimate_delta requires t_max >= 0")
+    if not (math.isfinite(t_max) and t_max >= 0.0):
+        raise DomainError(f"estimate_delta: t_max must be finite and >= 0, got {t_max}")
     rng = np.random.default_rng(seed)
     t = rng.uniform(0.0, t_max, size=(3, count))
     y = rng.integers(0, space.n, size=(3, count))
@@ -192,6 +192,8 @@ def boundary_metric(profile: WarpProfile, space: CarrierSpace, eps: float | None
     """
     if not (0 <= basepoint_y < space.n):
         raise DomainError(f"basepoint index {basepoint_y} out of range")
+    if eps is not None and not (math.isfinite(eps) and eps > 0.0):
+        raise DomainError(f"eps must be positive and finite, got {eps}")
     grid = np.linspace(0.0, 60.0, 241) if growth_grid is None else np.asarray(growth_grid, float)
     ratios = np.asarray(profile.psi(grid), float) * np.exp(-profile.alpha * grid)
     # psi <= C e^{alpha t} means psi * e^{-alpha t} plateaus; a ratio still
@@ -204,8 +206,6 @@ def boundary_metric(profile: WarpProfile, space: CarrierSpace, eps: float | None
     delta = delta_bound(profile, space)
     if eps is None:
         eps = default_eps(delta)
-    if not (eps > 0.0):
-        raise DomainError("eps must be positive")
     eps_warning = eps > min(1.0, 1.0 / (5.0 * delta)) + 1e-15
 
     D = space.dist

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import warpfill
-from warpfill import circle, save_space
+import warpfill.cli as cli
+from warpfill import WarpProfile, boundary_metric, circle, load_space, save_space
 from warpfill.cli import main
 
 
@@ -103,6 +104,9 @@ def test_bad_numbers_exit_2(capsys, circle_path):
     code, _, err = run(capsys, ["counterexample", "--space", circle_path,
                                 "--schedule", "1,x", "--dt", "0.05"])
     assert code == 2 and "schema mismatch" in err and "1,x" in err
+    code, _, err = run(capsys, ["boundary", "--space", circle_path, "--profile", "exp:1",
+                                "--eps", "abc"])
+    assert code == 2 and "schema mismatch" in err and "--eps" in err and "'abc'" in err
 
 
 def test_delta_seeded_and_deterministic(capsys, circle_path):
@@ -135,6 +139,63 @@ def test_boundary_auto_eps_and_csv(capsys, tmp_path, circle_path):
     assert pre.shape == (32, 32) and chained.shape == (32, 32)
     plot = np.loadtxt(res["plot_data"])
     assert plot.shape == (res["snowflake"]["pairs"], 2) == (32 * 31 // 2, 2)
+
+
+_SPECIAL = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, -1e308, 1.0 / 3.0,
+            -2.5e-310, 123456789.0, -7e-5]
+
+
+@pytest.mark.parametrize("M", [
+    np.array([[math.pi]]),
+    np.array(_SPECIAL[:11])[:, None],                       # k x 1, k not a multiple of a tile
+    np.array(_SPECIAL).reshape(6, 2),
+    np.array(_SPECIAL[:7]),                                 # 1-D: written as one column
+    np.random.default_rng(3).standard_normal((9, 5)) * 10.0 ** np.arange(-200, 250, 90),
+], ids=["1x1", "kx1", "kx2", "1d", "9x5"])
+@pytest.mark.parametrize("tile", [1, 3, 4, cli._TILE_CELLS])
+@pytest.mark.parametrize("delimiter, header", [
+    (",", None), (" ", None), (",", "t_max,g_norm,u_deviation"), (" ", "two\nlines")])
+def test_write_table_matches_savetxt(tmp_path, monkeypatch, M, tile, delimiter, header):
+    monkeypatch.setattr(cli, "_TILE_CELLS", tile)
+    ours, ref = tmp_path / "ours.txt", tmp_path / "ref.txt"
+    cli._write_table(str(ours), M, delimiter, header=header)
+    np.savetxt(str(ref), M, fmt="%.18e", delimiter=delimiter, header=header or "")
+    assert ours.read_bytes() == ref.read_bytes()
+
+
+def test_boundary_chained_file_copy_rule(capsys, tmp_path, circle_path, monkeypatch):
+    calls = []
+    write_table = cli._write_table
+
+    def recording_write_table(path, *args, **kwargs):
+        calls.append(path)
+        write_table(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_write_table", recording_write_table)
+    prefix = str(tmp_path / "auto")
+    code, out, _ = run(capsys, ["boundary", "--space", circle_path, "--profile", "exp:1",
+                                "--out-prefix", prefix])
+    res = json.loads(out)["result"]
+    # the closure changes nothing at auto eps: the chained file is a copy
+    assert code == 0 and res["closure_lowered"] == 0
+    assert calls == [res["premetric_csv"]]
+    with open(res["chained_csv"], "rb") as fh, open(res["premetric_csv"], "rb") as fp:
+        assert fh.read() == fp.read()
+
+    calls.clear()
+    prefix = str(tmp_path / "wide")
+    code, out, _ = run(capsys, ["boundary", "--space", circle_path, "--profile", "exp:1",
+                                "--eps", "3", "--out-prefix", prefix])
+    res = json.loads(out)["result"]
+    bm = boundary_metric(WarpProfile.parse("exp:1"), load_space(circle_path), 3.0)
+    lowered = int(np.count_nonzero(bm.chained < bm.premetric))
+    assert code == 0 and res["closure_lowered"] == lowered > 0
+    assert calls == [res["premetric_csv"], res["chained_csv"]]
+    chained = np.loadtxt(res["chained_csv"], delimiter=",")
+    pre = np.loadtxt(res["premetric_csv"], delimiter=",")
+    assert np.array_equal(chained.view(np.int64), bm.chained.view(np.int64))
+    assert np.array_equal(pre.view(np.int64), bm.premetric.view(np.int64))
+    assert not np.array_equal(chained, pre)
 
 
 def test_poincare_halfline(capsys):
@@ -192,6 +253,10 @@ def test_overflowing_weight_exit_2(capsys):
     (["counterexample", "--space", "{circle}", "--schedule", "10,inf"], "t_max must be finite"),
     (["counterexample", "--space", "{circle}", "--schedule", "0.01,10", "--dt", "0.02"],
      "t_max >= dt"),
+    (["delta", "--space", "{circle}", "--profile", "exp:1", "--tmax", "inf", "--count", "10"],
+     "t_max must be finite"),
+    (["boundary", "--space", "{circle}", "--profile", "exp:1", "--eps", "inf"],
+     "eps must be positive and finite"),
 ])
 def test_bad_truncation_exit_2(capsys, circle_path, argv, message):
     code, out, err = run(capsys, [a.format(circle=circle_path) for a in argv])
@@ -299,6 +364,7 @@ def test_malformed_norm_exit_2(capsys, tmp_path, circle_path, norm, table):
     (["delta", "--profile", "exp:1"], {"count": 1.5}, "'count'"),
     (["boundary", "--profile", "exp:1"], {"plot_data": "no"}, "'plot_data'"),
     (["counterexample"], {"schedule": [10, 20]}, "--schedule"),
+    (["boundary", "--profile", "exp:1"], {"eps": "abc"}, "--eps"),
 ])
 def test_wrong_typed_config_exit_2(capsys, tmp_path, circle_path, argv, cfg, key):
     path = tmp_path / "cfg.json"
