@@ -18,13 +18,15 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
+from ._fmt import format_e18
 from .errors import (DomainError, PreconditionError, ResourceCapError, SchemaError,
                      UnboundedError, ValidationError)
 from .hyperbolicity import boundary_metric, estimate_delta, snowflake_check, snowflake_pairs
 from .norms import Norm2
 from .poincare import (build_filling_graph, builtin_filling_family,
-                       builtin_halfline_family, counterexample_suite, filling_verifier,
-                       halfline_constant_exp, halfline_constant_general, halfline_verifier)
+                       builtin_halfline_family, check_p_and_slack, counterexample_suite,
+                       filling_verifier, halfline_constant_exp, halfline_constant_general,
+                       halfline_verifier)
 from .profiles import WarpProfile, minimize_F
 from .spaces import approx_length_check, load_space
 from .warped import WarpedPoint, distance, distance_bounds_other_norm, gromov_product
@@ -55,27 +57,29 @@ def _emit(doc: dict, out_path: str | None) -> None:
         sys.stdout.write(text + "\n")
 
 
-# cells per write in `_write_table`; the tile's text, format string and tuple
-# of floats stay near 1 MB together
+# cells per write in `_write_table`; the kernel's temporaries for one tile
+# peak near 4 MB
 _TILE_CELLS = 1 << 14
 
 
 def _write_table(path: str, M, delimiter: str, header: str | None = None) -> None:
     """Write M as `np.savetxt(path, M, fmt="%.18e", delimiter=delimiter,
-    header=header)` does, byte for byte. savetxt formats numpy scalars one
-    row at a time; this formats Python floats one tile of about _TILE_CELLS
-    cells per string operation. A 1-D M is written as one column."""
-    M = np.asarray(M)
+    header=header)` does, byte for byte, formatting one tile of about
+    _TILE_CELLS cells per `format_e18` call. The delimiter is one character.
+    A 1-D M is written as one column."""
+    M = np.asarray(M, dtype=np.float64)
     if M.ndim == 1:
         M = M[:, None]
-    line = delimiter.join(["%.18e"] * M.shape[1]) + "\n"
+    ends = np.full(M.shape[1], ord(delimiter), dtype=np.uint8)
+    ends[-1] = ord("\n")
     step = max(1, _TILE_CELLS // M.shape[1])
-    with open(path, "w", encoding="latin1") as fh:
+    ends = np.tile(ends, min(step, M.shape[0]))
+    with open(path, "wb") as fh:
         if header:
-            fh.write("# " + header.replace("\n", "\n# ") + "\n")
+            fh.write(("# " + header.replace("\n", "\n# ") + "\n").encode("latin1"))
         for r in range(0, M.shape[0], step):
-            tile = M[r:r + step]
-            fh.write(line * tile.shape[0] % tuple(tile.ravel().tolist()))
+            tile = M[r:r + step].ravel()
+            fh.write(format_e18(tile, ends[:tile.size]))
 
 
 def _envelope(subcommand: str, config: dict, seed, constants: dict, result) -> dict:
@@ -210,6 +214,7 @@ def cmd_boundary(ns) -> dict:
 
 
 def cmd_poincare(ns) -> dict:
+    check_p_and_slack(ns.p, ns.slack)  # before any graph is built
     profile_kind = ns.model
     constants = {
         "halfline_general": "((p*(p-1)^(p-1) + p^p)^(1/p)) / growth_parameter",

@@ -346,8 +346,7 @@ def optimal_constant_and_ratio(G: FillingGraph, u: np.ndarray, p: float,
     discrete function, judged against a caller-supplied reference constant
     (pass iff ratio <= constant * (1 + slack)). A function with zero
     gradient norm is constant: it keeps c = u[0] and ratio 0."""
-    if p < 1.0:
-        raise DomainError("p must be >= 1")
+    check_p_and_slack(p, slack)
     u = np.asarray(u, dtype=float)
     g = discrete_upper_gradient(G, u)
     w = G.node_measure
@@ -364,6 +363,15 @@ def optimal_constant_and_ratio(G: FillingGraph, u: np.ndarray, p: float,
         ratio <= sharp_constant * (1.0 + slack))
     return SPReport(name, p, c, lp_u, lp_g, ratio, paper_constant, passed, slack,
                     not math.isfinite(lp_g), sharp_constant, sharp_passed)
+
+
+def check_p_and_slack(p: float, slack: float) -> None:
+    """DomainError naming the argument unless p is finite and >= 1 and slack
+    is finite and >= 0."""
+    if not (1.0 <= p < math.inf):
+        raise DomainError(f"p must be finite and >= 1, got {p!r}")
+    if not (0.0 <= slack < math.inf):
+        raise DomainError(f"slack must be finite and >= 0, got {slack!r}")
 
 
 def halfline_graph(weight_kind: str, beta: float, t_max: float, dt: float) -> FillingGraph:
@@ -402,6 +410,7 @@ def halfline_verifier(weight_kind: str, beta: float, p: float, family: Sequence,
     for the exponential weight the sharper constant is checked as well.
     A non-finite gradient norm flags the report instead of raising.
     """
+    check_p_and_slack(p, slack)
     G = halfline_graph(weight_kind, beta, t_max, dt)
     c_sharp = halfline_constant_exp(beta, p) if weight_kind == "exp" else None
     return _poincare_reports(G, p, family, slack, halfline_constant_general(beta, p),
@@ -416,6 +425,7 @@ def filling_verifier(G: FillingGraph, p: float, family: Sequence,
     family: items are (name, callable (t, y) -> u) or (name, node values)
     or a bare callable/array.
     """
+    check_p_and_slack(p, slack)
     return _poincare_reports(G, p, family, slack, halfline_constant_exp(G.beta, p))
 
 
@@ -564,7 +574,8 @@ def counterexample_suite(carrier: CarrierSpace, y0: int, r: float, alpha: float,
         u_devs.append(lp_norm(u[:k] - c, w[:k], p))
         tail = t[:k] >= 1.0
         tails_d.append(float(np.sum((second[:k][tail]) ** p * w[:k][tail])) / mu_annulus)
-        q, _ = quad(lambda x: float(u_radial(np.asarray(x))) ** p * sinh_pow(x, s_exp),
+        # u_radial on one float, without numpy's per-call cost inside quad
+        q, _ = quad(lambda x: min(max(x - 1.0, 0.0), 1.0) ** p * sinh_pow(x, s_exp),
                     1.0, T, limit=200)
         tails_q.append(float(q))
 

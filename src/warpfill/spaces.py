@@ -262,8 +262,8 @@ def approx_length_check(space: CarrierSpace, eps: float) -> LengthCheckReport:
     eps-short curve. Reports the worst excess best_k - dist/2 (pass iff
     it stays within eps/2). O(n^3); report only, never raises.
     """
-    if not (eps > 0.0):
-        raise DomainError("approx_length_check requires eps > 0")
+    if not (0.0 < eps < np.inf):
+        raise DomainError(f"approx_length_check requires a finite eps > 0, got {eps!r}")
     D = space.dist
     i, j = np.nonzero(np.triu(D > eps, 1))
     if i.size == 0:
@@ -277,8 +277,7 @@ def approx_length_check(space: CarrierSpace, eps: float) -> LengthCheckReport:
 
 def save_space(space: CarrierSpace, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(space.to_dict(), fh)
-        fh.write("\n")
+        fh.write(json.dumps(space.to_dict()) + "\n")
 
 
 def _numeric_field(path: str, doc: dict, key: str, kind=None):

@@ -151,7 +151,9 @@ _SPECIAL = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, -1e308, 1.0
     np.array(_SPECIAL).reshape(6, 2),
     np.array(_SPECIAL[:7]),                                 # 1-D: written as one column
     np.random.default_rng(3).standard_normal((9, 5)) * 10.0 ** np.arange(-200, 250, 90),
-], ids=["1x1", "kx1", "kx2", "1d", "9x5"])
+    # an exact tie at 19 digits (...015625) and non-finite cells in one tile
+    np.array([[21089332485663.016, math.inf, 0.1], [math.nan, -21089332485663.016, -math.inf]]),
+], ids=["1x1", "kx1", "kx2", "1d", "9x5", "tie"])
 @pytest.mark.parametrize("tile", [1, 3, 4, cli._TILE_CELLS])
 @pytest.mark.parametrize("delimiter, header", [
     (",", None), (" ", None), (",", "t_max,g_norm,u_deviation"), (" ", "two\nlines")])
@@ -257,10 +259,36 @@ def test_overflowing_weight_exit_2(capsys):
      "t_max must be finite"),
     (["boundary", "--space", "{circle}", "--profile", "exp:1", "--eps", "inf"],
      "eps must be positive and finite"),
+    (["validate", "--space", "{circle}", "--eps", "inf"], "requires a finite eps > 0"),
+    (["poincare", "--slack", "nan", "--tmax", "5", "--dt", "0.1"], "slack must be finite"),
+    (["poincare", "--space", "{circle}", "--slack", "-0.5", "--tmax", "5", "--dt", "0.1"],
+     "slack must be finite and >= 0"),
+    (["poincare", "--p", "inf", "--tmax", "5", "--dt", "0.1"], "p must be finite and >= 1"),
+    (["poincare", "--space", "{circle}", "--p", "nan", "--tmax", "5", "--dt", "0.1"],
+     "p must be finite and >= 1"),
 ])
 def test_bad_truncation_exit_2(capsys, circle_path, argv, message):
     code, out, err = run(capsys, [a.format(circle=circle_path) for a in argv])
     assert code == 2 and out == ""
+    assert err.startswith("error: invalid input") and message in err
+
+
+@pytest.mark.parametrize("argv, cfg, message", [
+    (["poincare"], {"slack": "nan"}, "slack must be finite"),
+    (["poincare", "--space", "{circle}"], {"p": "inf"}, "p must be finite"),
+    (["poincare", "--space", "{circle}"], {"p": 0.5}, "p must be finite and >= 1"),
+])
+def test_bad_poincare_exponents_exit_2_before_any_graph(capsys, tmp_path, circle_path,
+                                                        monkeypatch, argv, cfg, message):
+    from warpfill import poincare
+    calls = []
+    monkeypatch.setattr(poincare, "build_filling_graph", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(cli, "build_filling_graph", lambda *a, **k: calls.append(a))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = [a.format(circle=circle_path) for a in argv]
+    code, out, err = run(capsys, argv + ["--tmax", "5", "--dt", "0.1", "--config", str(path)])
+    assert code == 2 and out == "" and calls == []
     assert err.startswith("error: invalid input") and message in err
 
 

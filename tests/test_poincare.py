@@ -244,6 +244,23 @@ def test_fubini_separable():
     assert total == pytest.approx(radial * fiber, rel=1e-10)
 
 
+@pytest.mark.parametrize("p, slack, name", [
+    (math.inf, 0.05, "p"), (math.nan, 0.05, "p"), (0.9, 0.05, "p"),
+    (1.5, math.nan, "slack"), (1.5, math.inf, "slack"), (1.5, -0.1, "slack"),
+])
+def test_verifiers_refuse_bad_p_and_slack(monkeypatch, p, slack, name):
+    G = small_graph()
+    calls = []
+    monkeypatch.setattr(poincare, "build_filling_graph", lambda *a, **k: calls.append(a))
+    with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        halfline_verifier("exp", 1.0, p, builtin_halfline_family(), 0.1, 5.0, slack)
+    assert calls == []  # refused before the half-line graph is built
+    with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        filling_verifier(G, p, builtin_filling_family(G), slack)
+    with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        optimal_constant_and_ratio(G, np.ones(G.n_nodes), p, 1.0, slack)
+
+
 def test_filling_verifier_radial_example():
     Y = circle(16, 2 * math.pi)
     G = build_filling_graph(Y, EXP1, "exp", 1.0, 30.0, 0.02)

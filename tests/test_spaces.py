@@ -101,6 +101,13 @@ def test_length_check_two_points_fails():
     assert rep.worst_pair == (0, 1)
 
 
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.inf, math.nan])
+def test_length_check_refuses_bad_eps(eps):
+    # eps = inf would check no pair and pass vacuously
+    with pytest.raises(DomainError, match="finite eps"):
+        approx_length_check(circle(16, 2 * math.pi), eps)
+
+
 def test_length_check_subdivided_path():
     edges = [(i, i + 1, 0.01) for i in range(100)]
     s = from_graph(edges)
