@@ -260,7 +260,8 @@ def approx_length_check(space: CarrierSpace, eps: float) -> LengthCheckReport:
     For every pair with dist > eps there must be a point k within distance
     (dist + eps)/2 of both ends, i.e. an approximate midpoint of an
     eps-short curve. Reports the worst excess best_k - dist/2 (pass iff
-    it stays within eps/2). O(n^3); report only, never raises.
+    it stays within eps/2). O(n^3); a failed check is reported, not raised,
+    and an eps that is not finite and positive raises DomainError.
     """
     if not (0.0 < eps < np.inf):
         raise DomainError(f"approx_length_check requires a finite eps > 0, got {eps!r}")
