@@ -82,12 +82,13 @@ def _write_table(path: str, M, delimiter: str, header: str | None = None) -> Non
             fh.write(format_e18(tile, ends[:tile.size]))
 
 
-def _envelope(subcommand: str, config: dict, seed, constants: dict, result) -> dict:
+def _envelope(ns, seed, constants: dict, result) -> dict:
+    """The run's JSON document; the config block echoes ns.options but --out."""
     return {
         "tool": "warpfill",
         "version": __version__,
-        "subcommand": subcommand,
-        "config": config,
+        "subcommand": ns.subcommand,
+        "config": {key: getattr(ns, a.dest) for key, a in ns.options if key != "out"},
         "seed": seed,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "constants": constants,
@@ -137,7 +138,7 @@ def cmd_validate(ns) -> dict:
               "total_measure": space.total_measure()}
     if ns.eps is not None:
         result["length_check"] = approx_length_check(space, ns.eps).to_dict()
-    return _envelope("validate", {"space": ns.space, "eps": ns.eps}, None, {}, result)
+    return _envelope(ns, None, {}, result)
 
 
 def cmd_dist(ns) -> dict:
@@ -155,23 +156,19 @@ def cmd_dist(ns) -> dict:
     else:
         lo, hi = distance_bounds_other_norm(norm, d_l1)
         result["interval"] = [lo, hi]
-    config = {"space": ns.space, "profile": ns.profile, "from": ns.src, "to": ns.dst,
-              "norm": ns.norm, "basepoint_y": ns.basepoint_y}
     constants = {"distance_formula": "t1 + t2 + min_rho (psi(rho)*dY - 2*rho)",
                  "other_norm_enclosure": "[d_l1/2, d_l1]"}
-    return _envelope("dist", config, None, constants, result)
+    return _envelope(ns, None, constants, result)
 
 
 def cmd_delta(ns) -> dict:
     space = load_space(ns.space)
     profile = WarpProfile.parse(ns.profile)
     report = estimate_delta(profile, space, ns.tmax, ns.count, ns.seed, ns.basepoint_y)
-    config = {"space": ns.space, "profile": ns.profile, "tmax": ns.tmax,
-              "count": ns.count, "seed": ns.seed, "basepoint_y": ns.basepoint_y}
     constants = {"delta_bound": "2/alpha + 3*psi(0)*diam(Y) (second term only if psi(0) != 0)",
                  "norms": "bound holds for the l1 combination; other admissible norms "
                           "stay hyperbolic with a constant not computed here"}
-    return _envelope("delta", config, ns.seed, constants, report.to_dict())
+    return _envelope(ns, ns.seed, constants, report.to_dict())
 
 
 def cmd_boundary(ns) -> dict:
@@ -204,16 +201,15 @@ def cmd_boundary(ns) -> dict:
         path = f"{prefix}_snowflake.dat"
         _write_table(path, np.column_stack([np.log(d), np.log(c)]), " ")
         result["plot_data"] = path
-    config = {"space": ns.space, "profile": ns.profile, "eps": ns.eps,
-              "basepoint_y": ns.basepoint_y, "out_prefix": ns.out_prefix,
-              "plot_data": ns.plot_data}
     constants = {"eps_auto": "0.9 * min(1, 1/(5*delta_bound))",
                  "premetric": "exp(-eps * gromov_product)",
                  "comparison": "premetric/2 <= chained <= premetric for eps <= min(1, 1/(5*delta))"}
-    return _envelope("boundary", config, None, constants, result)
+    return _envelope(ns, None, constants, result)
 
 
 def cmd_poincare(ns) -> dict:
+    if ns.slack is None:
+        ns.slack = 0.05 if ns.space is None else 0.1
     check_p_and_slack(ns.p, ns.slack)  # before any graph is built
     profile_kind = ns.model
     constants = {
@@ -242,10 +238,7 @@ def cmd_poincare(ns) -> dict:
                   "has_apex": G.has_apex,
                   "paper_constant": halfline_constant_exp(ns.beta, ns.p),
                   "reports": [r.to_dict() for r in reports]}
-    config = {"space": ns.space, "alpha": ns.alpha, "beta": ns.beta, "p": ns.p,
-              "tmax": ns.tmax, "dt": ns.dt, "family": ns.family, "model": ns.model,
-              "slack": ns.slack}
-    return _envelope("poincare", config, None, constants, result)
+    return _envelope(ns, None, constants, result)
 
 
 def cmd_counterexample(ns) -> dict:
@@ -260,25 +253,9 @@ def cmd_counterexample(ns) -> dict:
         path = f"{ns.out_prefix}_counterexample.csv"
         rows = np.column_stack([report.schedule, report.g_norms, report.u_deviations])
         _write_table(path, rows, ",", header="t_max,g_norm,u_deviation")
-    config = {"space": ns.space, "alpha": ns.alpha, "beta": ns.beta, "p": ns.p,
-              "r": ns.r, "y0": ns.y0, "schedule": ns.schedule, "dt": ns.dt,
-              "out_prefix": ns.out_prefix}
     constants = {"threshold": "p = beta/alpha",
                  "tail": "integral of sinh^(beta - p*alpha) from 1, finite iff p > beta/alpha"}
-    return _envelope("counterexample", config, None, constants, report.to_dict())
-
-
-_DEFAULTS = {
-    "validate": {},
-    "dist": {"norm": "l1", "basepoint_y": 0},
-    "delta": {"tmax": 10.0, "count": 100000, "seed": 0, "basepoint_y": 0},
-    "boundary": {"eps": "auto", "basepoint_y": 0, "out_prefix": "warpfill",
-                 "plot_data": False},
-    "poincare": {"alpha": 1.0, "beta": 1.0, "p": 1.0, "tmax": 10.0, "dt": 0.01,
-                 "family": "builtin", "model": "exp"},
-    "counterexample": {"alpha": 1.0, "beta": 1.0, "p": 2.0, "r": 1.0, "y0": 0,
-                       "schedule": "10,20,40", "dt": 0.01, "out_prefix": None},
-}
+    return _envelope(ns, None, constants, report.to_dict())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,45 +282,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", default=None, help="exp:<alpha> | sinh:<alpha>")
     p.add_argument("--from", dest="src", required=True, metavar="T,Y")
     p.add_argument("--to", dest="dst", required=True, metavar="T,Y")
-    p.add_argument("--norm", default=None, help="l1 | l2 | linf | lp:<p> | table:<path>")
-    p.add_argument("--basepoint-y", dest="basepoint_y", type=int, default=None)
+    p.add_argument("--norm", default="l1", help="l1 | l2 | linf | lp:<p> | table:<path>")
+    p.add_argument("--basepoint-y", dest="basepoint_y", type=int, default=0)
 
     p = add("delta", "sampled four-point hyperbolicity defect")
     p.add_argument("--space", default=None)
     p.add_argument("--profile", default=None)
-    p.add_argument("--tmax", type=float, default=None)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--basepoint-y", dest="basepoint_y", type=int, default=None)
+    p.add_argument("--tmax", type=float, default=10.0)
+    p.add_argument("--count", type=int, default=100000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--basepoint-y", dest="basepoint_y", type=int, default=0)
 
     p = add("boundary", "visual boundary metric, chain closure and snowflake fit")
     p.add_argument("--space", default=None)
     p.add_argument("--profile", default=None)
-    p.add_argument("--eps", default=None, help="positive float or 'auto'")
-    p.add_argument("--basepoint-y", dest="basepoint_y", type=int, default=None)
-    p.add_argument("--out-prefix", dest="out_prefix", default=None)
-    p.add_argument("--plot-data", dest="plot_data", action="store_true", default=None)
+    p.add_argument("--eps", default="auto", help="positive float or 'auto'")
+    p.add_argument("--basepoint-y", dest="basepoint_y", type=int, default=0)
+    p.add_argument("--out-prefix", dest="out_prefix", default="warpfill")
+    p.add_argument("--plot-data", dest="plot_data", action="store_true")
 
     p = add("poincare", "global Poincare ratios on the half-line or a filling graph")
     p.add_argument("--space", default=None, help="omit for the weighted half-line")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--tmax", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--family", default=None, help="builtin | path to a family JSON")
-    p.add_argument("--model", choices=("exp", "sinh"), default=None)
+    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--p", type=float, default=1.0)
+    p.add_argument("--tmax", type=float, default=10.0)
+    p.add_argument("--dt", type=float, default=0.01)
+    p.add_argument("--family", default="builtin", help="builtin | path to a family JSON")
+    p.add_argument("--model", choices=("exp", "sinh"), default="exp")
     p.add_argument("--slack", type=float, default=None)
 
     p = add("counterexample", "sharpness probe at the threshold p = beta/alpha")
     p.add_argument("--space", default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--y0", type=int, default=None)
-    p.add_argument("--schedule", default=None, help="comma-separated increasing t_max list")
-    p.add_argument("--dt", type=float, default=None)
+    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--p", type=float, default=2.0)
+    p.add_argument("--r", type=float, default=1.0)
+    p.add_argument("--y0", type=int, default=0)
+    p.add_argument("--schedule", default="10,20,40", help="comma-separated increasing t_max list")
+    p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--out-prefix", dest="out_prefix", default=None)
 
     return parser
@@ -369,29 +346,18 @@ def _from_config(action: argparse.Action, value):
     return value
 
 
-def _resolve_config(ns, parser: argparse.ArgumentParser) -> None:
-    """Fill None-valued options from --config, then from builtin defaults."""
-    cfg = {}
-    if getattr(ns, "config", None):
-        with open(ns.config) as fh:
-            try:
-                cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"config file {ns.config!r} is not valid JSON: {exc}") from exc
-        if not isinstance(cfg, dict):
-            raise SchemaError("config file must hold a JSON object")
-    values = vars(ns)
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for action in sub.choices[ns.subcommand]._actions:
-        key = action.dest
-        if key in values and values[key] is None and cfg.get(key) is not None:
-            setattr(ns, key, _from_config(action, cfg[key]))
-    defaults = _DEFAULTS.get(ns.subcommand, {})
-    for key, value in vars(ns).items():
-        if value is None and key in defaults:
-            setattr(ns, key, defaults[key])
-    if ns.subcommand == "poincare" and getattr(ns, "slack", None) is None:
-        ns.slack = 0.05 if getattr(ns, "space", None) is None else 0.1
+def _config_defaults(path: str, options: list) -> dict:
+    """Option defaults from a config file, by destination; null values and
+    unknown keys are ignored."""
+    with open(path) as fh:
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"config file {path!r} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise SchemaError("config file must hold a JSON object")
+    return {a.dest: _from_config(a, cfg[key]) for key, a in options
+            if cfg.get(key) is not None}
 
 
 _COMMANDS = {
@@ -408,7 +374,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        _resolve_config(ns, parser)
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices[ns.subcommand]
+        # (key, action) per option but --help and --config; the key, in config files
+        # and the config block, is the long option name with '-' turned into '_'
+        options = [(a.option_strings[0][2:].replace("-", "_"), a)
+                   for a in sub._actions if a.dest not in ("help", "config")]
+        if ns.config:
+            # config values become defaults, so a second parse lets flags win
+            sub.set_defaults(**_config_defaults(ns.config, options))
+            ns = parser.parse_args(argv)
+        ns.options = options
         if ns.subcommand in ("dist", "delta", "boundary", "counterexample") and not ns.space:
             raise SchemaError(f"{ns.subcommand} requires --space")
         if ns.subcommand in ("dist", "delta", "boundary") and not ns.profile:

@@ -52,10 +52,6 @@ class BoundaryMetric:
     delta_used: float
     eps_warning: bool
 
-    @property
-    def n(self) -> int:
-        return self.premetric.shape[0]
-
 
 @dataclass
 class SnowflakeReport:
@@ -177,7 +173,7 @@ def _min_plus_closure(M: np.ndarray) -> np.ndarray:
 
 
 def boundary_metric(profile: WarpProfile, space: CarrierSpace, eps: float | None = None,
-                    basepoint_y: int = 0, growth_grid=None) -> BoundaryMetric:
+                    basepoint_y: int = 0) -> BoundaryMetric:
     """Visual boundary metric on the carrier.
 
     Boundary points are the carrier nodes; their extended Gromov product is
@@ -187,14 +183,14 @@ def boundary_metric(profile: WarpProfile, space: CarrierSpace, eps: float | None
     `default_eps` of the profile bound; a larger eps only sets a warning
     flag (the factor-2 comparison is then not guaranteed).
 
-    The profile must stay below C * e^{alpha t}; this is checked on
-    growth_grid (default linspace(0, 60, 241)).
+    The profile must stay below C * e^{alpha t}; this is checked on 241
+    evenly spaced points of [0, 60].
     """
     if not (0 <= basepoint_y < space.n):
         raise DomainError(f"basepoint index {basepoint_y} out of range")
     if eps is not None and not (math.isfinite(eps) and eps > 0.0):
         raise DomainError(f"eps must be positive and finite, got {eps}")
-    grid = np.linspace(0.0, 60.0, 241) if growth_grid is None else np.asarray(growth_grid, float)
+    grid = np.linspace(0.0, 60.0, 241)
     ratios = np.asarray(profile.psi(grid), float) * np.exp(-profile.alpha * grid)
     # psi <= C e^{alpha t} means psi * e^{-alpha t} plateaus; a ratio still
     # climbing across the tail of the grid has no admissible C
@@ -258,20 +254,16 @@ def snowflake_check(bm: BoundaryMetric, space: CarrierSpace, alpha: float,
 
 
 def quasisymmetry_modulus(bm: BoundaryMetric, space: CarrierSpace, alpha: float,
-                          count: int = 2000, seed: int = 0,
-                          triples=None, max_samples: int = 10000) -> QuasisymmetryReport:
+                          count: int = 2000, seed: int = 0) -> QuasisymmetryReport:
     """Distance-ratio pairs (d_Y ratio, boundary ratio) over sampled triples
     of distinct points, with the dominance count against the control
     function eta(t) = C0^2 * t^(eps/alpha) implied by the snowflake bounds.
 
-    Triples containing coincident points are skipped and counted.
+    Triples containing coincident points are skipped and counted; the
+    report keeps the first 10000 pairs.
     """
     D = space.dist
-    n = space.n
-    if triples is None:
-        rng = np.random.default_rng(seed)
-        triples = rng.integers(0, n, size=(count, 3))
-    triples = np.asarray(triples)
+    triples = np.random.default_rng(seed).integers(0, space.n, size=(count, 3))
     x, yy, z = triples[:, 0], triples[:, 1], triples[:, 2]
     din_num = D[x, yy]
     din_den = D[x, z]
@@ -285,5 +277,5 @@ def quasisymmetry_modulus(bm: BoundaryMetric, space: CarrierSpace, alpha: float,
     s = bm.eps / alpha
     _, _, C0 = _snowflake_constant(bm, space, s)
     viol = int(np.sum(ratio_out > C0 ** 2 * ratio_in ** s * (1.0 + 1e-12)))
-    pairs = list(zip(ratio_in[:max_samples].tolist(), ratio_out[:max_samples].tolist()))
+    pairs = list(zip(ratio_in[:10000].tolist(), ratio_out[:10000].tolist()))
     return QuasisymmetryReport(pairs, skipped, s, C0 ** 2, viol)

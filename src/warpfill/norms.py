@@ -171,14 +171,15 @@ class NormValidation:
         return self.unitary and self.coordinate_increasing
 
 
-def validate_norm(norm: Norm2, angular_samples: int = 256, axis_max: float = 4.0,
-                  rtol: float = 1e-9) -> NormValidation:
+def validate_norm(norm: Norm2) -> NormValidation:
     """Sampled validation of the unitary / coordinate-increasing /
-    homogeneity / subadditivity properties.
+    homogeneity / subadditivity properties, on a 65 x 65 grid of [0, 4]^2
+    and 256 angles of the quarter circle, to relative tolerance 1e-9.
 
     Table norms get an extra subadditivity allowance of (angular step)^2,
     the interpolation error floor; unitarity stays at 1e-12.
     """
+    rtol = 1e-9
     violations = []
 
     v10 = eval_norm(norm, 1.0, 0.0)
@@ -187,7 +188,7 @@ def validate_norm(norm: Norm2, angular_samples: int = 256, axis_max: float = 4.0
     if not unitary:
         violations.append(("unitary", (1.0, 0.0), v10, (0.0, 1.0), v01))
 
-    ts = np.linspace(0.0, axis_max, 65)
+    ts = np.linspace(0.0, 4.0, 65)
     grid = eval_norm(norm, ts[:, None], ts[None, :])
     tol = 1e-12 * (1.0 + float(grid.max()))
     da = np.diff(grid, axis=0)
@@ -198,7 +199,7 @@ def validate_norm(norm: Norm2, angular_samples: int = 256, axis_max: float = 4.0
         violations.append(("coordinate_increasing", (float(ts[i]), float(ts[j])),
                            float(da.min()), float(db.min())))
 
-    ang = np.linspace(0.0, QUARTER, angular_samples)
+    ang = np.linspace(0.0, QUARTER, 256)
     ua, ub = np.cos(ang), np.sin(ang)
     base = eval_norm(norm, ua, ub)
     homogeneous = True
@@ -212,8 +213,7 @@ def validate_norm(norm: Norm2, angular_samples: int = 256, axis_max: float = 4.0
             violations.append(("homogeneous", lam, float(ang[k]), float(err[k])))
             break
 
-    stride = max(1, angular_samples // 48)
-    sa, sb = ua[::stride], ub[::stride]
+    sa, sb = ua[::5], ub[::5]
     sums = eval_norm(norm, sa[:, None] + sa[None, :], sb[:, None] + sb[None, :])
     parts = eval_norm(norm, sa, sb)
     sub_tol = rtol
@@ -237,10 +237,10 @@ class ComparisonReport:
     samples: int
 
 
-def comparison_factor_check(n1: Norm2, n2: Norm2, samples=None) -> ComparisonReport:
+def comparison_factor_check(n1: Norm2, n2: Norm2) -> ComparisonReport:
     """Verify the two-sided factor-2 comparison of two admissible norms.
 
-    Checks 1/2 * n2 <= n1 <= 2 * n2 on a sampled nonnegative grid; passes
+    Checks 1/2 * n2 <= n1 <= 2 * n2 on a 100 x 100 grid of [0, 10]^2; passes
     iff no violation exceeds 1e-12. Both norms must validate as unitary
     and coordinate-increasing first.
     """
@@ -249,11 +249,8 @@ def comparison_factor_check(n1: Norm2, n2: Norm2, samples=None) -> ComparisonRep
         if not rep.admissible:
             raise PreconditionError(
                 f"{name} norm ({n.label()}) failed validation: {rep.violations}")
-    if samples is None:
-        axis = np.linspace(0.0, 10.0, 100)
-        samples = (axis, axis)
-    A, B = np.meshgrid(np.asarray(samples[0], float), np.asarray(samples[1], float),
-                       indexing="ij")
+    axis = np.linspace(0.0, 10.0, 100)
+    A, B = np.meshgrid(axis, axis, indexing="ij")
     va = eval_norm(n1, A, B)
     vb = eval_norm(n2, A, B)
     mask = (A + B) > 0.0

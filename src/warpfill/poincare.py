@@ -42,33 +42,39 @@ _CHUNK = 1 << 16
 _ROOT_MAXITER = 3000
 
 
-def _max_nodes_cap(override: int | None) -> int:
-    if override is not None:
-        return int(override)
-    env = os.environ.get("WARPFILL_MAX_NODES")
-    return int(env) if env else DEFAULT_MAX_NODES
+def _fiber(node_y: np.ndarray, values: np.ndarray, apex_value: float = 0.0) -> np.ndarray:
+    """values[y] at each node, apex_value at the apex (node_y -1)."""
+    return np.where(node_y >= 0, values[np.maximum(node_y, 0)], apex_value)
+
+
+def _ramp(t):
+    """0 up to t = 1, 1 from t = 2, linear between."""
+    return np.clip(t - 1.0, 0.0, 1.0)
+
+
+def _hat(t):
+    """Tent of height 1 on [1, 3], peaking at t = 2."""
+    return np.maximum(0.0, 1.0 - np.abs(t - 2.0))
 
 
 def _cell_masses(weight_kind: str, beta: float, levels: np.ndarray, dt: float) -> np.ndarray:
-    """Integral of the weight over each cell [t_i, t_i + dt)."""
+    """Integral of the weight, "exp" or "sinh", over each cell [t_i, t_i + dt)."""
     if weight_kind == "exp":
         return (np.exp(beta * (levels + dt)) - np.exp(beta * levels)) / beta
-    if weight_kind == "sinh":
-        # 16-point Gauss-Legendre per cell; error is far below 1e-10 for
-        # analytic integrands at any sane dt
-        mid = levels + 0.5 * dt
-        pts = mid[:, None] + 0.5 * dt * _GL_NODES[None, :]
-        vals = np.sinh(pts) ** beta
-        masses = 0.5 * dt * vals @ _GL_WEIGHTS
-        if levels[0] == 0.0:
-            # sinh^beta = t^beta * (sinh t / t)^beta is only Hoelder at 0, so
-            # absorb t^beta into a Gauss-Jacobi weight for the first cell
-            xj, wj = roots_jacobi(16, 0.0, beta)
-            tj = 0.5 * dt * (1.0 + xj)
-            smooth = (np.sinh(tj) / tj) ** beta
-            masses[0] = (0.5 * dt) ** (beta + 1.0) * float(wj @ smooth)
-        return masses
-    raise DomainError(f"unknown weight kind {weight_kind!r}")
+    # sinh: 16-point Gauss-Legendre per cell; error is far below 1e-10 for
+    # analytic integrands at any sane dt
+    mid = levels + 0.5 * dt
+    pts = mid[:, None] + 0.5 * dt * _GL_NODES[None, :]
+    vals = np.sinh(pts) ** beta
+    masses = 0.5 * dt * vals @ _GL_WEIGHTS
+    if levels[0] == 0.0:
+        # sinh^beta = t^beta * (sinh t / t)^beta is only Hoelder at 0, so
+        # absorb t^beta into a Gauss-Jacobi weight for the first cell
+        xj, wj = roots_jacobi(16, 0.0, beta)
+        tj = 0.5 * dt * (1.0 + xj)
+        smooth = (np.sinh(tj) / tj) ** beta
+        masses[0] = (0.5 * dt) ** (beta + 1.0) * float(wj @ smooth)
+    return masses
 
 
 class FillingGraph:
@@ -81,7 +87,7 @@ class FillingGraph:
     """
 
     def __init__(self, carrier: CarrierSpace, profile: WarpProfile, weight_kind: str,
-                 beta: float, t_max: float, dt: float, max_nodes: int | None = None):
+                 beta: float, t_max: float, dt: float):
         if not (dt > 0.0) or not (t_max >= dt):
             raise DomainError("need dt > 0 and t_max >= dt")
         if not math.isfinite(t_max):
@@ -101,7 +107,7 @@ class FillingGraph:
         self.levels = np.arange(n_levels) * dt
         self.has_apex = profile.psi0 == 0.0 and n > 1
         n_nodes = n_levels * n - (n - 1 if self.has_apex else 0)
-        cap = _max_nodes_cap(max_nodes)
+        cap = int(os.environ.get("WARPFILL_MAX_NODES") or DEFAULT_MAX_NODES)
         if n_nodes > cap:
             raise ResourceCapError(
                 f"filling graph would have {n_nodes} nodes, above the cap {cap} "
@@ -186,12 +192,11 @@ class FillingGraph:
 
 
 def build_filling_graph(carrier: CarrierSpace, profile: WarpProfile, weight_kind: str,
-                        beta: float, t_max: float, dt: float,
-                        max_nodes: int | None = None) -> FillingGraph:
+                        beta: float, t_max: float, dt: float) -> FillingGraph:
     """Grid model of the filling; see FillingGraph. Cell masses use the
     closed form for the exponential weight and Gauss-Legendre quadrature
     (well under 1e-10 error) for the sinh weight."""
-    return FillingGraph(carrier, profile, weight_kind, beta, t_max, dt, max_nodes)
+    return FillingGraph(carrier, profile, weight_kind, beta, t_max, dt)
 
 
 @dataclass
@@ -365,11 +370,16 @@ def optimal_constant_and_ratio(G: FillingGraph, u: np.ndarray, p: float,
                     not math.isfinite(lp_g), sharp_constant, sharp_passed)
 
 
+def check_p(p: float) -> None:
+    """DomainError naming p unless p is finite and >= 1."""
+    if not (1.0 <= p < math.inf):
+        raise DomainError(f"p must be finite and >= 1, got {p!r}")
+
+
 def check_p_and_slack(p: float, slack: float) -> None:
     """DomainError naming the argument unless p is finite and >= 1 and slack
     is finite and >= 0."""
-    if not (1.0 <= p < math.inf):
-        raise DomainError(f"p must be finite and >= 1, got {p!r}")
+    check_p(p)
     if not (0.0 <= slack < math.inf):
         raise DomainError(f"slack must be finite and >= 0, got {slack!r}")
 
@@ -436,34 +446,27 @@ def builtin_halfline_family() -> list:
         ("exp_decay_2", lambda t: np.exp(-2.0 * t)),
         ("exp_decay_4", lambda t: np.exp(-4.0 * t)),
         ("clipped_ramp", lambda t: np.minimum(t, 1.0)),
-        ("shifted_ramp", lambda t: np.clip(t - 1.0, 0.0, 1.0)),
+        ("shifted_ramp", _ramp),
         ("t_exp_decay", lambda t: t * np.exp(-2.0 * t)),
         ("t2_exp_decay", lambda t: t ** 2 * np.exp(-3.0 * t)),
         ("gaussian", lambda t: np.exp(-t ** 2)),
         ("damped_cosine", lambda t: np.cos(2.0 * t) * np.exp(-3.0 * t)),
-        ("hat_at_2", lambda t: np.maximum(0.0, 1.0 - np.abs(t - 2.0))),
+        ("hat_at_2", _hat),
         ("damped_sine", lambda t: np.sin(5.0 * t) * np.exp(-2.0 * t)),
         ("smooth_step_down", lambda t: expit(-4.0 * (t - 3.0))),  # 1/(1 + e^{4(t-3)})
     ]
 
 
-def builtin_filling_family(G: FillingGraph, y0: int = 0) -> list:
+def builtin_filling_family(G: FillingGraph) -> list:
     """Separable, radial and oscillatory test functions on a filling graph,
-    as (name, callable (t, y) -> u) pairs.
+    as (name, callable (t, y) -> u) pairs; fiber factors use d_Y(y, node 0).
 
     Functions vanish at t = 0 whenever the graph has an apex, so they are
     single-valued on the collapsed bottom level.
     """
     carrier = G.carrier
-    d0 = carrier.dist[:, y0] if carrier.n > 1 else np.zeros(1)
+    d0 = carrier.dist[:, 0] if carrier.n > 1 else np.zeros(1)
     diam = max(carrier.diameter(), 1e-12)
-
-    def fiber(node_y, values, apex_value=0.0):
-        vals = np.where(node_y >= 0, values[np.maximum(node_y, 0)], apex_value)
-        return vals
-
-    ramp = lambda t: np.clip(t - 1.0, 0.0, 1.0)
-    hat = lambda t: np.maximum(0.0, 1.0 - np.abs(t - 2.0))
     bump = np.maximum(0.0, 0.5 * diam - d0)
     harmonic = np.cos(math.pi * d0 / diam)
     # fiber-dependent factors must decay radially: below the threshold the
@@ -471,11 +474,11 @@ def builtin_filling_family(G: FillingGraph, y0: int = 0) -> list:
     return [
         ("constant_one", lambda t, y: np.ones_like(t)),
         ("radial_exp_decay", lambda t, y: np.exp(-2.0 * t)),
-        ("radial_ramp", lambda t, y: ramp(t)),
+        ("radial_ramp", lambda t, y: _ramp(t)),
         ("radial_gaussian", lambda t, y: np.exp(-t ** 2)),
-        ("separable_bump", lambda t, y: hat(t) * fiber(y, bump)),
+        ("separable_bump", lambda t, y: _hat(t) * _fiber(y, bump)),
         ("oscillatory_harmonic", lambda t, y: (t * np.exp(-3.0 * t) if G.has_apex
-                                               else np.exp(-3.0 * t)) * fiber(y, harmonic, 1.0)),
+                                               else np.exp(-3.0 * t)) * _fiber(y, harmonic, 1.0)),
     ]
 
 
@@ -506,7 +509,7 @@ class CounterexampleReport:
 
 def counterexample_suite(carrier: CarrierSpace, y0: int, r: float, alpha: float,
                          beta: float, p: float, t_max_schedule: Sequence[float],
-                         dt: float = 0.01, max_nodes: int | None = None) -> CounterexampleReport:
+                         dt: float = 0.01) -> CounterexampleReport:
     """Sharpness probe at the threshold p = beta/alpha on the sinh model.
 
     Builds u(t, y) = clip(t-1, 0, 1) * clip(r - d_Y(y, y0), 0, r/2) and its
@@ -518,6 +521,7 @@ def counterexample_suite(carrier: CarrierSpace, y0: int, r: float, alpha: float,
     the quadrature of the sinh^{beta - p*alpha} tail) and inf_c ||u - c||_p
     (which must grow without bound) over the truncation schedule.
     """
+    check_p(p)  # before any graph is built
     if not (0 <= y0 < carrier.n):
         raise DomainError(f"y0 index {y0} out of range")
     if not (r > 0.0):
@@ -539,9 +543,6 @@ def counterexample_suite(carrier: CarrierSpace, y0: int, r: float, alpha: float,
     s_exp = beta - p * alpha
     tail_converges = s_exp < 0.0
 
-    def u_radial(t):
-        return np.clip(t - 1.0, 0.0, 1.0)
-
     def sinh_pow(x: float, s: float) -> float:
         # sinh(x)^s in log space; safe for large x with negative s
         if x <= 0.0:
@@ -555,12 +556,12 @@ def counterexample_suite(carrier: CarrierSpace, y0: int, r: float, alpha: float,
     # one graph at the longest truncation: the graph at T has the first
     # round(T/dt) levels, whose nodes and cell masses are a prefix of it
     G = build_filling_graph(carrier, WarpProfile.sinh_pow(alpha), "sinh",
-                            beta, schedule[-1], dt, max_nodes)
+                            beta, schedule[-1], dt)
     t, yidx, w = G.node_t, G.node_y, G.node_measure
-    u_r = u_radial(t)
+    u_r = _ramp(t)
     lip_r = ((t >= 1.0) & (t <= 2.0)).astype(float)
-    uy = np.where(yidx >= 0, u_y[np.maximum(yidx, 0)], 0.0)
-    ly = np.where(yidx >= 0, lip_y[np.maximum(yidx, 0)], 0.0)
+    uy = _fiber(yidx, u_y)
+    ly = _fiber(yidx, lip_y)
     u = u_r * uy
     with np.errstate(divide="ignore", invalid="ignore"):
         second = np.where(t > 0.0, u_r / np.where(t > 0.0, np.sinh(t) ** alpha, 1.0) * ly, 0.0)
@@ -574,7 +575,7 @@ def counterexample_suite(carrier: CarrierSpace, y0: int, r: float, alpha: float,
         u_devs.append(lp_norm(u[:k] - c, w[:k], p))
         tail = t[:k] >= 1.0
         tails_d.append(float(np.sum((second[:k][tail]) ** p * w[:k][tail])) / mu_annulus)
-        # u_radial on one float, without numpy's per-call cost inside quad
+        # _ramp on one float, without numpy's per-call cost inside quad
         q, _ = quad(lambda x: min(max(x - 1.0, 0.0), 1.0) ** p * sinh_pow(x, s_exp),
                     1.0, T, limit=200)
         tails_q.append(float(q))

@@ -19,6 +19,8 @@ from scipy.sparse.csgraph import connected_components, dijkstra, shortest_path
 from .errors import DomainError, SchemaError, ValidationError
 
 _MAX_REPORTED = 200
+# metric tolerance, scaled by max(1, largest |entry|)
+_ATOL = 1e-12
 _TILE_CELLS = 1 << 16
 
 
@@ -107,22 +109,22 @@ def _detours(D):
 
 
 def _skeleton(D, detour):
-    """(rows, cols, lens) of the pairs i < j with detour > D + atol."""
-    atol = 1e-12 * max(1.0, float(D.max()))
-    rows, cols = np.nonzero(np.triu(detour > D + atol, 1))
+    """(rows, cols, lens) of the pairs i < j with detour > D + tol."""
+    tol = _ATOL * max(1.0, float(D.max()))
+    rows, cols = np.nonzero(np.triu(detour > D + tol, 1))
     return rows.astype(np.int64), cols.astype(np.int64), D[rows, cols]
 
 
-def validate_matrix(dist, measure=None, atol: float = 1e-12) -> list:
+def validate_matrix(dist, measure=None) -> list:
     """Collect every metric violation of a candidate distance matrix.
 
     Returns a list of (kind, indices, details) tuples; empty means valid.
-    The triangle tolerance is atol scaled by the largest entry.
+    The tolerance is 1e-12 scaled by the largest entry.
     """
-    return _check_matrix(dist, measure, atol)[0]
+    return _check_matrix(dist, measure)[0]
 
 
-def _check_matrix(dist, measure=None, atol: float = 1e-12):
+def _check_matrix(dist, measure=None):
     """validate_matrix's list and `_detours(D)` (None if triangles went unchecked)."""
     D = np.asarray(dist, dtype=float)
     violations = []
@@ -134,7 +136,7 @@ def _check_matrix(dist, measure=None, atol: float = 1e-12):
         violations.append(("finite", (int(i), int(j)), float(D[i, j])))
         return violations, None
     scale = max(1.0, float(np.abs(D).max()))
-    tol = atol * scale
+    tol = _ATOL * scale
 
     bad = np.argwhere(np.abs(np.diag(D)) > tol)
     for (i,) in bad[:_MAX_REPORTED]:

@@ -266,6 +266,9 @@ def test_overflowing_weight_exit_2(capsys):
     (["poincare", "--p", "inf", "--tmax", "5", "--dt", "0.1"], "p must be finite and >= 1"),
     (["poincare", "--space", "{circle}", "--p", "nan", "--tmax", "5", "--dt", "0.1"],
      "p must be finite and >= 1"),
+    (["counterexample", "--space", "{circle}", "--p", "inf", "--schedule", "5,10", "--dt", "0.05"],
+     "p must be finite and >= 1"),
+    (["counterexample", "--space", "{circle}", "--p", "nan"], "p must be finite and >= 1"),
 ])
 def test_bad_truncation_exit_2(capsys, circle_path, argv, message):
     code, out, err = run(capsys, [a.format(circle=circle_path) for a in argv])
@@ -393,6 +396,7 @@ def test_malformed_norm_exit_2(capsys, tmp_path, circle_path, norm, table):
     (["boundary", "--profile", "exp:1"], {"plot_data": "no"}, "'plot_data'"),
     (["counterexample"], {"schedule": [10, 20]}, "--schedule"),
     (["boundary", "--profile", "exp:1"], {"eps": "abc"}, "--eps"),
+    (["poincare", "--p", "2"], {"p": "abc"}, "'p'"),  # checked even when a flag wins
 ])
 def test_wrong_typed_config_exit_2(capsys, tmp_path, circle_path, argv, cfg, key):
     path = tmp_path / "cfg.json"
@@ -411,6 +415,73 @@ def test_config_values_read_as_flags(capsys, tmp_path, circle_path):
     assert code == 0
     config = json.loads(out)["config"]
     assert (config["count"], config["seed"], config["tmax"]) == (50, 3, 4.0)
+
+
+# every option but --help, --config and --out, in parser order, at its builtin
+# default unless the argv sets it; "{circle}" stands for the space file
+@pytest.mark.parametrize("argv, expected", [
+    (["validate", "--space", "{circle}"], [("space", "{circle}"), ("eps", None)]),
+    (["dist", "--space", "{circle}", "--profile", "exp:1", "--from", "5,0", "--to", "5,1"],
+     [("space", "{circle}"), ("profile", "exp:1"), ("from", "5,0"), ("to", "5,1"),
+      ("norm", "l1"), ("basepoint_y", 0)]),
+    (["delta", "--space", "{circle}", "--profile", "exp:1"],
+     [("space", "{circle}"), ("profile", "exp:1"), ("tmax", 10.0), ("count", 100000),
+      ("seed", 0), ("basepoint_y", 0)]),
+    (["boundary", "--space", "{circle}", "--profile", "exp:1"],
+     [("space", "{circle}"), ("profile", "exp:1"), ("eps", "auto"), ("basepoint_y", 0),
+      ("out_prefix", "warpfill"), ("plot_data", False)]),
+    (["poincare"],
+     [("space", None), ("alpha", 1.0), ("beta", 1.0), ("p", 1.0), ("tmax", 10.0),
+      ("dt", 0.01), ("family", "builtin"), ("model", "exp"), ("slack", 0.05)]),
+    (["poincare", "--space", "{circle}", "--tmax", "2", "--dt", "0.5"],
+     [("space", "{circle}"), ("alpha", 1.0), ("beta", 1.0), ("p", 1.0), ("tmax", 2.0),
+      ("dt", 0.5), ("family", "builtin"), ("model", "exp"), ("slack", 0.1)]),
+    (["counterexample", "--space", "{circle}"],
+     [("space", "{circle}"), ("alpha", 1.0), ("beta", 1.0), ("p", 2.0), ("r", 1.0),
+      ("y0", 0), ("schedule", "10,20,40"), ("dt", 0.01), ("out_prefix", None)]),
+])
+def test_config_block_echoes_every_option(capsys, tmp_path, monkeypatch, circle_path,
+                                          argv, expected):
+    monkeypatch.chdir(tmp_path)  # boundary writes side files under the default prefix
+    code, out, _ = run(capsys, [a.format(circle=circle_path) for a in argv])
+    assert code == 0
+    expected = [(k, v.format(circle=circle_path) if isinstance(v, str) else v)
+                for k, v in expected]
+    got = list(json.loads(out)["config"].items())
+    assert [(k, type(v), v) for k, v in got] == [(k, type(v), v) for k, v in expected]
+
+
+def test_config_file_supplies_space_and_profile(capsys, tmp_path, circle_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"space": circle_path, "profile": "exp:1", "count": 10}))
+    code, out, err = run(capsys, ["delta", "--config", str(path)])
+    assert code == 0 and err == ""
+    config = json.loads(out)["config"]
+    assert (config["space"], config["profile"], config["count"]) == (circle_path, "exp:1", 10)
+
+
+def test_config_null_value_is_ignored(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"p": None, "beta": 2}))
+    code, out, _ = run(capsys, ["poincare", "--tmax", "2", "--dt", "0.5",
+                                "--config", str(path)])
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert (config["p"], config["beta"]) == (1.0, 2.0)
+
+
+def test_config_does_not_leak_into_the_next_call(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"p": 2, "model": "sinh", "slack": 0.3}))
+    argv = ["poincare", "--tmax", "2", "--dt", "0.5"]
+    code, out, _ = run(capsys, argv + ["--config", str(path)])
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert (config["p"], config["model"], config["slack"]) == (2.0, "sinh", 0.3)
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert (config["p"], config["model"], config["slack"]) == (1.0, "exp", 0.05)
 
 
 def test_halfline_far_tail_has_no_overflow_warning():

@@ -375,6 +375,15 @@ def test_counterexample_preconditions():
         counterexample_suite(two, 0, 0.5, 1.0, 1.0, 2.0, (4.0, 6.0))  # no half-ball mass? r/2 too big
 
 
+@pytest.mark.parametrize("p", [math.inf, math.nan, 0.5])
+def test_counterexample_refuses_bad_p_before_any_graph(monkeypatch, p):
+    calls = []
+    monkeypatch.setattr(poincare, "build_filling_graph", lambda *a, **k: calls.append(a))
+    with pytest.raises(DomainError, match="^p must be finite and >= 1"):
+        counterexample_suite(circle(8, 2 * math.pi), 0, 1.0, 1.0, 1.0, p, (4.0, 6.0), dt=0.5)
+    assert calls == []
+
+
 def _oracle_edges(G):
     """The per-level edge loop, kept as a reference: radial edges level by
     level, then horizontal edges level by level."""
