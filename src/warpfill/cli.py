@@ -273,15 +273,15 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("validate", "validate a carrier space file")
-    p.add_argument("--space", required=True)
+    p.add_argument("--space", default=None)
     p.add_argument("--eps", type=float, default=None,
                    help="also run the approximate-midpoint length check")
 
     p = add("dist", "warped distance between two points")
     p.add_argument("--space", default=None)
     p.add_argument("--profile", default=None, help="exp:<alpha> | sinh:<alpha>")
-    p.add_argument("--from", dest="src", required=True, metavar="T,Y")
-    p.add_argument("--to", dest="dst", required=True, metavar="T,Y")
+    p.add_argument("--from", dest="src", default=None, metavar="T,Y")
+    p.add_argument("--to", dest="dst", default=None, metavar="T,Y")
     p.add_argument("--norm", default="l1", help="l1 | l2 | linf | lp:<p> | table:<path>")
     p.add_argument("--basepoint-y", dest="basepoint_y", type=int, default=0)
 
@@ -385,10 +385,14 @@ def main(argv=None) -> int:
             sub.set_defaults(**_config_defaults(ns.config, options))
             ns = parser.parse_args(argv)
         ns.options = options
-        if ns.subcommand in ("dist", "delta", "boundary", "counterexample") and not ns.space:
+        # required options are checked here, after a config file may have set them
+        if not ns.space and ns.subcommand in ("validate", "dist", "delta", "boundary",
+                                              "counterexample"):
             raise SchemaError(f"{ns.subcommand} requires --space")
         if ns.subcommand in ("dist", "delta", "boundary") and not ns.profile:
             raise SchemaError(f"{ns.subcommand} requires --profile")
+        if ns.subcommand == "dist" and not (ns.src and ns.dst):
+            raise SchemaError("dist requires --from and --to")
         doc = _COMMANDS[ns.subcommand](ns)
         _emit(doc, ns.out)
         return 0

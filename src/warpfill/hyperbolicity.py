@@ -86,19 +86,27 @@ def delta_bound(profile: WarpProfile, space: CarrierSpace) -> float:
     return bound
 
 
+def _rng(seed) -> np.random.Generator:
+    """numpy's generator for seed, which must be an integer >= 0 (not a bool)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def estimate_delta(profile: WarpProfile, space: CarrierSpace, t_max: float,
                    count: int, seed: int, basepoint_y: int = 0) -> DeltaReport:
     """Sampled four-point defect with fixed basepoint (0, basepoint_y).
 
-    Draws `count` seeded triples (t, y) with t uniform on [0, t_max] and
-    reports max(min(<x,z>, <y,z>) - <x,y>, 0) together with the witness
-    quadruple. Sampling can only under-report the true supremum.
+    Draws `count` triples (t, y), seeded by `seed` (an integer >= 0), with
+    t uniform on [0, t_max] and reports max(min(<x,z>, <y,z>) - <x,y>, 0)
+    together with the witness quadruple. Sampling can only under-report the
+    true supremum.
     """
     if count < 1:
         raise DomainError("estimate_delta requires count >= 1")
     if not (math.isfinite(t_max) and t_max >= 0.0):
         raise DomainError(f"estimate_delta: t_max must be finite and >= 0, got {t_max}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     t = rng.uniform(0.0, t_max, size=(3, count))
     y = rng.integers(0, space.n, size=(3, count))
     g01 = gromov_product_batch(profile, space, basepoint_y, t[0], y[0], t[1], y[1])
@@ -263,7 +271,7 @@ def quasisymmetry_modulus(bm: BoundaryMetric, space: CarrierSpace, alpha: float,
     report keeps the first 10000 pairs.
     """
     D = space.dist
-    triples = np.random.default_rng(seed).integers(0, space.n, size=(count, 3))
+    triples = _rng(seed).integers(0, space.n, size=(count, 3))
     x, yy, z = triples[:, 0], triples[:, 1], triples[:, 2]
     din_num = D[x, yy]
     din_den = D[x, z]

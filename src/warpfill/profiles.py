@@ -14,7 +14,9 @@ the corresponding down-across-up curve; `minimize_F` and `sup_G` are
 batches of one. Branches: closed forms for exp and for sinh with alpha 1
 or 2; for other sinh alphas, a safeguarded Newton iteration (`_newton_root`)
 stopped on a tolerance, not an iteration count; for custom profiles, a
-knot scan and a golden section.
+knot scan and a golden section. For sinh with alpha > 1 the Newton root
+depends on d alone, so it is solved once per distinct d of a batch and
+then clipped to each element's tmax, bitwise as a per-element solve.
 """
 
 from __future__ import annotations
@@ -202,8 +204,9 @@ def _sinh_root(alpha: float, logc, x, lo, hi):
     return _newton_root(g, x, lo, hi, 32.0 * _EPS * (1.0 + np.abs(logc)) / min(alpha, 1.0))
 
 
-def _sinh_steep_argmin(profile: WarpProfile, d, tmax):
-    """alpha > 1: F' increases from F'(0) = -2; its root, clipped to tmax."""
+def _sinh_steep_root(profile: WarpProfile, d):
+    """alpha > 1: F' increases from F'(0) = -2; its root, unclipped. The start
+    point, bracket and tolerance depend on d alone, so the root does too."""
     alpha = profile.alpha
     logc = np.log(0.5 * alpha * d)
     # the root of the small-r asymptote (sinh r ~ r, cosh r ~ 1) bounds the
@@ -217,7 +220,7 @@ def _sinh_steep_argmin(profile: WarpProfile, d, tmax):
     hi = np.arcsinh(np.exp(-logc / alpha))
     x0 = np.minimum(np.maximum(tau[k], (alpha * math.log(2.0) - logc) / alpha), hi)
     tau[k] = _sinh_root(alpha, logc, x0, np.zeros_like(hi), hi)
-    return np.minimum(tau, tmax)
+    return tau
 
 
 def _sinh_shallow_argmin(profile: WarpProfile, d, tmax):
@@ -282,9 +285,11 @@ def minimize_F_batch(profile: WarpProfile, d, tmax):
     elementwise: returns (tau, fmin) arrays of d's shape.
 
     d must be finite and >= 0; tmax broadcasts against d and may be inf
-    where d > 0. Every element is computed on its own, so neither the order
-    nor the size of the batch changes a result. The iterative branches
-    (see the module docstring) run on chunks of _CHUNK elements.
+    where d > 0. Every element gets what a batch of one would give it, so
+    neither the order nor the size of the batch changes a result. The
+    iterative branches (see the module docstring) run on chunks of _CHUNK
+    elements; for steep sinh these are the distinct positive d, whose
+    Newton start, bracket and tolerance depend on d alone.
     """
     d = np.asarray(d, dtype=float)
     shape = d.shape
@@ -312,11 +317,18 @@ def minimize_F_batch(profile: WarpProfile, d, tmax):
                 else 0.5 * np.arcsinh(2.0 / np.where(pos, d, 1.0)))
         tau = np.clip(np.where(pos, star, np.inf), 0.0, tmax)
         psi_tau = np.sinh(tau) ** profile.alpha
+    elif profile.kind == "sinh" and profile.alpha > 1.0:
+        # the root depends on d alone: solve each distinct d once, then clip
+        # every element to its own tmax, as a per-element solve would
+        uniq, inverse = np.unique(d[pos], return_inverse=True)
+        root = np.empty_like(uniq)
+        for i in range(0, uniq.size, _CHUNK):
+            root[i:i + _CHUNK] = _sinh_steep_root(profile, uniq[i:i + _CHUNK])
+        tau = tmax.copy()  # d == 0: F = -2*rho decreases
+        tau[pos] = np.minimum(root[inverse], tmax[pos])
+        psi_tau = np.sinh(tau) ** profile.alpha
     else:
-        if profile.kind == "custom":
-            argmin = _custom_argmin
-        else:
-            argmin = _sinh_shallow_argmin if profile.alpha < 1.0 else _sinh_steep_argmin
+        argmin = _custom_argmin if profile.kind == "custom" else _sinh_shallow_argmin
         tau = tmax.copy()  # d == 0: F = -2*rho decreases
         for i in range(0, d.size, _CHUNK):
             s = slice(i, i + _CHUNK)

@@ -269,6 +269,8 @@ def test_overflowing_weight_exit_2(capsys):
     (["counterexample", "--space", "{circle}", "--p", "inf", "--schedule", "5,10", "--dt", "0.05"],
      "p must be finite and >= 1"),
     (["counterexample", "--space", "{circle}", "--p", "nan"], "p must be finite and >= 1"),
+    (["delta", "--space", "{circle}", "--profile", "exp:1", "--seed", "-1", "--count", "10"],
+     "seed must be an integer >= 0"),
 ])
 def test_bad_truncation_exit_2(capsys, circle_path, argv, message):
     code, out, err = run(capsys, [a.format(circle=circle_path) for a in argv])
@@ -458,6 +460,41 @@ def test_config_file_supplies_space_and_profile(capsys, tmp_path, circle_path):
     assert code == 0 and err == ""
     config = json.loads(out)["config"]
     assert (config["space"], config["profile"], config["count"]) == (circle_path, "exp:1", 10)
+
+
+def test_config_file_supplies_validate_space_and_dist_points(capsys, tmp_path, circle_path):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"space": circle_path}))
+    code, out, err = run(capsys, ["validate", "--config", str(path)])
+    assert code == 0 and err == ""
+    assert json.loads(out)["config"]["space"] == circle_path
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"space": circle_path, "profile": "exp:1",
+                                "from": "5,0", "to": "5,1"}))
+    code, out, err = run(capsys, ["dist", "--config", str(path)])
+    assert code == 0 and err == ""
+    config = json.loads(out)["config"]
+    assert (config["from"], config["to"]) == ("5,0", "5,1")
+    flags = ["dist", "--space", circle_path, "--profile", "exp:1", "--from", "5,0", "--to", "5,1"]
+    assert json.loads(out)["result"] == json.loads(run(capsys, flags)[1])["result"]
+
+
+@pytest.mark.parametrize("argv, cfg, message", [
+    (["validate"], {}, "validate requires --space"),
+    (["validate"], {"eps": 0.1}, "validate requires --space"),
+    (["dist", "--space", "{circle}", "--profile", "exp:1"], {}, "dist requires --from and --to"),
+    (["dist", "--space", "{circle}", "--profile", "exp:1", "--from", "5,0"], {},
+     "dist requires --from and --to"),
+    (["dist", "--space", "{circle}", "--profile", "exp:1"], {"to": "5,1"},
+     "dist requires --from and --to"),
+])
+def test_missing_required_option_exit_2(capsys, tmp_path, circle_path, argv, cfg, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, [a.format(circle=circle_path) for a in argv]
+                         + ["--config", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: schema mismatch") and message in err
 
 
 def test_config_null_value_is_ignored(capsys, tmp_path):

@@ -143,6 +143,17 @@ def test_boundary_gromov_product_is_deep_pair_limit():
         assert abs(finite - boundary_val) <= 1e-6
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, None, "3"])
+def test_seed_must_be_a_nonnegative_integer(seed):
+    Y = circle(8, 2 * math.pi)
+    with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+        estimate_delta(SINH1, Y, t_max=5.0, count=10, seed=seed)
+    bm = boundary_metric(SINH1, Y, eps=0.1)
+    with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+        quasisymmetry_modulus(bm, Y, SINH1.alpha, count=10, seed=seed)
+    assert estimate_delta(SINH1, Y, 5.0, 10, np.int64(4)) == estimate_delta(SINH1, Y, 5.0, 10, 4)
+
+
 def test_quasisymmetry_report():
     Y = circle(64, 2 * math.pi)
     bm = boundary_metric(SINH1, Y, eps=0.1)

@@ -135,14 +135,26 @@ def test_batch_composition_invariance():
     d[1::23] = 0.0
     tmax = rng.uniform(0, 10, n)
     tmax[::11] = math.inf
-    perm = rng.permutation(n)
-    for profile in (WarpProfile.exp(1.0), WarpProfile.sinh_pow(1.0), WarpProfile.sinh_pow(2.0),
-                    WarpProfile.sinh_pow(1.5), WarpProfile.sinh_pow(0.7), SINH_COSH):
+    cases = [(profile, d, tmax, 5) for profile in (
+        WarpProfile.exp(1.0), WarpProfile.sinh_pow(1.0), WarpProfile.sinh_pow(2.0),
+        WarpProfile.sinh_pow(1.5), WarpProfile.sinh_pow(0.7), SINH_COSH)]
+    # steep sinh solves each distinct d once and clips per element: a small
+    # pool of d, each under tmax 0, inf and values below, at and above its root
+    pool = 10.0 ** rng.uniform(-6, 1, 7)
+    for profile in (WarpProfile.sinh_pow(1.5), WarpProfile.sinh_pow(3.0),
+                    WarpProfile.sinh_pow(1.01)):
+        root, _ = minimize_F_batch(profile, pool, np.full(pool.size, math.inf))
+        levels = np.column_stack([np.zeros(pool.size), np.full(pool.size, math.inf), 0.5 * root,
+                                  root, 2.0 * root, rng.uniform(0.0, 10.0, pool.size)])
+        cases.append((profile, np.append(np.repeat(pool, 6), [0.0, 0.0]),
+                      np.append(levels.ravel(), [0.0, 3.0]), 1))
+    for profile, d, tmax, step in cases:
+        perm = rng.permutation(d.size)
         tau, fmin = minimize_F_batch(profile, d, tmax)
         tau_p, fmin_p = minimize_F_batch(profile, d[perm], tmax[perm])
         assert np.array_equal(tau_p, tau[perm]), profile.label()
         assert np.array_equal(fmin_p, fmin[perm]), profile.label()
-        for k in range(0, n, 5):
+        for k in range(0, d.size, step):
             one_tau, one_fmin = minimize_F_batch(profile, d[k:k + 1], tmax[k:k + 1])
             assert one_tau[0] == tau[k] and one_fmin[0] == fmin[k], (profile.label(), k)
 
