@@ -21,7 +21,7 @@ from .warped import (MixedSegment, UCurve, WarpedPoint, build_ucurve, chordal_le
                      gromov_product, gromov_product_batch, polyline_length)
 from .hyperbolicity import (BoundaryMetric, DeltaReport, boundary_metric, default_eps,
                             delta_bound, estimate_delta, estimate_delta_exhaustive,
-                            quasisymmetry_modulus, snowflake_check)
+                            snowflake_check)
 from .poincare import (CounterexampleReport, FillingGraph, SPReport,
                        build_filling_graph, builtin_filling_family,
                        builtin_halfline_family, counterexample_suite,

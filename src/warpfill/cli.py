@@ -135,7 +135,9 @@ def _load_family(spec: str) -> list:
 def cmd_validate(ns) -> dict:
     space = load_space(ns.space)
     result = {"valid": True, "n": space.n, "diameter": space.diameter(),
-              "total_measure": space.total_measure()}
+              "total_measure": space.total_measure(),
+              "triangle_check": space.triangle_check,
+              "edge_count": 0 if space.edges is None else len(space.edges)}
     if ns.eps is not None:
         result["length_check"] = approx_length_check(space, ns.eps).to_dict()
     return _envelope(ns, None, {}, result)

@@ -65,18 +65,6 @@ class SnowflakeReport:
         return asdict(self)
 
 
-@dataclass
-class QuasisymmetryReport:
-    eta_samples: list
-    skipped: int
-    eta_exponent: float
-    eta_coefficient: float
-    violations: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 def delta_bound(profile: WarpProfile, space: CarrierSpace) -> float:
     """Hyperbolicity bound 2/alpha, plus 3*psi(0)*diam(Y) when psi(0) != 0."""
     bound = 2.0 / profile.alpha
@@ -235,16 +223,6 @@ def snowflake_pairs(bm: BoundaryMetric, space: CarrierSpace):
     return d[mask], c[mask]
 
 
-def _snowflake_constant(bm: BoundaryMetric, space: CarrierSpace, s: float):
-    """`snowflake_pairs` and the empirical snowflake constant
-    C0 = max(chained / d^s, d^s / chained) over them (nan without pairs)."""
-    d, c = snowflake_pairs(bm, space)
-    if d.size == 0:
-        return d, c, math.nan
-    snow = d ** s
-    return d, c, float(np.max(np.maximum(c / snow, snow / c)))
-
-
 def snowflake_check(bm: BoundaryMetric, space: CarrierSpace, alpha: float,
                     slope_rtol: float = 0.02) -> SnowflakeReport:
     """Least-squares exponent of ln(chained) against ln(d_Y) over distinct
@@ -253,37 +231,11 @@ def snowflake_check(bm: BoundaryMetric, space: CarrierSpace, alpha: float,
     if space.n < 3:
         raise DomainError("snowflake_check needs at least 3 distinct points")
     target = bm.eps / alpha
-    d, c, C0 = _snowflake_constant(bm, space, target)
+    d, c = snowflake_pairs(bm, space)
     if d.size < 2:
         raise DomainError("not enough distinct pairs for a snowflake fit")
+    snow = d ** target
+    C0 = float(np.max(np.maximum(c / snow, snow / c)))
     slope, _ = np.polyfit(np.log(d), np.log(c), 1)
     passed = abs(float(slope) - target) <= slope_rtol * target and math.isfinite(C0)
     return SnowflakeReport(float(slope), target, C0, passed, int(d.size))
-
-
-def quasisymmetry_modulus(bm: BoundaryMetric, space: CarrierSpace, alpha: float,
-                          count: int = 2000, seed: int = 0) -> QuasisymmetryReport:
-    """Distance-ratio pairs (d_Y ratio, boundary ratio) over sampled triples
-    of distinct points, with the dominance count against the control
-    function eta(t) = C0^2 * t^(eps/alpha) implied by the snowflake bounds.
-
-    Triples containing coincident points are skipped and counted; the
-    report keeps the first 10000 pairs.
-    """
-    D = space.dist
-    triples = _rng(seed).integers(0, space.n, size=(count, 3))
-    x, yy, z = triples[:, 0], triples[:, 1], triples[:, 2]
-    din_num = D[x, yy]
-    din_den = D[x, z]
-    dout_num = bm.chained[x, yy]
-    dout_den = bm.chained[x, z]
-    ok = (din_num > 0.0) & (din_den > 0.0) & (dout_den > 0.0) & (x != yy) & (x != z) & (yy != z)
-    skipped = int((~ok).sum())
-    ratio_in = din_num[ok] / din_den[ok]
-    ratio_out = dout_num[ok] / dout_den[ok]
-
-    s = bm.eps / alpha
-    _, _, C0 = _snowflake_constant(bm, space, s)
-    viol = int(np.sum(ratio_out > C0 ** 2 * ratio_in ** s * (1.0 + 1e-12)))
-    pairs = list(zip(ratio_in[:10000].tolist(), ratio_out[:10000].tolist()))
-    return QuasisymmetryReport(pairs, skipped, s, C0 ** 2, viol)

@@ -205,8 +205,10 @@ def _sinh_root(alpha: float, logc, x, lo, hi):
 
 
 def _sinh_steep_root(profile: WarpProfile, d):
-    """alpha > 1: F' increases from F'(0) = -2; its root, unclipped. The start
-    point, bracket and tolerance depend on d alone, so the root does too."""
+    """alpha > 1: F' increases from F'(0) = -2; its root, unclipped, or inf
+    where the bound hi below overflows (the root then lies past the overflow
+    of psi). The start point, bracket and tolerance depend on d alone, so
+    the root does too."""
     alpha = profile.alpha
     logc = np.log(0.5 * alpha * d)
     # the root of the small-r asymptote (sinh r ~ r, cosh r ~ 1) bounds the
@@ -216,8 +218,11 @@ def _sinh_steep_root(profile: WarpProfile, d):
     log_small = -logc / (alpha - 1.0)
     tau = np.exp(np.minimum(log_small, 709.0))
     k = np.flatnonzero(2.0 * log_small > math.log((alpha - 1.0) * _EPS))
+    with np.errstate(over="ignore"):
+        hi = np.arcsinh(np.exp(-logc[k] / alpha))
+    tau[k[np.isinf(hi)]] = np.inf
+    k, hi = k[np.isfinite(hi)], hi[np.isfinite(hi)]
     logc = logc[k]
-    hi = np.arcsinh(np.exp(-logc / alpha))
     x0 = np.minimum(np.maximum(tau[k], (alpha * math.log(2.0) - logc) / alpha), hi)
     tau[k] = _sinh_root(alpha, logc, x0, np.zeros_like(hi), hi)
     return tau
@@ -326,7 +331,10 @@ def minimize_F_batch(profile: WarpProfile, d, tmax):
             root[i:i + _CHUNK] = _sinh_steep_root(profile, uniq[i:i + _CHUNK])
         tau = tmax.copy()  # d == 0: F = -2*rho decreases
         tau[pos] = np.minimum(root[inverse], tmax[pos])
-        psi_tau = np.sinh(tau) ** profile.alpha
+        with np.errstate(over="ignore"):
+            psi_tau = np.sinh(tau) ** profile.alpha
+        if np.isinf(psi_tau[pos]).any():
+            raise DomainError(f"the minimizer for sinh^{profile.alpha:g} overflows psi")
     else:
         argmin = _custom_argmin if profile.kind == "custom" else _sinh_shallow_argmin
         tau = tmax.copy()  # d == 0: F = -2*rho decreases

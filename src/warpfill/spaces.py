@@ -5,6 +5,11 @@ distance matrix satisfying the triangle inequality plus strictly positive
 node measures. Downstream formulas only ever consume distance values, so
 carriers are extensional; the length-space hypothesis is replaced by the
 sampled midpoint check `approx_length_check`.
+
+A carrier born from a graph (`circle`, `from_graph`) also keeps its edge
+set. Loading such a carrier proves the triangle inequality from the edges
+in O(|E| n) (`_edge_certificate`) in place of the O(n^3) detour sweep, and
+falls back to the sweep whenever the proof fails.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
+import orjson
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra, shortest_path
 
@@ -22,12 +28,19 @@ _MAX_REPORTED = 200
 # metric tolerance, scaled by max(1, largest |entry|)
 _ATOL = 1e-12
 _TILE_CELLS = 1 << 16
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 class CarrierSpace:
-    """Finite metric measure space: distance matrix + node measures."""
+    """Finite metric measure space: distance matrix + node measures, and
+    optionally the edge set of the graph the matrix came from.
 
-    def __init__(self, dist, measure, labels=None):
+    `edges` is None or an (m, 2) int64 array of node pairs i < j, sorted and
+    unique. `triangle_check` says how `from_matrix` proved the triangle
+    inequality ("edge certificate" or "sweep"); None for an unvalidated
+    carrier."""
+
+    def __init__(self, dist, measure, labels=None, edges=None):
         self.dist = np.asarray(dist, dtype=float)
         self.measure = np.asarray(measure, dtype=float)
         self.labels = list(labels) if labels is not None else None
@@ -37,6 +50,8 @@ class CarrierSpace:
             raise SchemaError("measure vector length must match the matrix")
         if self.labels is not None and len(self.labels) != self.dist.shape[0]:
             raise SchemaError("labels length must match the matrix")
+        self.edges = None if edges is None else _edge_array(edges, self.dist.shape[0])
+        self.triangle_check = None
         self._adjacency = None
         self._pred_cache = {}
 
@@ -54,14 +69,26 @@ class CarrierSpace:
         doc = {"n": self.n, "dist": self.dist.tolist(), "measure": self.measure.tolist()}
         if self.labels is not None:
             doc["labels"] = self.labels
+        if self.edges is not None:
+            doc["edges"] = self.edges.tolist()
         return doc
 
     def adjacency(self):
         """Essential edges (rows, cols, lens), row-major: pairs i < j whose
         `_detours` exceed d(i, j) + 1e-12 * max(1, max d), so that shortest paths
-        over them reproduce the matrix. Cached; `from_matrix` seeds it."""
+        over them reproduce the matrix. Cached; `from_matrix` seeds it when it
+        ran the sweep. When the edge certificate's check (H) holds, every
+        essential pair is an edge, and only the edge pairs' detours are
+        computed; the result is bitwise the sweep's."""
         if self._adjacency is None:
-            self._adjacency = _skeleton(self.dist, _detours(self.dist))
+            D = self.dist
+            if self.edges is not None and (self.triangle_check == "edge certificate"
+                                           or _edge_certificate(D, self.edges)[1]):
+                rows, cols = self.edges.T
+                self._adjacency = _essential(D, rows, cols, _pair_detours(D, rows, cols))
+            else:
+                rows, cols = np.triu_indices(self.n, 1)
+                self._adjacency = _essential(D, rows, cols, _detours(D)[rows, cols])
         return self._adjacency
 
     def _skeleton_csr(self):
@@ -108,11 +135,107 @@ def _detours(D):
     return _min_over_k(np.where(np.eye(len(D), dtype=bool), np.inf, D), np.add)
 
 
-def _skeleton(D, detour):
-    """(rows, cols, lens) of the pairs i < j with detour > D + tol."""
+def _pair_detours(D, rows, cols):
+    """`_detours(D)[rows, cols]` for the given pairs alone, in O(len(rows) n):
+    the same sums and an exact min, so the same bits."""
+    A = np.where(np.eye(len(D), dtype=bool), np.inf, D)
+    AT = np.ascontiguousarray(A.T)
+    out = np.empty(len(rows))
+    step = max(1, _TILE_CELLS // max(len(D), 1))
+    for e0 in range(0, len(rows), step):
+        s = slice(e0, e0 + step)
+        out[s] = (A[rows[s]] + AT[cols[s]]).min(axis=1)
+    return out
+
+
+def _essential(D, rows, cols, detour):
+    """(rows, cols, lens) of the pairs (rows, cols) whose detour exceeds
+    D + 1e-12 * max(1, max D), in the given order."""
     tol = _ATOL * max(1.0, float(D.max()))
-    rows, cols = np.nonzero(np.triu(detour > D + tol, 1))
-    return rows.astype(np.int64), cols.astype(np.int64), D[rows, cols]
+    keep = detour > D[rows, cols] + tol
+    rows, cols = rows[keep].astype(np.int64), cols[keep].astype(np.int64)
+    return rows, cols, D[rows, cols]
+
+
+def _edge_certificate(D, edges):
+    """(relaxed, hops): the checks (R) and (H) that prove, in O(|E| n), what
+    the O(n^3) sweep would find for a nonnegative D with a zero diagonal.
+
+    With u = 2^-53, s = max(1, max D) and tol = 1e-12 s (the sweep's), and
+    eps as below, for every directed edge x -> y (both orientations of each
+    edge):
+      (R) D[i, y] - fl(D[i, x] + D[x, y]) <= eps for every i;
+      (H) every pair i != j has an edge x -> j with D[i, x] < D[i, j] and
+          fl(D[i, x] + D[x, j]) - D[i, j] <= eps.
+    Both differences are rounded, so each check holds exactly up to
+    eps (1 + u).
+
+    Triangles. Take i, j and k not in {i, j}. Following (H) back from j in
+    row k gives a chain k = v_0, ..., v_m = j of edges along which D[k, .]
+    strictly decreases, so m <= n - 1. Write w_t = D[v_t, v_t+1] and note
+    every entry is in [0, s]. A rounded sum of nonnegatives errs by at most
+    u times its value, so (H) gives w_t <= D[k, v_t+1] - D[k, v_t]
+    + eps (1 + 3u) + u s, which telescopes (D[k, k] = 0) to
+    sum w_t <= D[k, j] + m (eps (1 + 3u) + u s), and (R) in row i gives
+    D[i, v_t+1] <= D[i, v_t] + w_t + 2 u s + eps (1 + u). So
+        D[i, j] <= D[i, k] + D[k, j] + m (2 eps (1 + 2u) + 3 u s),
+    and the sweep's own rounding of D[i, k] + D[k, j] adds at most 2 u s.
+    With eps = (0.99 tol - (3n + 1) u s) / (2 (n - 1)) the sweep's excess
+    stays below 0.99 tol (1 + 2u) - 2 u s < tol, so it reports no triangle;
+    the 1 % also covers the rounding of eps itself. eps is about 16 u s at
+    n = 256, 7 u s at 512 and 3 u s at 1024, and not positive from
+    n = 3000, where no certificate is tried.
+
+    Skeleton. For a pair i < j that is not an edge, the x of (H) is neither
+    i nor j, so the sweep's detour is at most D[i, j] + eps (1 + u), below
+    fl(D[i, j] + tol): the pair is not essential. This uses (H) alone.
+    """
+    n = len(D)
+    scale = max(1.0, float(D.max()))
+    eps = (0.99 * _ATOL - (3 * n + 1) * _UNIT_ROUNDOFF) * scale / (2 * max(n - 1, 1))
+    if not (0.0 < eps < np.inf and D.min() >= 0.0 and not np.diag(D).any()):
+        return False, False
+    src, dst = np.concatenate([edges, edges[:, ::-1]]).T
+    order = np.argsort(dst, kind="stable")
+    src, dst = src[order], dst[order]
+    w = D[src, dst]
+    DT = np.ascontiguousarray(D.T)  # DT[x] = D[:, x]
+    relaxed = True
+    covered = np.zeros((n, n), dtype=bool)  # covered[j, i]: (H) holds for (i, j)
+    step = max(1, _TILE_CELLS // n)
+    for e0 in range(0, len(src), step):
+        s = slice(e0, e0 + step)
+        near, far = DT[src[s]], DT[dst[s]]
+        diff = (near + w[s, None]) - far
+        relaxed = relaxed and bool(diff.min() >= -eps)
+        hop = (near < far) & (diff <= eps)
+        y = dst[s]
+        first = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])
+        covered[y[first]] |= np.logical_or.reduceat(hop, first, axis=0)
+    np.fill_diagonal(covered, True)
+    return relaxed, bool(covered.all())
+
+
+def _edge_array(edges, n: int) -> np.ndarray:
+    """edges as a sorted, duplicate-free (m, 2) int64 array of pairs i < j;
+    SchemaError unless it is a list of [i, j] integer pairs with
+    0 <= i, j < n and i != j."""
+    try:
+        arr = np.asarray(edges)
+    except ValueError as exc:
+        raise SchemaError(f"'edges' must be a list of [i, j] pairs: {exc}") from exc
+    if arr.size == 0 and arr.shape in ((0,), (0, 2)):
+        return np.zeros((0, 2), dtype=np.int64)
+    if arr.dtype.kind not in "iu":
+        raise SchemaError(f"'edges' entries must be integers, got dtype {arr.dtype}")
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise SchemaError(f"'edges' must have shape (m, 2), got {arr.shape}")
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
+        raise SchemaError(f"'edges' holds a node index outside [0, {n})")
+    if np.any(arr[:, 0] == arr[:, 1]):
+        k = int(np.argmax(arr[:, 0] == arr[:, 1]))
+        raise SchemaError(f"'edges' holds a self-loop at node {int(arr[k, 0])}")
+    return np.unique(np.sort(arr.astype(np.int64), axis=1), axis=0)
 
 
 def validate_matrix(dist, measure=None) -> list:
@@ -124,8 +247,10 @@ def validate_matrix(dist, measure=None) -> list:
     return _check_matrix(dist, measure)[0]
 
 
-def _check_matrix(dist, measure=None):
-    """validate_matrix's list and `_detours(D)` (None if triangles went unchecked)."""
+def _check_matrix(dist, measure=None, edges=None):
+    """validate_matrix's list and `_detours(D)`. The detours are None when
+    other violations left the triangles unchecked, or when `edges` (an
+    `_edge_array`) let `_edge_certificate` prove them without the sweep."""
     D = np.asarray(dist, dtype=float)
     violations = []
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
@@ -149,7 +274,8 @@ def _check_matrix(dist, measure=None):
     for i, j in bad[:_MAX_REPORTED]:
         violations.append(("asymmetry", (int(i), int(j)), float(D[i, j]), float(D[j, i])))
 
-    detour = None if violations else _detours(D)
+    certified = not violations and edges is not None and all(_edge_certificate(D, edges))
+    detour = None if violations or certified else _detours(D)
     # D - detour is exactly the largest excess over k not in {i, j} (rounding is
     # monotone), and a zero diagonal makes the excess for k in {i, j} exactly 0. So
     # when neither test fires, the per-k report loop would find nothing.
@@ -179,22 +305,34 @@ def _check_matrix(dist, measure=None):
     return violations, detour
 
 
-def from_matrix(matrix, measure=None, labels=None) -> CarrierSpace:
+def from_matrix(matrix, measure=None, labels=None, edges=None) -> CarrierSpace:
     """Validated carrier from an explicit distance matrix.
 
     Raises ValidationError carrying every violation found (asymmetry,
-    negative entries, triangle failures, nonpositive measures). The validation
-    sweep also seeds the skeleton, so `adjacency()` costs nothing more.
+    negative entries, triangle failures, nonpositive measures). Given the
+    edges of a graph whose path metric the matrix is (pairs [i, j]), it
+    proves the triangle inequality with `_edge_certificate` in O(|E| n),
+    and `adjacency()` later computes detours for the edge pairs alone.
+    Without edges, or when that proof fails, it runs the O(n^3) sweep,
+    which also seeds the skeleton. Either way the outcome is the sweep's.
     """
     D = np.asarray(matrix, dtype=float)
+    n = D.shape[0] if D.ndim == 2 else 0
     if measure is None:
-        measure = np.ones(D.shape[0] if D.ndim == 2 else 0)
-    violations, detour = _check_matrix(D, measure)
+        measure = np.ones(n)
+    if edges is not None:
+        edges = _edge_array(edges, n)
+    violations, detour = _check_matrix(D, measure, edges)
     if violations:
         raise ValidationError(f"invalid carrier: {len(violations)} violation(s), "
                               f"first: {violations[0]}", violations)
-    space = CarrierSpace(D, measure, labels)
-    space._adjacency = _skeleton(space.dist, detour)
+    space = CarrierSpace(D, measure, labels, edges)
+    if detour is None:
+        space.triangle_check = "edge certificate"
+    else:
+        space.triangle_check = "sweep"
+        rows, cols = np.triu_indices(n, 1)
+        space._adjacency = _essential(space.dist, rows, cols, detour[rows, cols])
     return space
 
 
@@ -207,7 +345,7 @@ def from_graph(edges, n: int | None = None, measure=None, labels=None) -> Carrie
     """
     edges = list(edges)
     if not edges and n in (None, 1):
-        return CarrierSpace(np.zeros((1, 1)), np.ones(1), labels)
+        return CarrierSpace(np.zeros((1, 1)), np.ones(1), labels, np.zeros((0, 2), np.int64))
     ii = np.asarray([e[0] for e in edges], dtype=np.int64)
     jj = np.asarray([e[1] for e in edges], dtype=np.int64)
     ww = np.asarray([e[2] for e in edges], dtype=float)
@@ -226,12 +364,12 @@ def from_graph(edges, n: int | None = None, measure=None, labels=None) -> Carrie
     D = shortest_path(graph, directed=False)
     if measure is None:
         measure = np.ones(n)
-    return CarrierSpace(D, measure, labels)
+    return CarrierSpace(D, measure, labels, np.column_stack([ii, jj])[ii != jj])
 
 
 def circle(n: int, circumference: float) -> CarrierSpace:
     """n equally spaced points on a circle with the arc-length metric;
-    each node carries measure circumference / n."""
+    each node carries measure circumference / n. The edges join neighbours."""
     if n < 3:
         raise DomainError(f"circle requires n >= 3, got {n}")
     if not (circumference > 0.0):
@@ -241,7 +379,7 @@ def circle(n: int, circumference: float) -> CarrierSpace:
     hops = np.minimum(hops, n - hops)
     D = hops * (circumference / n)
     measure = np.full(n, circumference / n)
-    return CarrierSpace(D, measure)
+    return CarrierSpace(D, measure, edges=np.column_stack([idx, (idx + 1) % n]))
 
 
 @dataclass
@@ -293,11 +431,14 @@ def _numeric_field(path: str, doc: dict, key: str, kind=None):
 
 
 def _load_json(path: str) -> CarrierSpace:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"space file {path!r} is not valid JSON: {exc}") from exc
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        # strict JSON: NaN, Infinity and out-of-range numbers such as 1e400
+        # are refused here, as is text that is not UTF-8
+        doc = orjson.loads(raw)
+    except orjson.JSONDecodeError as exc:
+        raise SchemaError(f"space file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "dist" not in doc:
         raise SchemaError(f"space file {path!r} must be an object with a 'dist' matrix")
     dist = _numeric_field(path, doc, "dist")
@@ -307,7 +448,16 @@ def _load_json(path: str) -> CarrierSpace:
     if "n" in doc and _numeric_field(path, doc, "n", int) != n:
         raise SchemaError(f"space file {path!r}: declared n={doc['n']} but matrix is {n}x{n}")
     measure = _numeric_field(path, doc, "measure") if "measure" in doc else np.ones(n)
-    return from_matrix(dist, measure, doc.get("labels"))
+    labels = doc.get("labels")
+    if labels is not None and not (isinstance(labels, list) and len(labels) == n):
+        raise SchemaError(f"space file {path!r}: field 'labels' must be a list of {n} labels")
+    edges = doc.get("edges")
+    if edges is not None:
+        try:
+            edges = _edge_array(edges, n)
+        except SchemaError as exc:
+            raise SchemaError(f"space file {path!r}: field {exc}") from exc
+    return from_matrix(dist, measure, labels, edges)
 
 
 def _load_csv(path: str) -> CarrierSpace:
@@ -324,8 +474,8 @@ def _load_csv(path: str) -> CarrierSpace:
 
 
 def load_space(path: str) -> CarrierSpace:
-    """Load a carrier from JSON ({"n", "dist", "measure", "labels"}) or CSV
-    (n distance columns plus a trailing measure column)."""
+    """Load a carrier from JSON ({"n", "dist", "measure", "labels", "edges"})
+    or CSV (n distance columns plus a trailing measure column)."""
     if path.endswith(".csv"):
         return _load_csv(path)
     return _load_json(path)

@@ -35,6 +35,20 @@ def test_validate_ok(capsys, circle_path):
     assert doc["tool"] == "warpfill" and doc["version"]
 
 
+def test_validate_reports_how_triangles_were_checked(capsys, tmp_path, circle_path):
+    code, out, _ = run(capsys, ["validate", "--space", circle_path])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["triangle_check"] == "edge certificate" and result["edge_count"] == 32
+    doc = circle(32, 2 * math.pi).to_dict()
+    del doc["edges"]
+    path = tmp_path / "no_edges.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, ["validate", "--space", str(path)])
+    result = json.loads(out)["result"]
+    assert code == 0 and result["triangle_check"] == "sweep" and result["edge_count"] == 0
+
+
 def test_validate_triangle_violation_exit_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"dist": [[0, 1, 3], [1, 0, 1], [3, 1, 0]],
@@ -63,6 +77,16 @@ def test_schema_mismatch_exit_2(capsys, tmp_path):
     ({"n": "abc", "dist": [[0, 1], [1, 0]]}, "'n'"),
     ({"dist": [[0, 1], [1]]}, "'dist'"),
     ({"dist": [[0, 1], [1, 0]], "measure": ["a", 1]}, "'measure'"),
+    ({"dist": [[0, 1], [1, 0]], "labels": 5}, "'labels'"),
+    ({"dist": [[0, 1], [1, 0]], "labels": ["a"]}, "'labels'"),
+    ({"dist": [[0, 1], [1, 0]], "edges": [[0, 1.5]]}, "'edges'"),
+    ({"dist": [[0, 1], [1, 0]], "edges": [[0, "1"]]}, "'edges'"),
+    ({"dist": [[0, 1], [1, 0]], "edges": [[0, 2]]}, "'edges'"),
+    ({"dist": [[0, 1], [1, 0]], "edges": [[-1, 0]]}, "'edges'"),
+    ({"dist": [[0, 1], [1, 0]], "edges": [[1, 1]]}, "'edges'"),
+    ({"dist": [[0, 1], [1, 0]], "edges": [[0, 1, 1]]}, "'edges'"),
+    ({"dist": [[0, 1], [1, 0]], "edges": [0, 1]}, "'edges'"),
+    ({"dist": [[0, 1], [1, 0]], "edges": [[0, 1], [1]]}, "'edges'"),
 ])
 def test_malformed_space_fields_exit_2(capsys, tmp_path, doc, field):
     path = tmp_path / "bad.json"
@@ -70,6 +94,21 @@ def test_malformed_space_fields_exit_2(capsys, tmp_path, doc, field):
     code, _, err = run(capsys, ["validate", "--space", str(path)])
     assert code == 2
     assert err.startswith("error: schema mismatch") and field in err
+
+
+@pytest.mark.parametrize("raw", [
+    b'{"dist": [[0, 1], [1, 0]], "labels": ["\xff"]}',
+    b'{"dist": [[0, NaN], [NaN, 0]]}',
+    b'{"dist": [[0, Infinity], [Infinity, 0]]}',
+    b'{"dist": [[0, 1e400], [1e400, 0]]}',
+], ids=["not-utf8", "nan", "infinity", "1e400"])
+def test_space_file_must_be_strict_json(capsys, tmp_path, raw):
+    # non-finite numbers are refused by the parser, before any 'finite' check
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    code, _, err = run(capsys, ["validate", "--space", str(path)])
+    assert code == 2
+    assert err.startswith("error: schema mismatch") and "not valid JSON" in err
 
 
 def test_dist_json(capsys, circle_path):

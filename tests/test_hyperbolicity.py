@@ -6,7 +6,7 @@ import pytest
 from warpfill import (WarpProfile, WarpedPoint, boundary_metric, circle, default_eps,
                       delta_bound, estimate_delta, estimate_delta_exhaustive,
                       from_graph, from_matrix, gromov_product, gromov_product_batch,
-                      quasisymmetry_modulus, snowflake_check, sup_G)
+                      snowflake_check, sup_G)
 from warpfill.errors import DomainError
 from warpfill import hyperbolicity
 from warpfill.hyperbolicity import _min_plus_closure
@@ -148,25 +148,7 @@ def test_seed_must_be_a_nonnegative_integer(seed):
     Y = circle(8, 2 * math.pi)
     with pytest.raises(DomainError, match="seed must be an integer >= 0"):
         estimate_delta(SINH1, Y, t_max=5.0, count=10, seed=seed)
-    bm = boundary_metric(SINH1, Y, eps=0.1)
-    with pytest.raises(DomainError, match="seed must be an integer >= 0"):
-        quasisymmetry_modulus(bm, Y, SINH1.alpha, count=10, seed=seed)
     assert estimate_delta(SINH1, Y, 5.0, 10, np.int64(4)) == estimate_delta(SINH1, Y, 5.0, 10, 4)
-
-
-def test_quasisymmetry_report():
-    Y = circle(64, 2 * math.pi)
-    bm = boundary_metric(SINH1, Y, eps=0.1)
-    rep = quasisymmetry_modulus(bm, Y, SINH1.alpha, count=4000, seed=9)
-    assert rep.violations == 0
-    assert rep.skipped > 0  # coincident indices occur among random triples
-    ratio_in, ratio_out = np.array(rep.eta_samples).T
-    assert np.all(ratio_out > 0)
-    # equilateral-style triples: input ratio 1 forces output within [1/4, 4]
-    near = np.abs(ratio_in - 1.0) < 1e-12
-    if np.any(near):
-        assert np.all(ratio_out[near] <= 4.0 + 1e-9)
-        assert np.all(ratio_out[near] >= 0.25 - 1e-9)
 
 
 def _oracle_closure(M):

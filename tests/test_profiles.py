@@ -208,6 +208,18 @@ def test_newton_root_converges_or_raises():
     with pytest.raises(ConvergenceError):
         _newton_root(g, np.array([4.5]), np.array([4.0]), hi, gtol)
 
+
+def test_steep_sinh_root_past_the_overflow_of_psi():
+    # at d = 1e-320 the root lies past sinh's overflow: a finite tmax below it
+    # is the minimizer, and an infinite tmax is refused rather than left to
+    # Newton's iteration cap
+    p = WarpProfile.sinh_pow(1.01)
+    tau, fmin = minimize_F_batch(p, [1e-320, 1e-320, 0.0], [5.0, 700.0, 800.0])
+    assert tau.tolist() == [5.0, 700.0, 800.0]
+    assert fmin[0] == -10.0 and fmin[2] == -1600.0
+    with pytest.raises(DomainError, match="overflows psi"):
+        minimize_F_batch(p, [1e-320], [math.inf])
+
 def test_sup_g_examples():
     p = WarpProfile.exp(1.0)
     assert sup_G(p, 2.0) == pytest.approx(-2.0, abs=1e-12)

@@ -1,7 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from warpfill import (CarrierSpace, ValidationError, WarpProfile, approx_length_check,
                       build_filling_graph, circle, from_graph, from_matrix, load_space,
@@ -285,14 +287,148 @@ def test_adjacency_matches_brute_force_oracle(name, monkeypatch):
 
 
 def test_load_and_filling_graph_pay_one_sweep(tmp_path, monkeypatch):
+    # a file without "edges", as written before carriers kept their edges
+    doc = circle(16, 2 * math.pi).to_dict()
+    del doc["edges"]
     path = tmp_path / "c16.json"
-    save_space(circle(16, 2 * math.pi), str(path))
+    path.write_text(json.dumps(doc))
     calls = []
     sweep = spaces._detours
     monkeypatch.setattr(spaces, "_detours", lambda D: calls.append(len(D)) or sweep(D))
     G = build_filling_graph(load_space(str(path)), WarpProfile.exp(1.0), "exp", 2.0, 4.0, 0.5)
     assert G.edges[0].size > 0
     assert calls == [16]
+
+
+def _geometric_graph(rng, n):
+    """Edges (i, j, length) of a random geometric graph on the unit square
+    plus a path through all nodes, so it is connected."""
+    pts = rng.uniform(size=(n, 2))
+    L = _dist(pts)
+    ii, jj = np.nonzero(np.triu(L < math.sqrt(8.0 / (math.pi * n)), 1))
+    edges = list(zip(ii.tolist(), jj.tolist(), L[ii, jj].tolist()))
+    return edges + [(i, i + 1, float(L[i, i + 1])) for i in range(n - 1)]
+
+
+def test_certified_load_and_filling_graph_pay_no_sweep(tmp_path, monkeypatch):
+    rng = np.random.default_rng(50)
+    carriers = {"circle": circle(16, 2 * math.pi),
+                "graph": from_graph(_geometric_graph(rng, 40), n=40)}
+    for name, s in carriers.items():
+        path = tmp_path / f"{name}.json"
+        save_space(s, str(path))
+        want = CarrierSpace(s.dist, s.measure).adjacency()  # the sweep's
+        calls = []
+        sweep = spaces._detours
+        monkeypatch.setattr(spaces, "_detours", lambda D: calls.append(len(D)) or sweep(D))
+        loaded = load_space(str(path))
+        assert loaded.triangle_check == "edge certificate" and loaded._adjacency is None
+        assert np.array_equal(loaded.edges, s.edges)
+        G = build_filling_graph(loaded, WarpProfile.exp(1.0), "exp", 2.0, 4.0, 0.5)
+        assert G.edges[0].size > 0
+        assert calls == []
+        assert _same_bits(loaded.adjacency(), want)
+        monkeypatch.undo()
+
+
+def test_graph_carriers_keep_sorted_unique_edges():
+    assert circle(4, 4.0).edges.tolist() == [[0, 1], [0, 3], [1, 2], [2, 3]]
+    s = from_graph([(2, 1, 1.0), (1, 2, 1.0), (0, 1, 2.0), (1, 1, 0.5)])
+    assert s.edges.tolist() == [[0, 1], [1, 2]]  # the self-loop is dropped
+    assert from_graph([], n=1).edges.shape == (0, 2)
+    assert from_matrix([[0, 1], [1, 0]]).edges is None
+
+
+def test_certificate_failure_falls_back_to_the_sweep():
+    s = circle(12, 12.0)
+    missing = from_matrix(s.dist, s.measure, edges=s.edges[1:])
+    assert missing.triangle_check == "sweep" and missing._adjacency is not None
+    assert _same_bits(missing.adjacency(), s.adjacency())
+    stretched = s.dist.copy()
+    stretched[0, 6] = stretched[6, 0] = 1.5 * stretched[0, 6]
+    with pytest.raises(ValidationError) as exc:
+        from_matrix(stretched, s.measure, edges=s.edges)
+    assert exc.value.violations == validate_matrix(stretched, s.measure)
+    # three clusters of zero-distance twins joined only inside each cluster:
+    # without (H)'s strict decrease the twins would cover one another and
+    # hide the violated triangle d(A, C) = 5 > d(A, B) + d(B, C) = 2
+    cluster = np.repeat(np.arange(3), 2)
+    twins = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])[cluster][:, cluster]
+    assert spaces._edge_certificate(twins, np.array([[0, 1], [2, 3], [4, 5]]))[1] is False
+    with pytest.raises(ValidationError) as exc:
+        from_matrix(twins, edges=[[0, 1], [2, 3], [4, 5]])
+    assert exc.value.violations == validate_matrix(twins, np.ones(6))
+
+
+def test_edge_certificate_accepts_the_benchmark_carriers():
+    rng = np.random.default_rng(60)
+    for s in (circle(256, 2 * math.pi), from_graph(_geometric_graph(rng, 256), n=256)):
+        assert spaces._edge_certificate(s.dist, s.edges) == (True, True)
+
+
+def _perturbed_graph_metric(data):
+    """A from_graph metric and edge list, then perturbed: entries scaled by
+    1 +- 1 ulp up to 1.5, one-sided asymmetry within tol, scales 1e-6 to
+    1e6, tiny edges, and missing, extra or duplicate edges."""
+    n = data.draw(st.integers(2, 30), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    scale = 10.0 ** data.draw(st.floats(-6.0, 6.0), label="log10 scale")
+    tiny = data.draw(st.sampled_from([0.0, 1e-14, 1e-9]), label="tiny edge share")
+    parent = [int(rng.integers(i)) for i in range(1, n)]
+    pairs = list(zip(parent, range(1, n)))
+    pairs += [tuple(int(v) for v in rng.integers(n, size=2)) for _ in range(int(rng.integers(2 * n)))]
+    lengths = scale * rng.uniform(0.1, 2.0, len(pairs))
+    if tiny:
+        small = rng.random(len(pairs)) < 0.3
+        lengths[small] = scale * tiny * rng.uniform(1.0, 2.0, int(small.sum()))
+    s = from_graph([(i, j, w) for (i, j), w in zip(pairs, lengths)], n=n)
+    D, edges = s.dist.copy(), s.edges
+    tol = 1e-12 * max(1.0, float(D.max()))
+    for _ in range(data.draw(st.integers(0, 3), label="scaled entries")):
+        i, j = (int(v) for v in rng.integers(n, size=2))
+        kind = data.draw(st.sampled_from(["ulps", "relative"]), label="factor kind")
+        if kind == "ulps":
+            f = 1.0 + data.draw(st.integers(-4, 4), label="ulps") * 2.0 ** -52
+        else:
+            f = 1.0 + 10.0 ** data.draw(st.floats(-15.5, math.log10(0.5)), label="log10 (f - 1)")
+        D[i, j] *= f
+        if data.draw(st.booleans(), label="symmetric"):
+            D[j, i] = D[i, j]
+    if data.draw(st.booleans(), label="one-sided asymmetry"):
+        i, j = (int(v) for v in rng.integers(n, size=2))
+        if i != j:
+            D[i, j] += data.draw(st.floats(0.0, 1.0), label="share of tol") * tol
+    edit = data.draw(st.sampled_from(["none", "missing", "extra", "duplicate"]), label="edges")
+    if edit == "missing" and len(edges):
+        edges = np.delete(edges, int(rng.integers(len(edges))), axis=0)
+    elif edit == "extra":
+        edges = np.vstack([edges, [rng.choice(n, size=2, replace=False)]])
+    elif edit == "duplicate" and len(edges):
+        edges = np.vstack([edges, edges[:, ::-1]])
+    return D, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_edge_certificate_is_sound(data):
+    D, edges = _perturbed_graph_metric(data)
+    measure = np.ones(len(D))
+    relaxed, hops = spaces._edge_certificate(D, spaces._edge_array(edges, len(D)))
+    event(f"relaxed={relaxed} hops={hops}")
+    sweep = CarrierSpace(D, measure).adjacency()
+    if relaxed and hops:  # the sweep sees no triangle excess over tol
+        tol = 1e-12 * max(1.0, float(D.max()))
+        assert not np.any(np.triu(D - spaces._detours(D), 1) > tol)
+    try:
+        s = from_matrix(D, measure, edges=edges)
+    except ValidationError as exc:
+        assert exc.violations == validate_matrix(D, measure)
+        return
+    assert validate_matrix(D, measure) == []
+    assert s.triangle_check == ("edge certificate" if relaxed and hops else "sweep")
+    assert _same_bits(s.adjacency(), sweep)
+    if hops:  # an unvalidated carrier with edges takes its skeleton from them
+        assert _same_bits(CarrierSpace(D, measure, edges=edges).adjacency(), sweep)
 
 
 def test_length_check_matches_brute_force_oracle():
