@@ -180,13 +180,14 @@ def boundary_metric(profile: WarpProfile, space: CarrierSpace, eps: float | None
     flag (the factor-2 comparison is then not guaranteed).
 
     The profile must stay below C * e^{alpha t}; this is checked on 241
-    evenly spaced points of [0, 60].
+    evenly spaced points of [0, min(60, 600/alpha)], where e^{alpha t} and
+    the builtin profiles stay below e^600 and so representable.
     """
     if not (0 <= basepoint_y < space.n):
         raise DomainError(f"basepoint index {basepoint_y} out of range")
     if eps is not None and not (math.isfinite(eps) and eps > 0.0):
         raise DomainError(f"eps must be positive and finite, got {eps}")
-    grid = np.linspace(0.0, 60.0, 241)
+    grid = np.linspace(0.0, min(60.0, 600.0 / profile.alpha), 241)
     ratios = np.asarray(profile.psi(grid), float) * np.exp(-profile.alpha * grid)
     # psi <= C e^{alpha t} means psi * e^{-alpha t} plateaus; a ratio still
     # climbing across the tail of the grid has no admissible C

@@ -163,7 +163,10 @@ class FillingGraph:
         if n > 1:
             rows, colsj, dd = self.carrier.adjacency()
             start = 1 if self.has_apex else 0
-            scales = np.array([float(self.profile.psi(t)) for t in self.levels[start:]])
+            scales = self.profile.psi(self.levels[start:])
+            if not np.all(np.isfinite(scales)):
+                i = start + int(np.argmin(np.isfinite(scales)))
+                raise DomainError(f"psi overflows at level {i} (t = {self.levels[i]:g})")
             vanish = np.flatnonzero(scales <= 0.0)
             if vanish.size:
                 raise ValidationError(
@@ -220,8 +223,7 @@ def discrete_upper_gradient(G: FillingGraph, u: np.ndarray) -> GradientField:
 
 
 def lp_norm(values: np.ndarray, weights: np.ndarray, p: float) -> float:
-    if p < 1.0:
-        raise DomainError("p must be >= 1")
+    check_p(p)
     with np.errstate(over="ignore"):
         total = float(np.sum(np.abs(values) ** p * weights))
     return total ** (1.0 / p)
@@ -564,7 +566,7 @@ def counterexample_suite(carrier: CarrierSpace, y0: int, r: float, alpha: float,
     ly = _fiber(yidx, lip_y)
     u = u_r * uy
     with np.errstate(divide="ignore", invalid="ignore"):
-        second = np.where(t > 0.0, u_r / np.where(t > 0.0, np.sinh(t) ** alpha, 1.0) * ly, 0.0)
+        second = np.where(t > 0.0, u_r / np.where(t > 0.0, G.profile.psi(t), 1.0) * ly, 0.0)
     g = uy * lip_r + second
 
     g_norms, u_devs, tails_d, tails_q = [], [], [], []

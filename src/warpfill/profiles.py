@@ -17,6 +17,12 @@ stopped on a tolerance, not an iteration count; for custom profiles, a
 knot scan and a golden section. For sinh with alpha > 1 the Newton root
 depends on d alone, so it is solved once per distinct d of a batch and
 then clipped to each element's tmax, bitwise as a per-element solve.
+
+`WarpProfile.psi` and `dpsi` have one numpy path per kind: a scalar t is a
+0-d batch, returned as a float with the bits of the array result, and
+where psi overflows the value is inf without a warning. The kernel calls
+psi once, at the minimizer of whichever branch ran, and refuses a
+positive d whose minimizer has psi = inf with DomainError.
 """
 
 from __future__ import annotations
@@ -92,30 +98,29 @@ class WarpProfile:
         return f"{self.kind}:{self.alpha:g}"
 
     def psi(self, t):
-        if self.kind == "exp":
-            return np.exp(self.alpha * np.asarray(t, float)) if np.ndim(t) else math.exp(self.alpha * t)
-        if self.kind == "sinh":
-            if np.ndim(t):
-                return np.sinh(np.asarray(t, float)) ** self.alpha
-            return math.sinh(t) ** self.alpha
-        out = self._psi(t)
+        tt = np.asarray(t, float)
+        with np.errstate(over="ignore"):
+            if self.kind == "exp":
+                out = np.exp(self.alpha * tt)
+            elif self.kind == "sinh":
+                out = np.power(np.sinh(tt), self.alpha)
+            else:
+                out = self._psi(t)
         return out if np.ndim(t) else float(out)
 
     def dpsi(self, t):
-        if self.kind == "exp":
-            return self.alpha * self.psi(t)
-        if self.kind == "sinh":
-            # alpha * sinh^{alpha-1} * cosh; diverges at 0 when alpha < 1
-            with np.errstate(divide="ignore"):
-                if np.ndim(t):
-                    tt = np.asarray(t, float)
-                    return self.alpha * np.sinh(tt) ** (self.alpha - 1.0) * np.cosh(tt)
-                if t == 0.0 and self.alpha < 1.0:
-                    return math.inf
-                if t == 0.0 and self.alpha > 1.0:
-                    return 0.0
-                return self.alpha * math.sinh(t) ** (self.alpha - 1.0) * math.cosh(t)
-        out = self._dpsi(t)
+        tt = np.asarray(t, float)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            if self.kind == "exp":
+                out = self.alpha * np.exp(self.alpha * tt)
+            elif self.kind == "sinh":
+                # alpha * sinh^{alpha-1} * cosh, inf at 0 when alpha < 1, and inf
+                # where sinh overflows (not 0 * inf), since dpsi >= alpha * psi
+                s = np.sinh(tt)
+                out = np.where(np.isinf(s), np.inf,
+                               self.alpha * np.power(s, self.alpha - 1.0) * np.cosh(tt))
+            else:
+                out = self._dpsi(t)
         return out if np.ndim(t) else float(out)
 
     @property
@@ -238,13 +243,16 @@ def _sinh_shallow_argmin(profile: WarpProfile, d, tmax):
     rho_c = math.acosh(1.0 / math.sqrt(alpha))
     tau = np.zeros_like(d)
     k = np.flatnonzero(d * profile.dpsi(rho_c) < 2.0)  # else F is nondecreasing
-    logc = np.log(0.5 * alpha * d[k])
     # sinh^alpha <= sinh^{alpha-1} cosh bounds rho2, so cand = min(rho2, tmax)
-    # unless F' > 0 at cand; past rho_c F' is convex and Newton descends
-    with np.errstate(over="ignore"):
+    # unless F' > 0 at cand; past rho_c F' is convex and Newton descends.
+    # 0.5 * alpha * d underflows to 0 for the smallest subnormal d
+    with np.errstate(divide="ignore", over="ignore"):
+        logc = np.log(0.5 * alpha * d[k])
         cand = np.minimum(np.arcsinh(np.exp(-logc / alpha)), tmax[k])
-    if np.isinf(cand).any():
-        raise DomainError(f"the minimizer for sinh^{alpha:g} overflows psi")
+    # where sinh overflows, rho2 equals its bound to within e^{-2 rho2}, so
+    # psi overflows at the minimizer too (and Newton could not run there)
+    if np.isinf(profile.psi(cand)).any():
+        raise DomainError(f"the minimizer for {profile.label()} overflows psi")
     j = np.flatnonzero((cand > rho_c) & (d[k] * profile.dpsi(cand) > 2.0))
     cand[j] = _sinh_root(alpha, logc[j], cand[j], np.full(j.size, rho_c), cand[j])
     tau[k] = np.where(profile.psi(cand) * d[k] - 2.0 * cand <= 0.0, cand, 0.0)
@@ -257,7 +265,8 @@ def _custom_argmin(profile: WarpProfile, d, tmax):
     neighbours of the best knot, then the best of 0, that point and a
     finite T, ties toward the larger rho."""
     def F(r, dd):
-        return profile.psi(r) * dd - 2.0 * r
+        with np.errstate(over="ignore"):
+            return profile.psi(r) * dd - 2.0 * r
 
     f0 = F(np.zeros_like(d), d)
     T = tmax.copy()
@@ -313,15 +322,14 @@ def minimize_F_batch(profile: WarpProfile, d, tmax):
     pos = d > 0.0
     if profile.kind == "exp":
         alpha = profile.alpha
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             star = np.where(pos, np.log(2.0 / (alpha * np.where(pos, d, 1.0))) / alpha, np.inf)
         tau = np.clip(star, 0.0, tmax)
-        psi_tau = np.exp(alpha * tau)
     elif profile.kind == "sinh" and profile.alpha in (1.0, 2.0):
-        star = (np.arccosh(np.maximum(2.0 / np.where(pos, d, 1.0), 1.0)) if profile.alpha == 1.0
-                else 0.5 * np.arcsinh(2.0 / np.where(pos, d, 1.0)))
+        with np.errstate(over="ignore"):
+            star = (np.arccosh(np.maximum(2.0 / np.where(pos, d, 1.0), 1.0)) if profile.alpha == 1.0
+                    else 0.5 * np.arcsinh(2.0 / np.where(pos, d, 1.0)))
         tau = np.clip(np.where(pos, star, np.inf), 0.0, tmax)
-        psi_tau = np.sinh(tau) ** profile.alpha
     elif profile.kind == "sinh" and profile.alpha > 1.0:
         # the root depends on d alone: solve each distinct d once, then clip
         # every element to its own tmax, as a per-element solve would
@@ -331,10 +339,6 @@ def minimize_F_batch(profile: WarpProfile, d, tmax):
             root[i:i + _CHUNK] = _sinh_steep_root(profile, uniq[i:i + _CHUNK])
         tau = tmax.copy()  # d == 0: F = -2*rho decreases
         tau[pos] = np.minimum(root[inverse], tmax[pos])
-        with np.errstate(over="ignore"):
-            psi_tau = np.sinh(tau) ** profile.alpha
-        if np.isinf(psi_tau[pos]).any():
-            raise DomainError(f"the minimizer for sinh^{profile.alpha:g} overflows psi")
     else:
         argmin = _custom_argmin if profile.kind == "custom" else _sinh_shallow_argmin
         tau = tmax.copy()  # d == 0: F = -2*rho decreases
@@ -342,7 +346,9 @@ def minimize_F_batch(profile: WarpProfile, d, tmax):
             s = slice(i, i + _CHUNK)
             p = pos[s]
             tau[s][p] = argmin(profile, d[s][p], tmax[s][p])
-        psi_tau = np.asarray(profile.psi(tau), dtype=float)
+    psi_tau = np.asarray(profile.psi(tau), dtype=float)
+    if np.isinf(psi_tau[pos]).any():
+        raise DomainError(f"the minimizer for {profile.label()} overflows psi")
     # guard inf * 0 at d == 0 entries whose tau is a huge tmax
     fmin = np.where(pos, psi_tau, 0.0) * d - 2.0 * tau
     return tau.reshape(shape), fmin.reshape(shape)

@@ -339,9 +339,10 @@ def from_matrix(matrix, measure=None, labels=None, edges=None) -> CarrierSpace:
 def from_graph(edges, n: int | None = None, measure=None, labels=None) -> CarrierSpace:
     """Carrier induced by a weighted graph: all-pairs shortest-path metric.
 
-    edges: iterable of (i, j, length) with positive lengths. The graph must
-    be connected; otherwise the error names a stranded component. Node
-    measures default to 1 per node.
+    edges: iterable of (i, j, length) with positive lengths. Parallel edges
+    are allowed, and a pair listed more than once keeps its shortest length.
+    The graph must be connected; otherwise the error names a stranded
+    component. Node measures default to 1 per node.
     """
     edges = list(edges)
     if not edges and n in (None, 1):
@@ -353,7 +354,10 @@ def from_graph(edges, n: int | None = None, measure=None, labels=None) -> Carrie
         k = int(np.argmin(ww))
         raise ValidationError(f"edge ({ii[k]}, {jj[k]}) has nonpositive length {ww[k]}")
     n = int(n if n is not None else max(ii.max(), jj.max()) + 1)
-    graph = coo_matrix((ww, (ii, jj)), shape=(n, n)).tocsr()
+    # tocsr() sums duplicate entries, so keep only the shortest of each (i, j)
+    order = np.lexsort((ww, jj, ii))
+    k = order[np.unique(np.column_stack([ii, jj])[order], axis=0, return_index=True)[1]]
+    graph = coo_matrix((ww[k], (ii[k], jj[k])), shape=(n, n)).tocsr()
     ncomp, comp = connected_components(graph, directed=False)
     if ncomp > 1:
         counts = np.bincount(comp)

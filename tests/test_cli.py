@@ -310,11 +310,27 @@ def test_overflowing_weight_exit_2(capsys):
     (["counterexample", "--space", "{circle}", "--p", "nan"], "p must be finite and >= 1"),
     (["delta", "--space", "{circle}", "--profile", "exp:1", "--seed", "-1", "--count", "10"],
      "seed must be an integer >= 0"),
+    (["poincare", "--space", "{circle}", "--model", "exp", "--alpha", "2", "--beta", "0.1",
+      "--tmax", "400", "--dt", "10", "--p", "1.5"], "psi overflows at level 36 (t = 360)"),
+    (["poincare", "--space", "{circle}", "--model", "sinh", "--alpha", "2", "--beta", "0.1",
+      "--tmax", "400", "--dt", "10", "--p", "1.5"], "psi overflows at level 36 (t = 360)"),
 ])
 def test_bad_truncation_exit_2(capsys, circle_path, argv, message):
     code, out, err = run(capsys, [a.format(circle=circle_path) for a in argv])
     assert code == 2 and out == ""
     assert err.startswith("error: invalid input") and message in err
+
+
+def test_boundary_refuses_a_subnormal_carrier_exit_2(capsys, tmp_path):
+    # 2/d overflows for d = 8e-320 / 8, so the supremum lies past the
+    # overflow of psi: refused, where NaN premetric entries were written
+    path = tmp_path / "tiny.json"
+    save_space(circle(8, 8e-320), str(path))
+    code, out, err = run(capsys, ["boundary", "--space", str(path), "--profile", "exp:1",
+                                  "--out-prefix", str(tmp_path / "b")])
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid input") and "overflows psi" in err
+    assert not list(tmp_path.glob("b_*"))
 
 
 @pytest.mark.parametrize("argv, cfg, message", [

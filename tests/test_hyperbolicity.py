@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,13 @@ def test_boundary_growth_guard():
     with pytest.raises(Exception) as exc:
         boundary_metric(fast, circle(8, 1.0), eps=0.1)
     assert "dominated" in str(exc.value)
+    # steep builtins are dominated (exp with C = 1) although psi overflows
+    # before t = 60: the guard's grid ends where psi is representable
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for steep in (WarpProfile.exp(12.0), WarpProfile.exp(40.0), WarpProfile.sinh_pow(13.0)):
+            bm = boundary_metric(steep, circle(8, 1.0))
+            assert np.all(np.isfinite(bm.chained)), steep.label()
 
 
 def test_snowflake_exponent_small_circle():

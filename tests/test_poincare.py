@@ -384,6 +384,20 @@ def test_counterexample_refuses_bad_p_before_any_graph(monkeypatch, p):
     assert calls == []
 
 
+@pytest.mark.parametrize("p", [math.inf, math.nan, 0.5])
+def test_lp_norm_refuses_bad_p(p):
+    with pytest.raises(DomainError, match="^p must be finite and >= 1"):
+        lp_norm(np.ones(3), np.ones(3), p)
+
+
+def test_filling_graph_refuses_a_level_where_psi_overflows():
+    # e^{2t} overflows from t = 355, so level 36 (t = 360) has no finite length
+    for profile in (WarpProfile.exp(2.0), WarpProfile.sinh_pow(2.0)):
+        G = build_filling_graph(circle(16, 2 * math.pi), profile, "exp", 0.1, 400.0, 10.0)
+        with pytest.raises(DomainError, match=r"psi overflows at level 36 \(t = 360\)"):
+            G.edges
+
+
 def _oracle_edges(G):
     """The per-level edge loop, kept as a reference: radial edges level by
     level, then horizontal edges level by level."""

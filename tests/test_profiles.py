@@ -1,12 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from warpfill import (WarpProfile, exp_supremizer_bounds, minimize_F, minimize_F_batch,
                       sup_G, sup_G_batch, validate_profile)
 from warpfill.errors import ConvergenceError, DomainError, SchemaError, UnboundedError
-from warpfill.profiles import _newton_root
+from warpfill.profiles import FMinResult, _newton_root
 
 COSH = WarpProfile.custom(lambda t: np.cosh(np.asarray(t, float)),
                           lambda t: np.sinh(np.asarray(t, float)), 1.0)
@@ -219,6 +221,91 @@ def test_steep_sinh_root_past_the_overflow_of_psi():
     assert fmin[0] == -10.0 and fmin[2] == -1600.0
     with pytest.raises(DomainError, match="overflows psi"):
         minimize_F_batch(p, [1e-320], [math.inf])
+
+def test_closed_forms_refuse_a_subnormal_distance_only_past_overflow():
+    # 2/d overflows at d = 1e-320: an infinite tmax leaves tau = inf, where
+    # psi overflows, and a finite tmax is the minimizer, all without warnings
+    for p in (WarpProfile.exp(1.0), WarpProfile.sinh_pow(1.0), WarpProfile.sinh_pow(2.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tau, fmin = minimize_F_batch(p, [1e-320], [5.0])
+            assert (tau[0], fmin[0]) == (5.0, -10.0)
+            with pytest.raises(DomainError, match="overflows psi"):
+                minimize_F_batch(p, [1e-320], [math.inf])
+            with pytest.raises(DomainError, match="overflows psi"):
+                sup_G(p, 1e-320)
+
+
+def test_shallow_sinh_refuses_a_minimizer_past_the_overflow_of_sinh():
+    # at d = 1e-250 the root of F' lies near t = 757, past sinh's overflow
+    # near 710.5: a tmax below the overflow is the minimizer, one above it
+    # is refused instead of running Newton where sinh is inf
+    p = WarpProfile.sinh_pow(0.7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tau, fmin = minimize_F_batch(p, [1e-250], [700.0])
+        assert (tau[0], fmin[0]) == (700.0, -1400.0)
+        for tmax in (992.0, 5000.0, math.inf):
+            with pytest.raises(DomainError, match="overflows psi"):
+                minimize_F_batch(p, [1e-250], [tmax])
+
+
+BATCH_PROFILES = [WarpProfile.exp(0.3), WarpProfile.exp(1.0), WarpProfile.exp(12.0),
+                  WarpProfile.sinh_pow(0.7), WarpProfile.sinh_pow(1.0),
+                  WarpProfile.sinh_pow(1.5), WarpProfile.sinh_pow(2.0),
+                  WarpProfile.sinh_pow(3.0), SINH_COSH]
+_T = st.one_of(st.just(0.0), st.floats(0.0, 1e-300), st.floats(0.0, 50.0),
+               st.floats(0.0, 4000.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(BATCH_PROFILES), st.lists(_T, min_size=1, max_size=8))
+def test_scalar_psi_is_a_batch_of_one(profile, ts):
+    # a scalar t is a 0-d batch: the same bits as the array, as a float,
+    # and inf without a warning once psi overflows
+    arr = np.array(ts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        psi, dpsi = profile.psi(arr), profile.dpsi(arr)
+        for k, t in enumerate(ts):
+            for f, batch in ((profile.psi, psi), (profile.dpsi, dpsi)):
+                val = f(t)
+                assert type(val) is float
+                assert np.float64(val).tobytes() == batch[k].tobytes(), (t, f)
+                if t >= max(711.0, 1000.0 / profile.alpha):
+                    assert val == math.inf
+
+
+_D = st.one_of(st.just(0.0), st.floats(5e-324, 2.2e-308), st.floats(1e-300, 1e3))
+_TMAX = st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.just(math.inf))
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (DomainError, UnboundedError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(BATCH_PROFILES), st.lists(st.tuples(_D, _TMAX), min_size=1, max_size=6))
+def test_scalar_minimizer_is_a_batch_of_one(profile, pairs):
+    # minimize_F on one pair against minimize_F_batch on all of them: the
+    # same bits, or (for a batch that is refused) the same refusal
+    d, tmax = map(list, zip(*pairs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = _outcome(lambda: minimize_F_batch(profile, d, tmax))
+        single = [_outcome(lambda: minimize_F(profile, a, b)) for a, b in pairs]
+    if isinstance(batch[0], type):
+        assert batch in single
+        return
+    tau, fmin = batch
+    for k, res in enumerate(single):
+        assert isinstance(res, FMinResult), (pairs[k], res)
+        assert (np.float64(res.tau).tobytes(), np.float64(res.fmin).tobytes()) \
+            == (tau[k].tobytes(), fmin[k].tobytes())
+
 
 def test_sup_g_examples():
     p = WarpProfile.exp(1.0)

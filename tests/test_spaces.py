@@ -52,6 +52,13 @@ def test_from_graph_relaxes_long_edge():
     assert s.dist[0, 2] == 2.0
 
 
+def test_from_graph_keeps_the_shortest_parallel_edge():
+    # a pair listed twice keeps its shorter length; lengths are never summed
+    assert from_graph([(0, 1, 5.0), (0, 1, 1.0), (1, 2, 1.0)]).dist[0, 1] == 1.0
+    assert from_graph([(0, 1, 1.0), (0, 1, 1.0), (1, 2, 1.0)]).dist[0, 1] == 1.0
+    assert from_graph([(1, 0, 5.0), (0, 1, 1.0), (1, 2, 1.0)]).dist[0, 1] == 1.0
+
+
 def test_from_graph_single_node():
     s = from_graph([], n=1)
     assert s.n == 1 and s.dist[0, 0] == 0.0

@@ -171,6 +171,8 @@ def test_polyline_vertical_and_ucurve():
 def test_polyline_horizontal_level_scaling():
     val = polyline_length(EXP1, Y8, [WarpedPoint(2.0, 0), WarpedPoint(2.0, 2)])
     assert val == pytest.approx(math.exp(2.0) * Y8.dist[0, 2], abs=1e-12)
+    # past the overflow of psi the level is infinitely long, not an error
+    assert polyline_length(EXP1, Y8, [WarpedPoint(800.0, 0), WarpedPoint(800.0, 1)]) == math.inf
 
 
 def test_polyline_mixed_segment():
