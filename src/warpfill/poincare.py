@@ -81,7 +81,8 @@ class FillingGraph:
     """Weighted-graph discretization of the filling over a carrier.
 
     Node arrays: node_t (radial coordinate), node_y (carrier index, -1 for
-    the apex) and node_measure (cell weight mass times carrier measure).
+    the apex) and node_measure (cell weight mass times carrier measure);
+    level_mass holds the cell weight mass of each level.
     Edges are built lazily: (edge_a, edge_b, edge_len) with radial edges
     first, then horizontal edges level by level.
     """
@@ -113,7 +114,7 @@ class FillingGraph:
                 f"filling graph would have {n_nodes} nodes, above the cap {cap} "
                 "(WARPFILL_MAX_NODES)")
         with np.errstate(over="ignore", invalid="ignore"):
-            masses = _cell_masses(weight_kind, beta, self.levels, dt)
+            self.level_mass = masses = _cell_masses(weight_kind, beta, self.levels, dt)
         # the full product grid, less the first n - 1 nodes when the bottom
         # level is one apex node (see node_index)
         self._off = off = n - 1 if self.has_apex else 0
@@ -514,14 +515,28 @@ def counterexample_suite(carrier: CarrierSpace, y0: int, r: float, alpha: float,
                          dt: float = 0.01) -> CounterexampleReport:
     """Sharpness probe at the threshold p = beta/alpha on the sinh model.
 
-    Builds u(t, y) = clip(t-1, 0, 1) * clip(r - d_Y(y, y0), 0, r/2) and its
-    separable-product upper gradient
+    Builds u(t, y) = u_R(t) * u_Y(y) with u_R = clip(t-1, 0, 1) and
+    u_Y = clip(r - d_Y(y, y0), 0, r/2), and its separable-product upper
+    gradient
 
         g = |u_Y| * Lip(u_R) + (|u_R| / psi) * Lip(u_Y),
 
     then tracks ||g||_p (which must stabilize when p > beta/alpha, matching
     the quadrature of the sinh^{beta - p*alpha} tail) and inf_c ||u - c||_p
     (which must grow without bound) over the truncation schedule.
+
+    One graph is built at the longest truncation; the graph at T is its
+    first round(T/dt) levels. The node measure is the cell mass m(t) times
+    the carrier measure mu(y), so every norm is a sum over levels of a sum
+    over the carrier, and no array has one entry per node. Where
+    Lip(u_R) = 0 a level contributes m * (u_R/psi)^p times the measure of
+    the annulus r/2 <= d_Y(y, y0) <= r where Lip(u_Y) = 1; the
+    band 1 <= t <= 2 is summed level by level; ||g||_p and the discrete
+    tail are cumulative sums over levels. For inf_c ||u - c||_p the levels
+    of a prefix with equal u_R (all of t <= 1, all of t >= 2) are merged
+    into one level carrying their total mass, which leaves the weighted
+    values, and so the objective, unchanged. The tail quadrature is one
+    quad per schedule interval, summed.
     """
     check_p(p)  # before any graph is built
     if not (0 <= y0 < carrier.n):
@@ -541,7 +556,8 @@ def counterexample_suite(carrier: CarrierSpace, y0: int, r: float, alpha: float,
 
     lip_y = ((d0 >= 0.5 * r) & (d0 <= r)).astype(float)
     u_y = np.clip(r - d0, 0.0, 0.5 * r)
-    mu_annulus = float(carrier.measure[lip_y > 0.0].sum())
+    mu = carrier.measure
+    mu_annulus = float(mu[lip_y > 0.0].sum())
     s_exp = beta - p * alpha
     tail_converges = s_exp < 0.0
 
@@ -559,28 +575,37 @@ def counterexample_suite(carrier: CarrierSpace, y0: int, r: float, alpha: float,
     # round(T/dt) levels, whose nodes and cell masses are a prefix of it
     G = build_filling_graph(carrier, WarpProfile.sinh_pow(alpha), "sinh",
                             beta, schedule[-1], dt)
-    t, yidx, w = G.node_t, G.node_y, G.node_measure
+    t, m = G.levels, G.level_mass
     u_r = _ramp(t)
-    lip_r = ((t >= 1.0) & (t <= 2.0)).astype(float)
-    uy = _fiber(yidx, u_y)
-    ly = _fiber(yidx, lip_y)
-    u = u_r * uy
-    with np.errstate(divide="ignore", invalid="ignore"):
-        second = np.where(t > 0.0, u_r / np.where(t > 0.0, G.profile.psi(t), 1.0) * ly, 0.0)
-    g = uy * lip_r + second
+    # |u_R| / psi; u_R vanishes for t <= 1, where psi(1) stands in for psi(t)
+    b = u_r / G.profile.psi(np.maximum(t, 1.0))
+    band = (t >= 1.0) & (t <= 2.0)  # Lip(u_R) = 1
+    with np.errstate(over="ignore"):
+        tail_rows = m * b ** p
+        g_rows = tail_rows * mu_annulus
+        g_rows[band] = m[band] * ((u_y + b[band, None] * lip_y) ** p @ mu)
+        g_cum = np.cumsum(g_rows)
+    tail_cum = np.cumsum(np.where(t >= 1.0, tail_rows, 0.0))
+
+    def f_tail(x: float) -> float:
+        # _ramp on one float, without numpy's per-call cost inside quad
+        return min(max(x - 1.0, 0.0), 1.0) ** p * sinh_pow(x, s_exp)
 
     g_norms, u_devs, tails_d, tails_q = [], [], [], []
+    lo, q_total = 1.0, 0.0
     for T in schedule:
-        k = G.node_index(int(round(T / dt)) - 1, carrier.n - 1) + 1
-        g_norms.append(lp_norm(g[:k], w[:k], p))
-        c = optimal_subtracted_constant(u[:k], w[:k], p)
-        u_devs.append(lp_norm(u[:k] - c, w[:k], p))
-        tail = t[:k] >= 1.0
-        tails_d.append(float(np.sum((second[:k][tail]) ** p * w[:k][tail])) / mu_annulus)
-        # _ramp on one float, without numpy's per-call cost inside quad
-        q, _ = quad(lambda x: min(max(x - 1.0, 0.0), 1.0) ** p * sinh_pow(x, s_exp),
-                    1.0, T, limit=200)
-        tails_q.append(float(q))
+        L = int(round(T / dt))
+        g_norms.append(float(g_cum[L - 1]) ** (1.0 / p))
+        level_u, inv = np.unique(u_r[:L], return_inverse=True)
+        vals = np.outer(level_u, u_y).ravel()
+        weights = np.outer(np.bincount(inv, m[:L]), mu).ravel()
+        c = optimal_subtracted_constant(vals, weights, p)
+        u_devs.append(lp_norm(vals - c, weights, p))
+        tails_d.append(float(tail_cum[L - 1]))
+        if T > lo:
+            q, _ = quad(f_tail, lo, T, limit=200)
+            q_total, lo = q_total + float(q), T
+        tails_q.append(q_total)
 
     rel_changes = [abs(b - a) / max(abs(b), 1e-300) for a, b in zip(g_norms, g_norms[1:])]
     g_stable = all(ch < 0.01 for ch in rel_changes) if rel_changes else True

@@ -36,6 +36,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, SchemaError, UnboundedError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_LN2 = math.log(2.0)
 _EPS = np.finfo(float).eps
 _RTOL = 1e-14  # Newton stops once its step in log rho is this small
 _MAXIT = 100   # iteration cap of `_newton_root`; reaching it is a bug
@@ -103,7 +104,13 @@ class WarpProfile:
             if self.kind == "exp":
                 out = np.exp(self.alpha * tt)
             elif self.kind == "sinh":
-                out = np.power(np.sinh(tt), self.alpha)
+                s = np.sinh(tt)
+                out = np.power(s, self.alpha)
+                big = s == np.inf
+                if big.any():
+                    # sinh t = e^t/2 to within e^{-2t} where it overflows, and
+                    # sinh^alpha stays finite there when alpha < 1
+                    out = np.where(big, np.exp(self.alpha * (tt - _LN2)), out)
             else:
                 out = self._psi(t)
         return out if np.ndim(t) else float(out)
@@ -114,11 +121,13 @@ class WarpProfile:
             if self.kind == "exp":
                 out = self.alpha * np.exp(self.alpha * tt)
             elif self.kind == "sinh":
-                # alpha * sinh^{alpha-1} * cosh, inf at 0 when alpha < 1, and inf
-                # where sinh overflows (not 0 * inf), since dpsi >= alpha * psi
+                # alpha * sinh^{alpha-1} * cosh, inf at 0 when alpha < 1, and
+                # alpha * psi where sinh overflows (coth t = 1 there; not 0 * inf)
                 s = np.sinh(tt)
-                out = np.where(np.isinf(s), np.inf,
-                               self.alpha * np.power(s, self.alpha - 1.0) * np.cosh(tt))
+                out = self.alpha * np.power(s, self.alpha - 1.0) * np.cosh(tt)
+                big = s == np.inf
+                if big.any():
+                    out = np.where(big, self.alpha * np.exp(self.alpha * (tt - _LN2)), out)
             else:
                 out = self._dpsi(t)
         return out if np.ndim(t) else float(out)
@@ -248,12 +257,15 @@ def _sinh_shallow_argmin(profile: WarpProfile, d, tmax):
     # 0.5 * alpha * d underflows to 0 for the smallest subnormal d
     with np.errstate(divide="ignore", over="ignore"):
         logc = np.log(0.5 * alpha * d[k])
-        cand = np.minimum(np.arcsinh(np.exp(-logc / alpha)), tmax[k])
-    # where sinh overflows, rho2 equals its bound to within e^{-2 rho2}, so
-    # psi overflows at the minimizer too (and Newton could not run there)
+        e = np.exp(-logc / alpha)
+        # arcsinh e = log(2e) to within e^{-2 arcsinh e}, in log space once e overflows
+        cand = np.minimum(np.where(np.isinf(e), _LN2 - logc / alpha, np.arcsinh(e)), tmax[k])
+        # where sinh overflows, rho2 equals its bound to within e^{-2 rho2}, so
+        # Newton, which needs a finite sinh, has nothing to refine there
+        newton = np.sinh(cand) < np.inf
     if np.isinf(profile.psi(cand)).any():
         raise DomainError(f"the minimizer for {profile.label()} overflows psi")
-    j = np.flatnonzero((cand > rho_c) & (d[k] * profile.dpsi(cand) > 2.0))
+    j = np.flatnonzero(newton & (cand > rho_c) & (d[k] * profile.dpsi(cand) > 2.0))
     cand[j] = _sinh_root(alpha, logc[j], cand[j], np.full(j.size, rho_c), cand[j])
     tau[k] = np.where(profile.psi(cand) * d[k] - 2.0 * cand <= 0.0, cand, 0.0)
     return tau
@@ -261,9 +273,12 @@ def _sinh_shallow_argmin(profile: WarpProfile, d, tmax):
 
 def _custom_argmin(profile: WarpProfile, d, tmax):
     """Knot scan of [0, T] (T = tmax, or where tmax = inf the first 2^k at
-    which F has turned upward), golden section to 1e-10 between the
-    neighbours of the best knot, then the best of 0, that point and a
-    finite T, ties toward the larger rho."""
+    which F has turned upward or psi overflows), golden section to 1e-10
+    between the neighbours of the best knot, then the best of 0, that point
+    and a finite T, ties toward the larger rho. A golden-section point at
+    the overflow of psi, where F still descends, is refused with
+    DomainError, as the builtin kinds refuse a minimizer where psi
+    overflows."""
     def F(r, dd):
         with np.errstate(over="ignore"):
             return profile.psi(r) * dd - 2.0 * r
@@ -274,9 +289,11 @@ def _custom_argmin(profile: WarpProfile, d, tmax):
     t = 1.0
     while k.size:
         f_t, f_half = F(t, d[k]), F(0.5 * t, d[k])
-        turned = (f_t > f_half) & (f_half > F(0.25 * t, d[k])) & (f_t > f0[k])
-        T[k[turned]] = t
-        k, t = k[~turned], 2.0 * t
+        # psi is nondecreasing, so where F(t) = inf (psi overflows) F stays
+        # inf past t and [0, t] holds the minimizer
+        done = ((f_t > f_half) & (f_half > F(0.25 * t, d[k])) & (f_t > f0[k])) | np.isinf(f_t)
+        T[k[done]] = t
+        k, t = k[~done], 2.0 * t
         if k.size and t > 2.0 ** 200:
             raise UnboundedError("tradeoff objective does not turn upward")
     lo, hi = np.empty_like(T), np.empty_like(T)
@@ -288,6 +305,10 @@ def _custom_argmin(profile: WarpProfile, d, tmax):
         lo[s] = T[s] * _KNOTS[np.maximum(best - 1, 0)]
         hi[s] = T[s] * _KNOTS[np.minimum(best + 1, _KNOTS.size - 1)]
     x, fx = golden_section(lambda r: F(r, d), lo, hi, tol=1e-10)
+    # where F descends into the overflow of psi, the golden section keeps a
+    # right end where F = inf and ends within its final bracket of it
+    if np.isinf(F(x + np.maximum(1e-10, 8.0 * _EPS * x), d)).any():
+        raise DomainError(f"the minimizer for {profile.label()} overflows psi")
     fT = np.where(np.isinf(tmax), np.inf, F(T, d))
     fbest = np.minimum(np.minimum(f0, fx), fT)
     tie = fbest + 1e-15 * np.maximum(1.0, np.abs(fbest))

@@ -517,16 +517,43 @@ def _oracle_counterexample_norms(Y, y0, r, alpha, beta, p, T, dt):
             float(np.sum(second[tail] ** p * w[tail])) / float(Y.measure[lip_y > 0.0].sum()))
 
 
+def _tail_quad(alpha, beta, p, T):
+    """One quad over [1, T] of clip(t-1, 0, 1)^p * sinh(t)^(beta - p*alpha)."""
+    return quad(lambda x: min(max(x - 1.0, 0.0), 1.0) ** p * math.sinh(x) ** (beta - p * alpha),
+                1.0, T, limit=200)[0]
+
+
 @pytest.mark.parametrize("beta, dt", [(0.5, 0.05), (1.0, 0.02), (2.0, 0.01)])
 def test_counterexample_prefix_matches_own_graph(beta, dt):
-    # each truncation read as a level prefix of the longest graph gives, bit
-    # for bit, what a graph built at that truncation alone gives
-    Y = circle(16, 2 * math.pi)
+    # each truncation, read as a level prefix of the longest graph and summed
+    # over levels and carrier, gives what the node sums on a graph built at
+    # that truncation alone give, within rel 1e-12; the tail quadrature,
+    # summed over the schedule's intervals, is one quad over [1, T] within
+    # rel 1e-6
     schedule = (1.0, 3.0, 6.03)
-    rep = counterexample_suite(Y, 0, 1.0, 1.0, beta, 1.5, schedule, dt=dt)
-    got = list(zip(rep.g_norms, rep.u_deviations, rep.tail_discrete))
-    assert got == [_oracle_counterexample_norms(Y, 0, 1.0, 1.0, beta, 1.5, T, dt)
-                   for T in schedule]
+    # a 40-cycle of unequal edges with one chord, probed around node 7
+    graph = from_graph([(i, (i + 1) % 40, 0.2 + 0.1 * (i % 3)) for i in range(40)]
+                       + [(0, 20, 2.0)])
+    for Y, y0, r, alpha in ((circle(16, 2 * math.pi), 0, 1.0, 1.0), (graph, 7, 1.3, 0.7)):
+        for p in (1.0, 1.5, 2.0, 3.0):
+            rep = counterexample_suite(Y, y0, r, alpha, beta, p, schedule, dt=dt)
+            got = list(zip(rep.g_norms, rep.u_deviations, rep.tail_discrete))
+            for T, row in zip(schedule, got):
+                want = _oracle_counterexample_norms(Y, y0, r, alpha, beta, p, T, dt)
+                assert row == pytest.approx(want, rel=1e-12, abs=0.0), (Y.n, p, T)
+            assert rep.tail_quadrature == pytest.approx(
+                [_tail_quad(alpha, beta, p, T) for T in schedule], rel=1e-6, abs=0.0)
+            assert rep.schedule == list(schedule)
+
+
+def test_counterexample_empty_annulus():
+    # no carrier point lies in the annulus r/2 <= d(y, y0) <= r, so Lip(u_Y)
+    # vanishes; the discrete tail is still the level sum, as on the circle
+    gap = from_graph([(0, 1, 0.1), (1, 2, 5.0)])
+    rep = counterexample_suite(gap, 0, 1.0, 1.0, 1.0, 2.0, (4.0, 6.0), dt=0.5)
+    ref = counterexample_suite(circle(8, 2 * math.pi), 0, 1.0, 1.0, 1.0, 2.0, (4.0, 6.0), dt=0.5)
+    assert rep.annulus_measure == 0.0
+    assert rep.tail_discrete == ref.tail_discrete and rep.tail_discrete[0] > 0.0
 
 
 @pytest.mark.parametrize("schedule, dt, match", [

@@ -236,18 +236,44 @@ def test_closed_forms_refuse_a_subnormal_distance_only_past_overflow():
                 sup_G(p, 1e-320)
 
 
-def test_shallow_sinh_refuses_a_minimizer_past_the_overflow_of_sinh():
-    # at d = 1e-250 the root of F' lies near t = 757, past sinh's overflow
-    # near 710.5: a tmax below the overflow is the minimizer, one above it
-    # is refused instead of running Newton where sinh is inf
+def test_shallow_sinh_minimizer_past_the_overflow_of_sinh():
+    # sinh overflows near t = 710.5, but sinh^0.7 = e^{0.7 (t - ln 2)} stays
+    # finite up to about t = 1014.6; at d = 1e-250 the root of F' lies near
+    # t = 824.5, where F' = 0 reads alpha*d*e^{alpha (t - ln 2)} = 2. A tmax
+    # below it is the minimizer, and d = 1e-320 (root near 1053) is refused
     p = WarpProfile.sinh_pow(0.7)
+    assert math.log(p.psi(800.0)) == pytest.approx(0.7 * (800.0 - math.log(2.0)), rel=1e-15)
+    assert p.dpsi(800.0) == pytest.approx(0.7 * p.psi(800.0), rel=1e-15)
+    tau_star = math.log(2.0) + math.log(2.0 / (0.7 * 1e-250)) / 0.7
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         tau, fmin = minimize_F_batch(p, [1e-250], [700.0])
         assert (tau[0], fmin[0]) == (700.0, -1400.0)
         for tmax in (992.0, 5000.0, math.inf):
-            with pytest.raises(DomainError, match="overflows psi"):
-                minimize_F_batch(p, [1e-250], [tmax])
+            tau, fmin = minimize_F_batch(p, [1e-250], [tmax])
+            assert tau[0] == pytest.approx(tau_star, rel=1e-15)
+            assert fmin[0] == pytest.approx(2.0 / 0.7 - 2.0 * tau_star, rel=1e-15)
+        with pytest.raises(DomainError, match="overflows psi"):
+            minimize_F_batch(p, [1e-320], [math.inf])
+
+
+def test_custom_minimizer_past_the_overflow_of_psi():
+    # SINH_COSH ~ 0.75 e^t overflows near t = 710: at d = 1e-320 F descends
+    # into the overflow and the minimizer is refused as for the builtin kinds
+    # (with tmax inf or past the overflow), while below the overflow, near
+    # 710.07, the minimizer log(2/(0.75 d)) is found with either tmax, also
+    # within one scan knot of it. F ~ 1400 there is flat to its rounding
+    # (3e-13) within 6e-7 of tau
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tmax in (math.inf, 2000.0):
+            with pytest.raises(DomainError, match="the minimizer for custom:1 overflows psi"):
+                minimize_F_batch(SINH_COSH, [1e-320], [tmax])
+            for tau_star in (691.0, 709.6):
+                d = 2.0 / 0.75 * math.exp(-tau_star)
+                tau, fmin = minimize_F_batch(SINH_COSH, [d], [tmax])
+                assert tau[0] == pytest.approx(tau_star, abs=2e-6)
+                assert fmin[0] == pytest.approx(2.0 - 2.0 * tau_star, rel=1e-12)
 
 
 BATCH_PROFILES = [WarpProfile.exp(0.3), WarpProfile.exp(1.0), WarpProfile.exp(12.0),
