@@ -37,6 +37,7 @@ from .spaces import CarrierSpace
 DEFAULT_MAX_NODES = 2_000_000
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _CHUNK = 1 << 16
+_TINY = np.finfo(float).tiny  # smallest normal double
 # brentq iterations before ConvergenceError; roots many decades below the bracket
 # width (near 0 under steep weights) have taken up to about 1400
 _ROOT_MAXITER = 3000
@@ -69,67 +70,91 @@ def _cell_masses(weight_kind: str, beta: float, levels: np.ndarray, dt: float) -
     masses = 0.5 * dt * vals @ _GL_WEIGHTS
     if levels[0] == 0.0:
         # sinh^beta = t^beta * (sinh t / t)^beta is only Hoelder at 0, so
-        # absorb t^beta into a Gauss-Jacobi weight for the first cell
-        xj, wj = roots_jacobi(16, 0.0, beta)
+        # absorb t^beta into a Gauss-Jacobi weight for the first cell; the
+        # cell is NaN where scipy cannot form that rule (beta from about
+        # 1e200) and inf where its scale overflows, for the caller to refuse
+        try:
+            xj, wj = roots_jacobi(16, 0.0, beta)
+        except ValueError:
+            masses[0] = math.nan
+            return masses
         tj = 0.5 * dt * (1.0 + xj)
         smooth = (np.sinh(tj) / tj) ** beta
-        masses[0] = (0.5 * dt) ** (beta + 1.0) * float(wj @ smooth)
+        masses[0] = np.float64(0.5 * dt) ** (beta + 1.0) * float(wj @ smooth)
     return masses
+
+
+def _level_grid(measure: np.ndarray, has_apex: bool, weight_kind: str, beta: float,
+                t_max: float, dt: float):
+    """Levels t_i = i*dt, i < round(t_max/dt), and their cell masses for a
+    filling over a carrier with these node measures (bottom level one apex
+    node if has_apex); refuses bad arguments, more than WARPFILL_MAX_NODES
+    nodes and node measures that are not finite and positive."""
+    if not (dt > 0.0) or not (t_max >= dt):
+        raise DomainError("need dt > 0 and t_max >= dt")
+    if not math.isfinite(t_max):
+        raise DomainError(f"t_max must be finite, got {t_max}")
+    if not (beta > 0.0):
+        raise DomainError("need beta > 0")
+    if weight_kind not in ("exp", "sinh"):
+        raise DomainError(f"unknown weight kind {weight_kind!r}")
+    n = measure.size
+    cap = int(os.environ.get("WARPFILL_MAX_NODES") or DEFAULT_MAX_NODES)
+    ratio = float(t_max) / float(dt)
+    if not math.isfinite(ratio):
+        raise ResourceCapError(
+            f"filling graph would have more than the cap {cap} nodes: its level count "
+            f"t_max/dt = {t_max}/{dt} overflows double precision (WARPFILL_MAX_NODES)")
+    n_levels = int(round(ratio))
+    n_nodes = n_levels * n - (n - 1 if has_apex else 0)
+    if n_nodes > cap:
+        raise ResourceCapError(
+            f"filling graph would have {n_nodes} nodes, above the cap {cap} "
+            "(WARPFILL_MAX_NODES)")
+    levels = np.arange(n_levels) * dt
+    with np.errstate(over="ignore", invalid="ignore"):
+        masses = _cell_masses(weight_kind, beta, levels, dt)
+        # node measures are products and rounding is monotone: extremes decide
+        full = masses[1:] if has_apex else masses
+        ends = (np.outer([full.min(), full.max()], [measure.min(), measure.max()]).ravel()
+                if full.size and n else [])
+        ends = np.append(ends, [masses[0] * measure.sum()] if has_apex else [])
+    if not np.all(np.isfinite(ends)):
+        raise DomainError(
+            f"{weight_kind} weight with beta={beta} overflows double precision before "
+            f"t_max={t_max}: node measures must be finite")
+    if np.any(ends <= 0.0):
+        raise ValidationError("graph has a nonpositive node measure")
+    return levels, masses
 
 
 class FillingGraph:
     """Weighted-graph discretization of the filling over a carrier.
 
     Node arrays: node_t (radial coordinate), node_y (carrier index, -1 for
-    the apex) and node_measure (cell weight mass times carrier measure);
-    level_mass holds the cell weight mass of each level.
+    the apex) and node_measure (cell weight mass times carrier measure),
+    over the levels and masses of `_level_grid`.
     Edges are built lazily: (edge_a, edge_b, edge_len) with radial edges
     first, then horizontal edges level by level.
     """
 
     def __init__(self, carrier: CarrierSpace, profile: WarpProfile, weight_kind: str,
                  beta: float, t_max: float, dt: float):
-        if not (dt > 0.0) or not (t_max >= dt):
-            raise DomainError("need dt > 0 and t_max >= dt")
-        if not math.isfinite(t_max):
-            raise DomainError(f"t_max must be finite, got {t_max}")
-        if not (beta > 0.0):
-            raise DomainError("need beta > 0")
-        if weight_kind not in ("exp", "sinh"):
-            raise DomainError(f"unknown weight kind {weight_kind!r}")
-        self.carrier = carrier
-        self.profile = profile
-        self.weight_kind = weight_kind
-        self.beta = float(beta)
-        self.t_max = float(t_max)
-        self.dt = float(dt)
         n = carrier.n
-        n_levels = int(round(t_max / dt))
-        self.levels = np.arange(n_levels) * dt
         self.has_apex = profile.psi0 == 0.0 and n > 1
-        n_nodes = n_levels * n - (n - 1 if self.has_apex else 0)
-        cap = int(os.environ.get("WARPFILL_MAX_NODES") or DEFAULT_MAX_NODES)
-        if n_nodes > cap:
-            raise ResourceCapError(
-                f"filling graph would have {n_nodes} nodes, above the cap {cap} "
-                "(WARPFILL_MAX_NODES)")
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.level_mass = masses = _cell_masses(weight_kind, beta, self.levels, dt)
+        self.levels, masses = _level_grid(carrier.measure, self.has_apex, weight_kind,
+                                          beta, t_max, dt)
+        self.carrier, self.profile, self.weight_kind = carrier, profile, weight_kind
+        self.beta, self.dt = float(beta), float(dt)
         # the full product grid, less the first n - 1 nodes when the bottom
         # level is one apex node (see node_index)
         self._off = off = n - 1 if self.has_apex else 0
         self.node_t = np.repeat(self.levels, n)[off:]
-        self.node_y = np.tile(np.arange(n), n_levels)[off:]
-        self.node_measure = (np.repeat(masses, n) * np.tile(carrier.measure, n_levels))[off:]
+        self.node_y = np.tile(np.arange(n), self.n_levels)[off:]
+        self.node_measure = (np.repeat(masses, n) * np.tile(carrier.measure, self.n_levels))[off:]
         if self.has_apex:
             self.node_y[0] = -1
             self.node_measure[0] = masses[0] * carrier.measure.sum()
-        if not np.all(np.isfinite(self.node_measure)):
-            raise DomainError(
-                f"{weight_kind} weight with beta={beta} overflows double precision before "
-                f"t_max={t_max}: node measures must be finite")
-        if np.any(self.node_measure <= 0.0):
-            raise ValidationError("graph has a nonpositive node measure")
         self._edges = None
 
     @property
@@ -197,9 +222,7 @@ class FillingGraph:
 
 def build_filling_graph(carrier: CarrierSpace, profile: WarpProfile, weight_kind: str,
                         beta: float, t_max: float, dt: float) -> FillingGraph:
-    """Grid model of the filling; see FillingGraph. Cell masses use the
-    closed form for the exponential weight and Gauss-Legendre quadrature
-    (well under 1e-10 error) for the sinh weight."""
+    """Grid model of the filling; see FillingGraph and _cell_masses."""
     return FillingGraph(carrier, profile, weight_kind, beta, t_max, dt)
 
 
@@ -240,7 +263,8 @@ def _chunked_dot(values: np.ndarray, weights: np.ndarray, c: float, exponent: fl
         d, a = buf[:, :min(values.size - s, _CHUNK)]
         np.subtract(c, values[s:s + _CHUNK], out=d)
         np.abs(d, out=a)
-        np.power(a, exponent, out=a)
+        with np.errstate(over="ignore"):  # the callers refuse or skip inf
+            np.power(a, exponent, out=a)
         if signed:
             np.copysign(a, d, out=a)
         total += float(np.dot(a, weights[s:s + _CHUNK]))
@@ -331,20 +355,39 @@ class SPReport:
 
 def halfline_constant_general(alpha: float, p: float) -> float:
     """Reference constant for any weight with growth parameter alpha:
-    (p(p-1)^{p-1} + p^p)^{1/p} / alpha, reading (p-1)^{p-1} = 1 at p = 1."""
+    (p(p-1)^{p-1} + p^p)^{1/p} / alpha, reading (p-1)^{p-1} = 1 at p = 1.
+    Where the sum overflows (p above about 143) the same number is taken as
+    p (1 + (1 - 1/p)^{p-1})^{1/p} / alpha, whose terms stay below 2p."""
     if alpha <= 0.0 or p < 1.0:
         raise DomainError("need alpha > 0 and p >= 1")
-    pm1 = 1.0 if p == 1.0 else (p - 1.0) ** (p - 1.0)
-    return (p * pm1 + p ** p) ** (1.0 / p) / alpha
+    alpha, p = float(alpha), float(p)
+    try:  # a float power raises on overflow; a sum gives inf
+        total = p * (1.0 if p == 1.0 else (p - 1.0) ** (p - 1.0)) + p ** p
+    except OverflowError:
+        total = math.inf
+    if total < math.inf:
+        return total ** (1.0 / p) / alpha
+    return p * (1.0 + (1.0 - 1.0 / p) ** (p - 1.0)) ** (1.0 / p) / alpha
 
 
 def halfline_constant_exp(beta: float, p: float) -> float:
     """Sharper reference constant for the exponential weight e^{beta t}:
-    ((2/beta)((p-1)/beta)^{p-1})^{1/p}, reading ((p-1)/beta)^{p-1} = 1 at p = 1."""
+    ((2/beta)((p-1)/beta)^{p-1})^{1/p}, reading ((p-1)/beta)^{p-1} = 1 at p = 1.
+    Where the inner product leaves the normal range (large (p-1)/beta, or
+    large p with beta > p - 1) the same number is taken as
+    ((p-1)/beta) (2/(p-1))^{1/p}."""
     if beta <= 0.0 or p < 1.0:
         raise DomainError("need beta > 0 and p >= 1")
-    pm1 = 1.0 if p == 1.0 else ((p - 1.0) / beta) ** (p - 1.0)
-    return ((2.0 / beta) * pm1) ** (1.0 / p)
+    beta, p = float(beta), float(p)
+    if p == 1.0:
+        return 2.0 / beta
+    try:
+        inner = (2.0 / beta) * ((p - 1.0) / beta) ** (p - 1.0)
+    except OverflowError:
+        inner = math.inf
+    if _TINY <= inner < math.inf:
+        return inner ** (1.0 / p)
+    return (p - 1.0) / beta * (2.0 / (p - 1.0)) ** (1.0 / p)
 
 
 def optimal_constant_and_ratio(G: FillingGraph, u: np.ndarray, p: float,
@@ -525,28 +568,25 @@ def counterexample_suite(carrier: CarrierSpace, y0: int, r: float, alpha: float,
     the quadrature of the sinh^{beta - p*alpha} tail) and inf_c ||u - c||_p
     (which must grow without bound) over the truncation schedule.
 
-    One graph is built at the longest truncation; the graph at T is its
-    first round(T/dt) levels. The node measure is the cell mass m(t) times
-    the carrier measure mu(y), so every norm is a sum over levels of a sum
-    over the carrier, and no array has one entry per node. Where
-    Lip(u_R) = 0 a level contributes m * (u_R/psi)^p times the measure of
-    the annulus r/2 <= d_Y(y, y0) <= r where Lip(u_Y) = 1; the
-    band 1 <= t <= 2 is summed level by level; ||g||_p and the discrete
-    tail are cumulative sums over levels. For inf_c ||u - c||_p the levels
-    of a prefix with equal u_R (all of t <= 1, all of t >= 2) are merged
-    into one level carrying their total mass, which leaves the weighted
-    values, and so the objective, unchanged. The tail quadrature is one
-    quad per schedule interval, summed.
+    No graph is built: the filling's level grid is laid at the longest
+    truncation, and the grid at T is its first round(T/dt) levels. The node
+    measure is the cell mass m(t) times the carrier measure mu(y), so every
+    norm is a sum over levels of a sum over the carrier. Where Lip(u_R) = 0
+    a level contributes m * (u_R/psi)^p times the measure of the annulus
+    r/2 <= d_Y(y, y0) <= r where Lip(u_Y) = 1; the band 1 <= t <= 2 is
+    summed level by level; ||g||_p and the discrete tail are cumulative sums
+    over levels. For inf_c ||u - c||_p the levels of a prefix with equal u_R
+    (all of t <= 1, all of t >= 2) are merged into one level carrying their
+    total mass, which leaves the weighted values, and so the objective,
+    unchanged. The tail quadrature is one quad per schedule interval, summed.
     """
-    check_p(p)  # before any graph is built
+    check_p(p)  # before the level grid is laid
     if not (0 <= y0 < carrier.n):
         raise DomainError(f"y0 index {y0} out of range")
     if not (r > 0.0):
         raise DomainError("r must be positive")
     d0 = carrier.dist[:, y0]
-    ball_half = carrier.measure[d0 < 0.5 * r].sum()
-    outside = np.any(d0 >= r)
-    if ball_half <= 0.0 or not outside:
+    if carrier.measure[d0 < 0.5 * r].sum() <= 0.0 or not np.any(d0 >= r):
         raise PreconditionError(
             "carrier needs positive measure in the half ball and a point outside the "
             f"ball of radius {r} around node {y0}")
@@ -562,23 +602,18 @@ def counterexample_suite(carrier: CarrierSpace, y0: int, r: float, alpha: float,
     tail_converges = s_exp < 0.0
 
     def sinh_pow(x: float, s: float) -> float:
-        # sinh(x)^s in log space; safe for large x with negative s
-        if x <= 0.0:
-            return 0.0
-        log_sinh = x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0)
-        arg = s * log_sinh
+        # sinh(x)^s for x >= 1 in log space; safe for large x with negative s
+        arg = s * (x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0))
         return math.exp(arg) if arg < 700.0 else math.inf
 
     if not all(T >= dt for T in schedule):
         raise DomainError("need dt > 0 and t_max >= dt")
-    # one graph at the longest truncation: the graph at T has the first
-    # round(T/dt) levels, whose nodes and cell masses are a prefix of it
-    G = build_filling_graph(carrier, WarpProfile.sinh_pow(alpha), "sinh",
-                            beta, schedule[-1], dt)
-    t, m = G.levels, G.level_mass
+    # the grid at T is the first round(T/dt) levels; sinh^alpha has an apex
+    profile = WarpProfile.sinh_pow(alpha)
+    t, m = _level_grid(mu, carrier.n > 1, "sinh", beta, schedule[-1], dt)
     u_r = _ramp(t)
     # |u_R| / psi; u_R vanishes for t <= 1, where psi(1) stands in for psi(t)
-    b = u_r / G.profile.psi(np.maximum(t, 1.0))
+    b = u_r / profile.psi(np.maximum(t, 1.0))
     band = (t >= 1.0) & (t <= 2.0)  # Lip(u_R) = 1
     with np.errstate(over="ignore"):
         tail_rows = m * b ** p
@@ -607,14 +642,11 @@ def counterexample_suite(carrier: CarrierSpace, y0: int, r: float, alpha: float,
             q_total, lo = q_total + float(q), T
         tails_q.append(q_total)
 
-    rel_changes = [abs(b - a) / max(abs(b), 1e-300) for a, b in zip(g_norms, g_norms[1:])]
-    g_stable = all(ch < 0.01 for ch in rel_changes) if rel_changes else True
+    g_stable = all(abs(b - a) / max(abs(b), 1e-300) < 0.01 for a, b in zip(g_norms, g_norms[1:]))
     growing = all(b > a for a, b in zip(u_devs, u_devs[1:]))
     tail_rel_err = abs(tails_d[-1] - tails_q[-1]) / max(abs(tails_q[-1]), 1e-300)
-    tail_inf = None
-    if tail_converges:
-        val, _ = quad(lambda x: sinh_pow(x, s_exp), 1.0, math.inf, limit=200)
-        tail_inf = float(val)
+    tail_inf = (float(quad(lambda x: sinh_pow(x, s_exp), 1.0, math.inf, limit=200)[0])
+                if tail_converges else None)
 
     if p <= beta / alpha:
         verdict = "no failure expected"

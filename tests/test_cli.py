@@ -321,6 +321,34 @@ def test_bad_truncation_exit_2(capsys, circle_path, argv, message):
     assert err.startswith("error: invalid input") and message in err
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["poincare", "--tmax", "1e300", "--dt", "1e-10"], 2, "error: resource cap: filling graph "
+     "would have more than the cap 2000000 nodes: its level count t_max/dt = 1e+300/1e-10 "
+     "overflows double precision"),
+    (["poincare", "--tmax", "2", "--dt", "1e-300"], 2, "error: resource cap: filling graph "
+     "would have 1999999999999999"),
+    (["counterexample", "--space", "{circle}", "--schedule", "0.5,1e300", "--dt", "1e-300"], 2,
+     "error: resource cap: filling graph would have more than the cap"),
+    (["poincare", "--model", "sinh", "--tmax", "1e300", "--dt", "1e299"], 2,
+     "error: invalid input: sinh weight with beta=1.0 overflows double precision"),
+    (["counterexample", "--space", "{circle}", "--beta", "1e300"], 2,
+     "error: invalid input: sinh weight with beta=1e+300 overflows double precision"),
+    (["poincare", "--p", "200"], 0, ""),
+    (["poincare", "--p", "1e300"], 2, "error: invalid input: the L^1e+300 objective overflows"),
+])
+def test_extreme_grids_and_exponents_exit_cleanly(capsys, circle_path, argv, code, message):
+    # each of these exited 1 on an OverflowError or ValueError: a level count,
+    # a first sinh cell or a reference constant past double range, or a level
+    # array allocated before the node cap was checked. Now bad input exits 2
+    # with one line on stderr and no warning, and p = 200 runs.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run(capsys, [a.format(circle=circle_path) for a in argv])
+    assert got == code and err.startswith(message) and err.count("\n") == (code != 0)
+    if code == 0:
+        assert all(r["ratio"] >= 0.0 for r in json.loads(out)["result"]["reports"])
+
+
 def test_boundary_refuses_a_subnormal_carrier_exit_2(capsys, tmp_path):
     # 2/d overflows for d = 8e-320 / 8, so the supremum lies past the
     # overflow of psi: refused, where NaN premetric entries were written

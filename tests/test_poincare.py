@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from warpfill import (WarpProfile, build_filling_graph, builtin_filling_family,
+from warpfill import (CarrierSpace, WarpProfile, build_filling_graph, builtin_filling_family,
                       builtin_halfline_family, circle, counterexample_suite,
                       discrete_upper_gradient, filling_verifier, from_graph, from_matrix,
                       halfline_constant_exp, halfline_constant_general,
@@ -222,6 +223,26 @@ def test_constants_values():
     assert halfline_constant_exp(2.0, 1.0) == pytest.approx(1.0)
 
 
+def _log_constants(c, p):
+    """Both reference constants evaluated in log space."""
+    general = p / c * math.exp(math.log1p(math.exp((p - 1.0) * math.log1p(-1.0 / p))) / p)
+    sharp = math.exp((math.log(2.0 / c) + (p - 1.0) * math.log((p - 1.0) / c)) / p)
+    return general, sharp
+
+
+@pytest.mark.parametrize("c, p", [(1.0, 1.5), (2.0, 3.0), (0.5, 100.0), (1.0, 143.0),
+                                  (1.0, 144.0), (0.5, 200.0), (2.0, 1e3), (1.0, 1e15),
+                                  (1.0, 1e300), (1e6, 77.0), (1e-3, 60.0)])
+def test_constants_are_finite_for_every_finite_p(c, p):
+    # the direct formulas overflow from about p = 144, and the sharp one also
+    # where ((p-1)/beta)^{p-1} leaves the normal range ((1e6, 77) gives a
+    # subnormal, (1e-3, 60) an overflow); the rewritten forms stay within
+    # rounding of the log-space values
+    general, sharp = _log_constants(c, p)
+    assert halfline_constant_general(c, p) == pytest.approx(general, rel=1e-13, abs=0.0)
+    assert halfline_constant_exp(c, p) == pytest.approx(sharp, rel=1e-12, abs=0.0)
+
+
 def test_grid_refinement_consistency():
     family = builtin_halfline_family()
     coarse = halfline_verifier("exp", 1.0, 2.0, family, dt=0.01, t_max=30.0)
@@ -378,7 +399,7 @@ def test_counterexample_preconditions():
 @pytest.mark.parametrize("p", [math.inf, math.nan, 0.5])
 def test_counterexample_refuses_bad_p_before_any_graph(monkeypatch, p):
     calls = []
-    monkeypatch.setattr(poincare, "build_filling_graph", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(poincare, "_level_grid", lambda *a, **k: calls.append(a))
     with pytest.raises(DomainError, match="^p must be finite and >= 1"):
         counterexample_suite(circle(8, 2 * math.pi), 0, 1.0, 1.0, 1.0, p, (4.0, 6.0), dt=0.5)
     assert calls == []
@@ -483,18 +504,62 @@ def test_vanishing_psi_names_the_level():
         G.edges
 
 
-def test_counterexample_builds_one_graph(monkeypatch):
-    calls = []
-    build = poincare.build_filling_graph
+def test_counterexample_builds_no_graph(monkeypatch):
+    # the suite lays one level grid at the longest truncation and builds no
+    # filling graph
+    graphs, grids = [], []
+    grid = poincare._level_grid
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return build(*args, **kwargs)
+    def counting(*args):
+        grids.append(args)
+        return grid(*args)
 
-    monkeypatch.setattr(poincare, "build_filling_graph", counting)
+    monkeypatch.setattr(poincare, "build_filling_graph", lambda *a, **k: graphs.append(a))
+    monkeypatch.setattr(poincare, "FillingGraph", lambda *a, **k: graphs.append(a))
+    monkeypatch.setattr(poincare, "_level_grid", counting)
     Y = circle(16, 2 * math.pi)
-    counterexample_suite(Y, 0, 1.0, 1.0, 2.0, 1.5, (1.0, 3.0, 6.03), dt=0.02)
-    assert len(calls) == 1 and calls[0][4] == 6.03
+    rep = counterexample_suite(Y, 0, 1.0, 1.0, 2.0, 1.5, (1.0, 3.0, 6.03), dt=0.02)
+    assert graphs == [] and rep.schedule == [1.0, 3.0, 6.03]
+    assert len(grids) == 1 and grids[0][1:] == (True, "sinh", 2.0, 6.03, 0.02)
+
+
+_BIG_MEASURE = CarrierSpace(circle(8, 2 * math.pi).dist, np.full(8, 1e300))
+
+
+@pytest.mark.parametrize("carrier, beta, schedule, dt, cap, error, match", [
+    (None, 1.0, (4.0, math.inf), 0.5, None, DomainError, "t_max must be finite, got inf"),
+    (None, 1.0, (4.0, 6.0), 0.0, None, DomainError, "need dt > 0 and t_max >= dt"),
+    (None, 0.0, (4.0, 6.0), 0.5, None, DomainError, "need beta > 0"),
+    (None, 1.0, (4.0, 20.0), 0.5, "100", ResourceCapError,
+     "filling graph would have 313 nodes, above the cap 100"),
+    (None, 1.0, (0.5, 1e300), 1e-300, None, ResourceCapError,
+     "level count t_max/dt = 1e+300/1e-300 overflows"),
+    (None, 200.0, (4.0, 10.0), 0.5, None, DomainError,
+     "sinh weight with beta=200.0 overflows double precision before t_max=10.0"),
+    (_BIG_MEASURE, 10.0, (4.0, 6.0), 0.5, None, DomainError,
+     "sinh weight with beta=10.0 overflows double precision before t_max=6.0: "
+     "node measures must be finite"),
+    (None, 1.0, (1e299, 1e300), 1e299, None, DomainError,
+     "sinh weight with beta=1.0 overflows double precision before t_max=1e+300"),
+    (None, 1e300, (4.0, 6.0), 0.5, None, DomainError,
+     "sinh weight with beta=1e+300 overflows double precision before t_max=6.0"),
+])
+def test_graph_and_counterexample_refuse_the_same_grids(monkeypatch, carrier, beta, schedule,
+                                                         dt, cap, error, match):
+    # both callers lay their levels with _level_grid, so a bad grid is refused
+    # with one exception and message, and without a warning
+    if cap is not None:
+        monkeypatch.setenv("WARPFILL_MAX_NODES", cap)
+    Y = circle(8, 2 * math.pi) if carrier is None else carrier
+    messages = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: build_filling_graph(Y, SINH1, "sinh", beta, schedule[-1], dt),
+                     lambda: counterexample_suite(Y, 0, 1.0, 1.0, beta, 2.0, schedule, dt)):
+            with pytest.raises(error) as info:
+                call()
+            messages.append(str(info.value))
+    assert messages[0] == messages[1] and match in messages[0]
 
 
 def _oracle_counterexample_norms(Y, y0, r, alpha, beta, p, T, dt):
