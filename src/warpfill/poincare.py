@@ -37,7 +37,6 @@ from .spaces import CarrierSpace
 DEFAULT_MAX_NODES = 2_000_000
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _CHUNK = 1 << 16
-_TINY = np.finfo(float).tiny  # smallest normal double
 # brentq iterations before ConvergenceError; roots many decades below the bracket
 # width (near 0 under steep weights) have taken up to about 1400
 _ROOT_MAXITER = 3000
@@ -144,8 +143,11 @@ class FillingGraph:
         self.has_apex = profile.psi0 == 0.0 and n > 1
         self.levels, masses = _level_grid(carrier.measure, self.has_apex, weight_kind,
                                           beta, t_max, dt)
-        self.carrier, self.profile, self.weight_kind = carrier, profile, weight_kind
-        self.beta, self.dt = float(beta), float(dt)
+        self.carrier = carrier
+        self.profile = profile
+        self.weight_kind = weight_kind
+        self.beta = float(beta)
+        self.dt = float(dt)
         # the full product grid, less the first n - 1 nodes when the bottom
         # level is one apex node (see node_index)
         self._off = off = n - 1 if self.has_apex else 0
@@ -356,37 +358,24 @@ class SPReport:
 def halfline_constant_general(alpha: float, p: float) -> float:
     """Reference constant for any weight with growth parameter alpha:
     (p(p-1)^{p-1} + p^p)^{1/p} / alpha, reading (p-1)^{p-1} = 1 at p = 1.
-    Where the sum overflows (p above about 143) the same number is taken as
-    p (1 + (1 - 1/p)^{p-1})^{1/p} / alpha, whose terms stay below 2p."""
+    It is evaluated as p (1 + (1 - 1/p)^{p-1})^{1/p} / alpha, whose terms
+    stay below 2p, so it is finite for every finite p."""
     if alpha <= 0.0 or p < 1.0:
         raise DomainError("need alpha > 0 and p >= 1")
-    alpha, p = float(alpha), float(p)
-    try:  # a float power raises on overflow; a sum gives inf
-        total = p * (1.0 if p == 1.0 else (p - 1.0) ** (p - 1.0)) + p ** p
-    except OverflowError:
-        total = math.inf
-    if total < math.inf:
-        return total ** (1.0 / p) / alpha
     return p * (1.0 + (1.0 - 1.0 / p) ** (p - 1.0)) ** (1.0 / p) / alpha
 
 
 def halfline_constant_exp(beta: float, p: float) -> float:
     """Sharper reference constant for the exponential weight e^{beta t}:
     ((2/beta)((p-1)/beta)^{p-1})^{1/p}, reading ((p-1)/beta)^{p-1} = 1 at p = 1.
-    Where the inner product leaves the normal range (large (p-1)/beta, or
-    large p with beta > p - 1) the same number is taken as
-    ((p-1)/beta) (2/(p-1))^{1/p}."""
+    It is evaluated as (2/beta)((p-1)/2)^{(p-1)/p}, or for p > 2 as
+    ((p-1)/beta)(2/(p-1))^{1/p}: the smaller of the two exponents keeps the
+    rounding of the power small, and neither form overflows or underflows
+    where the constant is well inside double range."""
     if beta <= 0.0 or p < 1.0:
         raise DomainError("need beta > 0 and p >= 1")
-    beta, p = float(beta), float(p)
-    if p == 1.0:
-        return 2.0 / beta
-    try:
-        inner = (2.0 / beta) * ((p - 1.0) / beta) ** (p - 1.0)
-    except OverflowError:
-        inner = math.inf
-    if _TINY <= inner < math.inf:
-        return inner ** (1.0 / p)
+    if p <= 2.0:
+        return 2.0 / beta * ((p - 1.0) / 2.0) ** ((p - 1.0) / p)
     return (p - 1.0) / beta * (2.0 / (p - 1.0)) ** (1.0 / p)
 
 
@@ -586,7 +575,9 @@ def counterexample_suite(carrier: CarrierSpace, y0: int, r: float, alpha: float,
     if not (r > 0.0):
         raise DomainError("r must be positive")
     d0 = carrier.dist[:, y0]
-    if carrier.measure[d0 < 0.5 * r].sum() <= 0.0 or not np.any(d0 >= r):
+    ball_half = carrier.measure[d0 < 0.5 * r].sum()
+    outside = np.any(d0 >= r)
+    if ball_half <= 0.0 or not outside:
         raise PreconditionError(
             "carrier needs positive measure in the half ball and a point outside the "
             f"ball of radius {r} around node {y0}")
@@ -602,8 +593,11 @@ def counterexample_suite(carrier: CarrierSpace, y0: int, r: float, alpha: float,
     tail_converges = s_exp < 0.0
 
     def sinh_pow(x: float, s: float) -> float:
-        # sinh(x)^s for x >= 1 in log space; safe for large x with negative s
-        arg = s * (x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0))
+        # sinh(x)^s in log space; safe for large x with negative s
+        if x <= 0.0:
+            return 0.0
+        log_sinh = x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0)
+        arg = s * log_sinh
         return math.exp(arg) if arg < 700.0 else math.inf
 
     if not all(T >= dt for T in schedule):
@@ -642,11 +636,14 @@ def counterexample_suite(carrier: CarrierSpace, y0: int, r: float, alpha: float,
             q_total, lo = q_total + float(q), T
         tails_q.append(q_total)
 
-    g_stable = all(abs(b - a) / max(abs(b), 1e-300) < 0.01 for a, b in zip(g_norms, g_norms[1:]))
+    rel_changes = [abs(b - a) / max(abs(b), 1e-300) for a, b in zip(g_norms, g_norms[1:])]
+    g_stable = all(ch < 0.01 for ch in rel_changes) if rel_changes else True
     growing = all(b > a for a, b in zip(u_devs, u_devs[1:]))
     tail_rel_err = abs(tails_d[-1] - tails_q[-1]) / max(abs(tails_q[-1]), 1e-300)
-    tail_inf = (float(quad(lambda x: sinh_pow(x, s_exp), 1.0, math.inf, limit=200)[0])
-                if tail_converges else None)
+    tail_inf = None
+    if tail_converges:
+        val, _ = quad(lambda x: sinh_pow(x, s_exp), 1.0, math.inf, limit=200)
+        tail_inf = float(val)
 
     if p <= beta / alpha:
         verdict = "no failure expected"

@@ -232,12 +232,14 @@ def _log_constants(c, p):
 
 @pytest.mark.parametrize("c, p", [(1.0, 1.5), (2.0, 3.0), (0.5, 100.0), (1.0, 143.0),
                                   (1.0, 144.0), (0.5, 200.0), (2.0, 1e3), (1.0, 1e15),
-                                  (1.0, 1e300), (1e6, 77.0), (1e-3, 60.0)])
+                                  (1.0, 1e300), (1e6, 77.0), (1e-3, 60.0), (1.0, 1.0 + 1e-9),
+                                  (0.5, 2.0), (3.0, 2.5)])
 def test_constants_are_finite_for_every_finite_p(c, p):
-    # the direct formulas overflow from about p = 144, and the sharp one also
-    # where ((p-1)/beta)^{p-1} leaves the normal range ((1e6, 77) gives a
-    # subnormal, (1e-3, 60) an overflow); the rewritten forms stay within
-    # rounding of the log-space values
+    # the defining formulas overflow from about p = 144, and the sharp one
+    # also where ((p-1)/beta)^{p-1} leaves the normal range ((1e6, 77) gives
+    # a subnormal, (1e-3, 60) an overflow); the forms evaluated stay within
+    # rounding of the log-space values, on both sides of the sharp
+    # constant's switch at p = 2
     general, sharp = _log_constants(c, p)
     assert halfline_constant_general(c, p) == pytest.approx(general, rel=1e-13, abs=0.0)
     assert halfline_constant_exp(c, p) == pytest.approx(sharp, rel=1e-12, abs=0.0)
