@@ -5,8 +5,11 @@ coordinate 0; for the builtin profiles the defect is bounded by
 2/alpha (plus 3*psi(0)*diam(Y) when psi(0) != 0). Boundary points are
 identified with carrier nodes; the visual premetric e^{-eps<.,.>} is
 turned into a metric by an exact shortest-chain closure, which for a
-finite boundary is plain min-plus matrix closure: scipy's Floyd-Warshall,
-with zero premetric entries kept as zero weights, not missing edges.
+finite boundary is plain min-plus matrix closure. An O(n^2) certificate on
+the row and column minima first decides whether any chain can be shorter
+than its direct entry; only when it cannot decide does scipy's
+Floyd-Warshall run, with zero premetric entries kept as zero weights, not
+missing edges.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ class BoundaryMetric:
     chained: np.ndarray
     delta_used: float
     eps_warning: bool
+    closure_check: str
 
 
 @dataclass
@@ -160,12 +164,30 @@ def default_eps(delta: float) -> float:
     return 0.9 * min(1.0, 1.0 / (5.0 * delta))
 
 
-def _min_plus_closure(M: np.ndarray) -> np.ndarray:
+def _min_plus_closure(M: np.ndarray):
     """All-pairs shortest chains on the complete graph weighted by M (zero
-    diagonal): scipy's Floyd-Warshall. M goes in as a sparse graph whose
-    missing entries are the infinite ones, so zero entries stay genuine zero
-    weights (dense input would read them as missing edges). O(n^3)."""
-    return floyd_warshall(csgraph_from_dense(M, null_value=np.inf), directed=True)
+    diagonal), and how they were decided: "certificate" or "floyd-warshall".
+
+    The certificate takes O(n^2). With the row and column minima off the
+    diagonal, r_i = min_{k != i} M[i, k] and s_j = min_{k != j} M[k, j], it
+    holds when M has a zero diagonal, no NaN and no negative entry, and
+    M[i, j] <= fl(r_i + s_j) everywhere. Then every k not in {i, j} gives
+    fl(M[i, k] + M[k, j]) >= fl(r_i + s_j) >= M[i, j], since rounding is
+    monotone, and k in {i, j} adds the zero diagonal; so no pivot of
+    Floyd-Warshall lowers an entry, and its answer is M itself, bit for bit
+    (with the diagonal +0.0, as scipy sets it). Otherwise this is scipy's
+    Floyd-Warshall, O(n^3): M goes in as a sparse graph whose missing entries
+    are the infinite ones, so zero entries stay genuine zero weights (dense
+    input would read them as missing edges).
+    """
+    if np.all(M >= 0.0) and np.all(M.diagonal() == 0.0):  # NaN fails both
+        C = M.copy()
+        np.fill_diagonal(C, np.inf)
+        if np.all(M <= C.min(axis=1)[:, None] + C.min(axis=0)):
+            np.fill_diagonal(C, 0.0)
+            return C, "certificate"
+    return (floyd_warshall(csgraph_from_dense(M, null_value=np.inf), directed=True),
+            "floyd-warshall")
 
 
 def boundary_metric(profile: WarpProfile, space: CarrierSpace, eps: float | None = None,
@@ -175,7 +197,8 @@ def boundary_metric(profile: WarpProfile, space: CarrierSpace, eps: float | None
     Boundary points are the carrier nodes; their extended Gromov product is
     (psi(0)(d_Y(y1,y0) + d_Y(y2,y0)) + sup_{rho >= 0}(2 rho - psi(rho) d_Y))/2
     with the convention <y, y> = +inf. The premetric is e^{-eps <.,.>} and
-    `chained` is its exact shortest-chain closure. eps defaults to
+    `chained` is its exact shortest-chain closure, decided as
+    `closure_check` says (see `_min_plus_closure`). eps defaults to
     `default_eps` of the profile bound; a larger eps only sets a warning
     flag (the factor-2 comparison is then not guaranteed).
 
@@ -211,8 +234,9 @@ def boundary_metric(profile: WarpProfile, space: CarrierSpace, eps: float | None
         two_prod[off] = profile.psi0 * (d0[:, None] + d0[None, :])[off] + sup[off]
     with np.errstate(over="ignore"):
         premetric = np.exp(-eps * 0.5 * two_prod)
-    chained = _min_plus_closure(premetric)
-    return BoundaryMetric(float(eps), basepoint_y, premetric, chained, delta, eps_warning)
+    chained, closure_check = _min_plus_closure(premetric)
+    return BoundaryMetric(float(eps), basepoint_y, premetric, chained, delta, eps_warning,
+                          closure_check)
 
 
 def snowflake_pairs(bm: BoundaryMetric, space: CarrierSpace):

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.sparse import coo_matrix
-from scipy.special import expit, roots_jacobi
+from scipy.special import expit, logsumexp, roots_jacobi
 
 from .errors import (ConvergenceError, DomainError, PreconditionError, ResourceCapError,
                      ValidationError)
@@ -36,6 +36,7 @@ from .spaces import CarrierSpace
 
 DEFAULT_MAX_NODES = 2_000_000
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_GLAG_NODES, _GLAG_WEIGHTS = np.polynomial.laguerre.laggauss(16)
 _CHUNK = 1 << 16
 # brentq iterations before ConvergenceError; roots many decades below the bracket
 # width (near 0 under steep weights) have taken up to about 1400
@@ -68,19 +69,37 @@ def _cell_masses(weight_kind: str, beta: float, levels: np.ndarray, dt: float) -
     vals = np.sinh(pts) ** beta
     masses = 0.5 * dt * vals @ _GL_WEIGHTS
     if levels[0] == 0.0:
-        # sinh^beta = t^beta * (sinh t / t)^beta is only Hoelder at 0, so
-        # absorb t^beta into a Gauss-Jacobi weight for the first cell; the
-        # cell is NaN where scipy cannot form that rule (beta from about
-        # 1e200) and inf where its scale overflows, for the caller to refuse
-        try:
-            xj, wj = roots_jacobi(16, 0.0, beta)
-        except ValueError:
-            masses[0] = math.nan
-            return masses
+        masses[0] = _first_sinh_cell(beta, dt)
+    return masses
+
+
+def _first_sinh_cell(beta: float, dt: float) -> float:
+    """Integral of sinh^beta over [0, dt].
+
+    sinh^beta = t^beta * (sinh t / t)^beta is only Hoelder at 0, so t^beta
+    goes into a 16-point Gauss-Jacobi weight. Where scipy cannot form that
+    rule (beta from about 1e200), its scale (dt/2)^(beta+1) is not a normal
+    double (subnormal scales were seen 7% off) or its sum overflows, the cell
+    is taken in log space: with sinh t = sinh(dt) e^(-s/beta) it is
+    sinh(dt)^beta / beta * int_0^inf e^(-s) tanh(t) ds, and tanh(t) varies on
+    the scale beta in s, so 16-point Gauss-Laguerre suits the steep beta that
+    need it. The cell is inf or 0 only where the integral leaves double range,
+    for the caller to refuse.
+    """
+    try:
+        xj, wj = roots_jacobi(16, 0.0, beta)
+    except ValueError:
+        pass
+    else:
         tj = 0.5 * dt * (1.0 + xj)
         smooth = (np.sinh(tj) / tj) ** beta
-        masses[0] = np.float64(0.5 * dt) ** (beta + 1.0) * float(wj @ smooth)
-    return masses
+        scale = np.float64(0.5 * dt) ** (beta + 1.0)
+        cell = scale * float(wj @ smooth)
+        if scale >= np.finfo(float).tiny and np.isfinite(cell):
+            return cell
+    log_sinh = dt + math.log(-math.expm1(-2.0 * dt)) - math.log(2.0)
+    log_tanh = -0.5 * np.logaddexp(0.0, 2.0 * (_GLAG_NODES / beta - log_sinh))
+    return np.exp(beta * log_sinh - math.log(beta) + logsumexp(log_tanh, b=_GLAG_WEIGHTS))
 
 
 def _level_grid(measure: np.ndarray, has_apex: bool, weight_kind: str, beta: float,
@@ -98,7 +117,11 @@ def _level_grid(measure: np.ndarray, has_apex: bool, weight_kind: str, beta: flo
     if weight_kind not in ("exp", "sinh"):
         raise DomainError(f"unknown weight kind {weight_kind!r}")
     n = measure.size
-    cap = int(os.environ.get("WARPFILL_MAX_NODES") or DEFAULT_MAX_NODES)
+    cap = os.environ.get("WARPFILL_MAX_NODES") or DEFAULT_MAX_NODES
+    try:
+        cap = int(cap)
+    except ValueError:
+        raise DomainError(f"WARPFILL_MAX_NODES must be an integer, got {cap!r}") from None
     ratio = float(t_max) / float(dt)
     if not math.isfinite(ratio):
         raise ResourceCapError(

@@ -10,7 +10,8 @@ import pytest
 
 import warpfill
 import warpfill.cli as cli
-from warpfill import WarpProfile, boundary_metric, circle, load_space, save_space
+from warpfill import (WarpProfile, boundary_metric, circle, hyperbolicity, load_space,
+                      save_space)
 from warpfill.cli import main
 
 
@@ -217,8 +218,9 @@ def test_boundary_chained_file_copy_rule(capsys, tmp_path, circle_path, monkeypa
     code, out, _ = run(capsys, ["boundary", "--space", circle_path, "--profile", "exp:1",
                                 "--out-prefix", prefix])
     res = json.loads(out)["result"]
-    # the closure changes nothing at auto eps: the chained file is a copy
-    assert code == 0 and res["closure_lowered"] == 0
+    # the closure is certified at auto eps: the chained file is a copy
+    assert code == 0 and res["closure_check"] == "certificate"
+    assert res["closure_lowered"] == 0
     assert calls == [res["premetric_csv"]]
     with open(res["chained_csv"], "rb") as fh, open(res["premetric_csv"], "rb") as fp:
         assert fh.read() == fp.read()
@@ -230,13 +232,30 @@ def test_boundary_chained_file_copy_rule(capsys, tmp_path, circle_path, monkeypa
     res = json.loads(out)["result"]
     bm = boundary_metric(WarpProfile.parse("exp:1"), load_space(circle_path), 3.0)
     lowered = int(np.count_nonzero(bm.chained < bm.premetric))
-    assert code == 0 and res["closure_lowered"] == lowered > 0
+    assert code == 0 and res["closure_check"] == "floyd-warshall"
+    assert res["closure_lowered"] == lowered > 0
     assert calls == [res["premetric_csv"], res["chained_csv"]]
     chained = np.loadtxt(res["chained_csv"], delimiter=",")
     pre = np.loadtxt(res["premetric_csv"], delimiter=",")
     assert np.array_equal(chained.view(np.int64), bm.chained.view(np.int64))
     assert np.array_equal(pre.view(np.int64), bm.premetric.view(np.int64))
     assert not np.array_equal(chained, pre)
+
+    # Floyd-Warshall where the certificate would have held: the bitwise
+    # comparison still finds the closure unchanged
+    def floyd_warshall_only(M):
+        graph = hyperbolicity.csgraph_from_dense(M, null_value=np.inf)
+        return hyperbolicity.floyd_warshall(graph, directed=True), "floyd-warshall"
+
+    monkeypatch.setattr(hyperbolicity, "_min_plus_closure", floyd_warshall_only)
+    calls.clear()
+    code, out, _ = run(capsys, ["boundary", "--space", circle_path, "--profile", "exp:1",
+                                "--out-prefix", str(tmp_path / "fw")])
+    res = json.loads(out)["result"]
+    assert code == 0 and res["closure_check"] == "floyd-warshall"
+    assert res["closure_lowered"] == 0 and calls == [res["premetric_csv"]]
+    with open(res["chained_csv"], "rb") as fh, open(res["premetric_csv"], "rb") as fp:
+        assert fh.read() == fp.read()
 
 
 def test_poincare_halfline(capsys):
@@ -349,6 +368,20 @@ def test_extreme_grids_and_exponents_exit_cleanly(capsys, circle_path, argv, cod
         assert all(r["ratio"] >= 0.0 for r in json.loads(out)["result"]["reports"])
 
 
+@pytest.mark.parametrize("beta, code, message", [
+    ("1000", 0, ""),  # the first cell, 3.8e-287, was refused as not finite
+    ("2000", 2, "error: validation failure: graph has a nonpositive node measure"),
+])
+def test_steep_sinh_first_cell_exit_code(capsys, beta, code, message):
+    # the first cell is refused only where its integral leaves double range
+    # (about 1e-567 at beta 2000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, _, err = run(capsys, ["poincare", "--model", "sinh", "--beta", beta,
+                                   "--tmax", "1", "--dt", "0.5"])
+    assert got == code and err.startswith(message) and err.count("\n") == (code != 0)
+
+
 def test_boundary_refuses_a_subnormal_carrier_exit_2(capsys, tmp_path):
     # 2/d overflows for d = 8e-320 / 8, so the supremum lies past the
     # overflow of psi: refused, where NaN premetric entries were written
@@ -399,6 +432,16 @@ def test_resource_cap_exit_2(capsys, circle_path, monkeypatch):
                                 "--p", "1", "--tmax", "10", "--dt", "0.01"])
     assert code == 2
     assert err.startswith("error: resource cap")
+
+
+@pytest.mark.parametrize("value", ["1e6", "abc"])
+def test_resource_cap_must_be_an_integer_exit_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("WARPFILL_MAX_NODES", value)
+    code, out, err = run(capsys, ["poincare", "--tmax", "2", "--dt", "0.5"])
+    assert code == 2 and out == ""
+    assert err == f"error: invalid input: WARPFILL_MAX_NODES must be an integer, got {value!r}\n"
+    monkeypatch.setenv("WARPFILL_MAX_NODES", "")  # empty means the default cap
+    assert run(capsys, ["poincare", "--tmax", "2", "--dt", "0.5"])[0] == 0
 
 
 def test_out_file(capsys, tmp_path, circle_path):

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from warpfill import (WarpProfile, WarpedPoint, boundary_metric, circle, default_eps,
                       delta_bound, estimate_delta, estimate_delta_exhaustive,
@@ -70,8 +72,8 @@ def test_min_plus_closure_idempotent_and_triangle():
     M = rng.uniform(0.1, 1.0, size=(20, 20))
     M = 0.5 * (M + M.T)
     np.fill_diagonal(M, 0.0)
-    C = _min_plus_closure(M)
-    assert np.array_equal(_min_plus_closure(C), C)
+    C, _ = _min_plus_closure(M)
+    assert np.array_equal(_min_plus_closure(C)[0], C)
     # triangle inequality holds exactly
     n = 20
     for k in range(n):
@@ -178,8 +180,88 @@ def test_min_plus_closure_matches_loop_oracle():
             for A in (M, np.minimum(M, M.T)):
                 A = A.copy()
                 np.fill_diagonal(A, 0.0)
-                got, want = _min_plus_closure(A), _oracle_closure(A)
+                got, want = _min_plus_closure(A)[0], _oracle_closure(A)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _closure_inputs(draw):
+    """Nonnegative n x n matrices, n in 1..12, with a zero diagonal that
+    straddle the closure certificate: entries from [a, 1] (a >= 1/2 always
+    certifies), some set to the tie fl(r_i + s_j) or a neighbour of it, some
+    zero or infinite, asymmetric unless symmetrized."""
+    n = draw(st.integers(1, 12))
+    a = draw(st.sampled_from([0.0, 0.1, 0.3, 0.45, 0.5, 0.8]))
+    M = draw(arrays(np.float64, (n, n), elements=st.floats(a, 1.0)))
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for (i, j), step in draw(st.lists(st.tuples(cell, st.sampled_from([-1, 0, 1])),
+                                      max_size=4)):
+        C = M.copy()
+        np.fill_diagonal(C, np.inf)
+        tie = C[i].min() + C[:, j].min()
+        M[i, j] = tie if step == 0 else max(0.0, np.nextafter(tie, step * np.inf))
+    for (i, j), value in draw(st.lists(st.tuples(cell, st.sampled_from([0.0, np.inf])),
+                                       max_size=3)):
+        M[i, j] = value
+    if draw(st.booleans()):
+        M = np.minimum(M, M.T)
+    np.fill_diagonal(M, 0.0)
+    return M
+
+
+@settings(max_examples=300, deadline=None)
+@given(_closure_inputs())
+def test_min_plus_closure_certificate_matches_loop_oracle(M):
+    got, check = _min_plus_closure(M)
+    event(check)
+    assert got.dtype == np.float64 and got.tobytes() == _oracle_closure(M).tobytes()
+
+
+def test_min_plus_closure_certificate_decides_ties():
+    # r_0 + s_1 = 0.2 while every chain from 0 to 1 has length 1.1: the
+    # certificate holds up to the tie and leaves the rest to Floyd-Warshall
+    M = np.array([[0.0, 0.2, 0.1, 1.0],
+                  [1.0, 0.0, 1.0, 1.0],
+                  [1.0, 1.0, 0.0, 1.0],
+                  [1.0, 0.1, 0.2, 0.0]])
+    got, check = _min_plus_closure(M)
+    assert check == "certificate" and got.tobytes() == M.tobytes()
+    M[0, 1] = np.nextafter(0.2, 1.0)
+    got, check = _min_plus_closure(M)
+    assert check == "floyd-warshall" and got.tobytes() == M.tobytes()
+    M[0, 1] = 1.5  # now the chains through 2 and 3 are shorter
+    got, check = _min_plus_closure(M)
+    assert check == "floyd-warshall" and got[0, 1] == 0.1 + 1.0
+
+
+@pytest.mark.parametrize("bad", [-1e-300, np.nan])
+def test_min_plus_closure_certificate_needs_nonnegative_entries(bad):
+    M = np.full((3, 3), 1.0)
+    np.fill_diagonal(M, 0.0)
+    M[0, 1] = bad
+    assert _min_plus_closure(M)[1] == "floyd-warshall"
+    M[0, 1] = 1.0
+    M[2, 2] = 1e-300  # a nonzero diagonal is not certified either
+    assert _min_plus_closure(M)[1] == "floyd-warshall"
+
+
+def test_boundary_closure_skips_floyd_warshall_when_certified(monkeypatch):
+    def no_floyd_warshall(*args, **kwargs):
+        raise AssertionError("floyd_warshall ran")
+
+    monkeypatch.setattr(hyperbolicity, "floyd_warshall", no_floyd_warshall)
+    Y = circle(64, 2 * math.pi)
+    for profile in (EXP1, SINH1, WarpProfile.sinh_pow(1.5)):
+        bm = boundary_metric(profile, Y)  # auto eps
+        assert bm.closure_check == "certificate", profile.label()
+        assert bm.chained.tobytes() == bm.premetric.tobytes()
+    # at eps 1 the closure lowers entries, so Floyd-Warshall has to run
+    with pytest.raises(AssertionError, match="floyd_warshall ran"):
+        boundary_metric(EXP1, Y, eps=1.0)
+    monkeypatch.undo()
+    bm = boundary_metric(EXP1, Y, eps=1.0)
+    assert bm.closure_check == "floyd-warshall"
+    assert np.count_nonzero(bm.chained < bm.premetric) > 0
 
 
 def _oracle_exhaustive(profile, space, t_levels, basepoint_y=0):

@@ -66,6 +66,19 @@ def test_sinh_cell_masses_match_quadrature():
         assert G.node_measure[i] == pytest.approx(ref, rel=1e-10)
 
 
+@pytest.mark.parametrize("beta, dt", [(1000.0, 0.5), (2000.0, 1.0), (391.0, 0.3), (706.0, 0.7),
+                                      (600.0, 0.5), (2.0, 0.1)])
+def test_first_sinh_cell_matches_quadrature(beta, dt):
+    # at beta 1000 the Gauss-Jacobi scale underflows and its sum overflows,
+    # at beta 391 and 706 the scale is subnormal (7% and 2% off): the cell is
+    # taken in log space there, and equals the Gauss-Jacobi value elsewhere
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, masses = poincare._level_grid(np.ones(1), False, "sinh", beta, dt, dt)
+    ref = quad(lambda x: math.sinh(x) ** beta, 0.0, dt, epsabs=0, epsrel=1e-13, limit=200)[0]
+    assert masses[0] == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
 def test_upper_gradient_examples():
     G = small_graph()
     u = np.ones(G.n_nodes)
