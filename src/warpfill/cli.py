@@ -185,14 +185,11 @@ def cmd_boundary(ns) -> dict:
     prefix = ns.out_prefix
     pre_path, chain_path = f"{prefix}_premetric.csv", f"{prefix}_chained.csv"
     _write_table(pre_path, bm.premetric, ",")
-    # equal bits format to equal bytes, so an unchanged closure is a file copy;
-    # a certified closure is unchanged by construction
-    certified = bm.closure_check == "certificate"
-    if certified or np.array_equal(bm.chained.view(np.int64), bm.premetric.view(np.int64)):
+    # equal bits format to equal bytes, so an unchanged closure is a file copy
+    if np.array_equal(bm.chained.view(np.int64), bm.premetric.view(np.int64)):
         shutil.copyfile(pre_path, chain_path)
     else:
         _write_table(chain_path, bm.chained, ",")
-    lowered = 0 if certified else int(np.count_nonzero(bm.chained < bm.premetric))
     lower_ok = bool(np.all(bm.chained >= 0.5 * bm.premetric))
     upper_ok = bool(np.all(bm.chained <= bm.premetric))
     result = {"eps": bm.eps, "eps_warning": bm.eps_warning, "delta_used": bm.delta_used,
@@ -200,7 +197,7 @@ def cmd_boundary(ns) -> dict:
               "comparison": {"half_premetric_le_chained": lower_ok,
                              "chained_le_premetric": upper_ok},
               "closure_check": bm.closure_check,
-              "closure_lowered": lowered,
+              "closure_lowered": int(np.count_nonzero(bm.chained < bm.premetric)),
               "snowflake": snow.to_dict()}
     if ns.plot_data:
         d, c = snowflake_pairs(bm, space)

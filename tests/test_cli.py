@@ -10,8 +10,7 @@ import pytest
 
 import warpfill
 import warpfill.cli as cli
-from warpfill import (WarpProfile, boundary_metric, circle, hyperbolicity, load_space,
-                      save_space)
+from warpfill import WarpProfile, boundary_metric, circle, load_space, save_space
 from warpfill.cli import main
 
 
@@ -241,22 +240,6 @@ def test_boundary_chained_file_copy_rule(capsys, tmp_path, circle_path, monkeypa
     assert np.array_equal(pre.view(np.int64), bm.premetric.view(np.int64))
     assert not np.array_equal(chained, pre)
 
-    # Floyd-Warshall where the certificate would have held: the bitwise
-    # comparison still finds the closure unchanged
-    def floyd_warshall_only(M):
-        graph = hyperbolicity.csgraph_from_dense(M, null_value=np.inf)
-        return hyperbolicity.floyd_warshall(graph, directed=True), "floyd-warshall"
-
-    monkeypatch.setattr(hyperbolicity, "_min_plus_closure", floyd_warshall_only)
-    calls.clear()
-    code, out, _ = run(capsys, ["boundary", "--space", circle_path, "--profile", "exp:1",
-                                "--out-prefix", str(tmp_path / "fw")])
-    res = json.loads(out)["result"]
-    assert code == 0 and res["closure_check"] == "floyd-warshall"
-    assert res["closure_lowered"] == 0 and calls == [res["premetric_csv"]]
-    with open(res["chained_csv"], "rb") as fh, open(res["premetric_csv"], "rb") as fp:
-        assert fh.read() == fp.read()
-
 
 def test_poincare_halfline(capsys):
     code, out, _ = run(capsys, ["poincare", "--beta", "1", "--p", "1",
@@ -369,12 +352,12 @@ def test_extreme_grids_and_exponents_exit_cleanly(capsys, circle_path, argv, cod
 
 
 @pytest.mark.parametrize("beta, code, message", [
-    ("1000", 0, ""),  # the first cell, 3.8e-287, was refused as not finite
+    ("1000", 0, ""),  # cells 3.8157e-287 and 9.857e66, both within 1e-10
     ("2000", 2, "error: validation failure: graph has a nonpositive node measure"),
 ])
-def test_steep_sinh_first_cell_exit_code(capsys, beta, code, message):
-    # the first cell is refused only where its integral leaves double range
-    # (about 1e-567 at beta 2000)
+def test_steep_sinh_cells_exit_code(capsys, beta, code, message):
+    # a cell is refused only where its integral leaves double range (the
+    # first cell is about 1e-567 at beta 2000)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got, _, err = run(capsys, ["poincare", "--model", "sinh", "--beta", beta,

@@ -66,17 +66,40 @@ def test_sinh_cell_masses_match_quadrature():
         assert G.node_measure[i] == pytest.approx(ref, rel=1e-10)
 
 
+def _sinh_quad(beta, a, b):
+    return quad(lambda x: math.sinh(x) ** beta, a, b, epsabs=0, epsrel=1e-13, limit=200)[0]
+
+
 @pytest.mark.parametrize("beta, dt", [(1000.0, 0.5), (2000.0, 1.0), (391.0, 0.3), (706.0, 0.7),
-                                      (600.0, 0.5), (2.0, 0.1)])
+                                      (600.0, 0.5), (2.0, 0.1), (0.01, 1e-305), (0.01, 40.0),
+                                      (10.0, 8.0)])
 def test_first_sinh_cell_matches_quadrature(beta, dt):
-    # at beta 1000 the Gauss-Jacobi scale underflows and its sum overflows,
-    # at beta 391 and 706 the scale is subnormal (7% and 2% off): the cell is
-    # taken in log space there, and equals the Gauss-Jacobi value elsewhere
+    # beta 1000 and 2000: scipy's Gauss-Jacobi weights overflow; 391 and 706:
+    # its scale is subnormal (7% and 2% off in linear space); a tiny dt: the
+    # scale is subnormal at any beta; dt 40 and 8: (sinh t / t)^beta is too
+    # far from a polynomial on [0, dt] (1.4e-9 and 1.9e-8 off)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, masses = poincare._level_grid(np.ones(1), False, "sinh", beta, dt, dt)
-    ref = quad(lambda x: math.sinh(x) ** beta, 0.0, dt, epsabs=0, epsrel=1e-13, limit=200)[0]
+    # below dt = 1e-8 sinh t is t in double precision, and quad is 4e-6 off
+    # on the subnormal cell at dt = 1e-305
+    ref = (math.exp((beta + 1.0) * math.log(dt) - math.log1p(beta)) if dt < 1e-8
+           else _sinh_quad(beta, 0.0, dt))
     assert masses[0] == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("beta, dt, levels", [(1000.0, 0.5, [1]), (100.0, 0.5, range(1, 4)),
+                                              (20.0, 2.0, range(1, 4)), (300.0, 0.1, range(1, 12)),
+                                              (1e4, 0.01, range(84, 93)), (0.5, 40.0, [1, 2])])
+def test_steep_sinh_cells_match_quadrature(beta, dt, levels):
+    # one Gauss-Legendre rule over these cells is up to 73% off (the cell
+    # [0.5, 1) at beta 1000: 2.703e66 for 9.857e66)
+    t = np.arange(max(levels) + 1) * dt
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("error")  # under the errstate of _level_grid
+        masses = poincare._cell_masses("sinh", beta, t, dt)[levels]
+    ref = [_sinh_quad(beta, t[i], t[i] + dt) for i in levels]
+    assert masses == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
 def test_upper_gradient_examples():
