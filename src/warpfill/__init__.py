@@ -1,6 +1,6 @@
 """warpfill: warped half-line fillings over finite carriers.
 
-Exact l1 warped distances, Gromov products and down-across-up curves;
+Exact l1 warped distances and Gromov products;
 hyperbolicity defect estimation; visual boundary metrics with snowflake
 checks; and discrete global Sobolev-Poincare verification including the
 sharpness probe at the threshold p = beta/alpha.
@@ -10,15 +10,13 @@ __version__ = "0.1.0"
 
 from .errors import (DomainError, PreconditionError, ResourceCapError, SchemaError,
                      UnboundedError, ValidationError)
-from .norms import Norm2, comparison_factor_check, eval_norm, validate_norm
 from .profiles import (FMinResult, WarpProfile, exp_supremizer_bounds, golden_section,
                        minimize_F, minimize_F_batch, sup_G, sup_G_batch,
                        validate_profile)
 from .spaces import (CarrierSpace, approx_length_check, circle, from_graph,
                      from_matrix, load_space, save_space, validate_matrix)
-from .warped import (MixedSegment, UCurve, WarpedPoint, build_ucurve, chordal_length,
-                     distance, distance_batch, distance_bounds_other_norm,
-                     gromov_product, gromov_product_batch, polyline_length)
+from .warped import (WarpedPoint, distance, distance_batch, gromov_product,
+                     gromov_product_batch)
 from .hyperbolicity import (BoundaryMetric, DeltaReport, boundary_metric, default_eps,
                             delta_bound, estimate_delta, estimate_delta_exhaustive,
                             snowflake_check)
@@ -28,7 +26,6 @@ from .poincare import (CounterexampleReport, FillingGraph, SPReport,
                        discrete_upper_gradient, filling_verifier,
                        halfline_constant_exp, halfline_constant_general,
                        halfline_graph, halfline_verifier, lp_norm,
-                       optimal_constant_and_ratio, optimal_subtracted_constant,
-                       slice_gradient_check)
+                       optimal_constant_and_ratio, optimal_subtracted_constant)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

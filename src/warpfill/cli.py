@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import shutil
 import sys
 from datetime import datetime, timezone
@@ -22,14 +23,13 @@ from ._fmt import format_e18
 from .errors import (DomainError, PreconditionError, ResourceCapError, SchemaError,
                      UnboundedError, ValidationError)
 from .hyperbolicity import boundary_metric, estimate_delta, snowflake_check, snowflake_pairs
-from .norms import Norm2
 from .poincare import (build_filling_graph, builtin_filling_family,
                        builtin_halfline_family, check_p_and_slack, counterexample_suite,
                        filling_verifier, halfline_constant_exp, halfline_constant_general,
                        halfline_verifier)
 from .profiles import WarpProfile, minimize_F
 from .spaces import approx_length_check, load_space
-from .warped import WarpedPoint, distance, distance_bounds_other_norm, gromov_product
+from .warped import WarpedPoint, distance, gromov_product
 
 
 def _parse_point(text: str) -> WarpedPoint:
@@ -143,6 +143,30 @@ def cmd_validate(ns) -> dict:
     return _envelope(ns, None, {}, result)
 
 
+def _norm_interval(spec: str, d_l1: float) -> list | None:
+    """None for the l1 norm, else [d_l1/2, d_l1]: an enclosure of the warped
+    distance under the norm `spec`, one of l2 | linf | lp:<p> (p finite and > 1).
+
+    Each such norm N is unitary and coordinate-increasing on the nonnegative
+    quadrant, so N(a,b) >= N(a,0) = a and N(a,b) >= b, and the triangle
+    inequality gives N(a,b) <= a + b: linf <= N <= l1. Curve lengths, and so
+    distances, keep these bounds, and l1 <= 2 linf turns them into the interval.
+    """
+    spec = spec.strip()
+    if spec == "l1":
+        return None
+    if spec.startswith("lp:"):
+        try:
+            p = float(spec[3:])
+        except ValueError as exc:
+            raise SchemaError(f"lp norm exponent must be a number, got {spec[3:]!r}") from exc
+        if not (math.isfinite(p) and p > 1.0):
+            raise DomainError(f"lp norm requires a finite exponent p > 1, got {p}")
+    elif spec not in ("l2", "linf"):
+        raise SchemaError(f"unknown norm selection {spec!r}")
+    return [0.5 * d_l1, d_l1]
+
+
 def cmd_dist(ns) -> dict:
     space = load_space(ns.space)
     profile = WarpProfile.parse(ns.profile)
@@ -152,12 +176,11 @@ def cmd_dist(ns) -> dict:
     res = minimize_F(profile, float(space.dist[p1.y, p2.y]), min(p1.t, p2.t))
     gp = gromov_product(profile, space, ns.basepoint_y, p1, p2)
     result = {"tau": res.tau, "gromov_product_from_apex": gp}
-    norm = Norm2.parse(ns.norm)
-    if norm.kind == "l1":
+    interval = _norm_interval(ns.norm, d_l1)
+    if interval is None:
         result["distance"] = d_l1
     else:
-        lo, hi = distance_bounds_other_norm(norm, d_l1)
-        result["interval"] = [lo, hi]
+        result["interval"] = interval
     constants = {"distance_formula": "t1 + t2 + min_rho (psi(rho)*dY - 2*rho)",
                  "other_norm_enclosure": "[d_l1/2, d_l1]"}
     return _envelope(ns, None, constants, result)
@@ -285,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", default=None, help="exp:<alpha> | sinh:<alpha>")
     p.add_argument("--from", dest="src", default=None, metavar="T,Y")
     p.add_argument("--to", dest="dst", default=None, metavar="T,Y")
-    p.add_argument("--norm", default="l1", help="l1 | l2 | linf | lp:<p> | table:<path>")
+    p.add_argument("--norm", default="l1", help="l1 | l2 | linf | lp:<p>")
     p.add_argument("--basepoint-y", dest="basepoint_y", type=int, default=0)
 
     p = add("delta", "sampled four-point hyperbolicity defect")

@@ -39,6 +39,7 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # sinh cells: Gauss-Legendre up to a change of e^_STEEP across a cell; a steeper
 # cell keeps its top _TOP e-folds, in _PANELS panels
 _STEEP, _TOP, _PANELS = 16.0, 40.0, 8
+_FAR = 700.0
 _CHUNK = 1 << 16
 # brentq iterations before ConvergenceError; roots many decades below the bracket
 # width (near 0 under steep weights) have taken up to about 1400
@@ -66,10 +67,14 @@ def _cell_masses(weight_kind: str, beta: float, levels: np.ndarray, dt: float) -
         return (np.exp(beta * (levels + dt)) - np.exp(beta * levels)) / beta
     # sinh: 16-point Gauss-Legendre per cell where sinh^beta changes by at
     # most e^_STEEP across it (error about 1e-14 against quad; 8e-10 seen at
-    # e^40, 2e-7 at e^66); steeper cells are summed near their top
+    # e^40, 2e-7 at e^66); steeper cells are summed near their top. Past
+    # t = _FAR, sinh t = e^t / 2 to rounding, and that form holds sinh^beta
+    # where it is finite though sinh t overflows (t past about 710.5)
     mid = levels + 0.5 * dt
     pts = mid[:, None] + 0.5 * dt * _GL_NODES[None, :]
-    vals = np.sinh(pts) ** beta
+    far = pts > _FAR
+    vals = np.sinh(np.where(far, 0.0, pts)) ** beta
+    vals[far] = np.exp(beta * (pts[far] - math.log(2.0)))
     masses = 0.5 * dt * vals @ _GL_WEIGHTS
     steep = beta * dt > _STEEP * np.tanh(levels)
     steep[0] = False
@@ -719,53 +724,3 @@ def counterexample_suite(carrier: CarrierSpace, y0: int, r: float, alpha: float,
     return CounterexampleReport(alpha, beta, p, r, y0, dt, schedule, g_norms, u_devs,
                                 tails_d, tails_q, tail_rel_err, tail_inf, tail_converges,
                                 g_stable, growing, mu_annulus, verdict)
-
-
-@dataclass
-class SliceCheckReport:
-    max_violation: float
-    radial_violation: float
-    horizontal_violation: float
-    worst_edge: tuple | None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def slice_gradient_check(G: FillingGraph, u: np.ndarray,
-                         g_node: np.ndarray | None = None) -> SliceCheckReport:
-    """Discrete tensorization guard on a product grid (no apex).
-
-    Along each fiber, radial difference quotients of u must stay below the
-    node gradient at both endpoints; along each level, fiber difference
-    quotients must stay below psi(t) times it. Zero violation by
-    construction for the builtin gradient; pass a perturbed g_node to see
-    a positive report.
-    """
-    if G.has_apex:
-        raise PreconditionError("slice check requires a product grid without apex merge")
-    u = np.asarray(u, dtype=float)
-    if g_node is None:
-        g_node = discrete_upper_gradient(G, u).node
-    a, b, w = G.edges
-    radial = G.node_y[a] == G.node_y[b]
-    quot = np.abs(u[a] - u[b]) / w
-    bound = np.minimum(g_node[a], g_node[b])
-    viol_r = quot[radial] - bound[radial]
-    # horizontal: per-level fiber quotient |du|/d_Y vs psi(t) * g
-    hor = ~radial
-    psi_t = np.asarray(G.profile.psi(G.node_t[a[hor]]), dtype=float)
-    d_y = w[hor] / psi_t
-    viol_h = np.abs(u[a[hor]] - u[b[hor]]) / d_y - psi_t * bound[hor]
-    rmax = float(viol_r.max()) if viol_r.size else 0.0
-    hmax = float(viol_h.max()) if viol_h.size else 0.0
-    worst = None
-    if max(rmax, hmax) > 0.0:
-        if rmax >= hmax:
-            k = int(np.argmax(viol_r))
-            idx = np.flatnonzero(radial)[k]
-        else:
-            k = int(np.argmax(viol_h))
-            idx = np.flatnonzero(hor)[k]
-        worst = (int(a[idx]), int(b[idx]))
-    return SliceCheckReport(max(rmax, hmax, 0.0), max(rmax, 0.0), max(hmax, 0.0), worst)

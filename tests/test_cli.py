@@ -130,6 +130,25 @@ def test_dist_interval_other_norm(capsys, circle_path):
     assert code == 0 and lo == pytest.approx(hi / 2)
 
 
+def test_dist_norm_contract(capsys, tmp_path, circle_path):
+    argv = ["dist", "--space", circle_path, "--profile", "sinh:1.5", "--from", "3,0",
+            "--to", "4,20", "--norm"]
+    code, out, _ = run(capsys, argv + ["l1"])
+    d = json.loads(out)["result"]["distance"]
+    assert code == 0 and d > 0.0
+    for norm in ("l2", "linf", "lp:3", "lp:2.5", " lp:2 "):
+        code, out, _ = run(capsys, argv + [norm])
+        assert code == 0 and json.loads(out)["result"]["interval"] == [d / 2, d]
+    for norm in ("lp:1", "lp:inf", "lp:nan"):
+        code, _, err = run(capsys, argv + [norm])
+        assert code == 2 and err.startswith("error: invalid input") and err.count("\n") == 1
+    table = tmp_path / "t.json"
+    table.write_text(json.dumps({"values": [1, 1, 1]}))
+    for norm in (f"table:{table}", "weird"):
+        code, _, err = run(capsys, argv + [norm])
+        assert code == 2 and err.startswith("error: schema mismatch: unknown norm selection")
+
+
 def test_dist_bad_point_syntax(capsys, circle_path):
     code, _, err = run(capsys, ["dist", "--space", circle_path, "--profile", "exp:1",
                                 "--from", "nope", "--to", "1,2"])
@@ -362,6 +381,18 @@ def test_steep_sinh_cells_exit_code(capsys, beta, code, message):
         warnings.simplefilter("error")
         got, _, err = run(capsys, ["poincare", "--model", "sinh", "--beta", beta,
                                    "--tmax", "1", "--dt", "0.5"])
+    assert got == code and err.startswith(message) and err.count("\n") == (code != 0)
+
+
+@pytest.mark.parametrize("beta, code, message", [
+    ("0.5", 0, ""),  # sinh t overflows past t of about 710.5, the cells do not
+    ("1", 2, "error: invalid input: sinh weight with beta=1.0 overflows double precision"),
+])
+def test_sinh_cells_past_the_overflow_of_sinh_exit_code(capsys, circle_path, beta, code,
+                                                        message):
+    got, _, err = run(capsys, ["poincare", "--space", circle_path, "--model", "sinh",
+                               "--alpha", "0.5", "--beta", beta, "--tmax", "800",
+                               "--dt", "0.5"])
     assert got == code and err.startswith(message) and err.count("\n") == (code != 0)
 
 

@@ -10,7 +10,7 @@ from warpfill import (CarrierSpace, WarpProfile, build_filling_graph, builtin_fi
                       discrete_upper_gradient, filling_verifier, from_graph, from_matrix,
                       halfline_constant_exp, halfline_constant_general,
                       halfline_graph, halfline_verifier, lp_norm, optimal_constant_and_ratio,
-                      optimal_subtracted_constant, slice_gradient_check)
+                      optimal_subtracted_constant)
 from warpfill import poincare
 from warpfill.errors import (ConvergenceError, DomainError, PreconditionError, ResourceCapError,
                              ValidationError)
@@ -100,6 +100,19 @@ def test_steep_sinh_cells_match_quadrature(beta, dt, levels):
         masses = poincare._cell_masses("sinh", beta, t, dt)[levels]
     ref = [_sinh_quad(beta, t[i], t[i] + dt) for i in levels]
     assert masses == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("beta, t, dt, ref", [(0.001, 400.0, 400.0, 733.20783373182175),
+                                             (0.001, 800.0, 400.0, 1093.8175548651858),
+                                             (0.5, 710.0, 0.1, 1.0837489206085395e153),
+                                             (0.9, 780.0, 0.5, 2.5359679387791708e304)])
+def test_sinh_cells_past_the_overflow_of_sinh(beta, t, dt, ref):
+    # sinh t overflows past t of about 710.5, but sinh^beta is finite there for
+    # beta < 1; the references are mpmath integrals at 30 digits
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("error")  # under the errstate of _level_grid
+        mass = poincare._cell_masses("sinh", beta, np.array([0.0, t]), dt)[1]
+    assert mass == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_upper_gradient_examples():
@@ -377,22 +390,6 @@ def test_builtin_filling_family_passes_below_threshold():
     Gs = build_filling_graph(Y, SINH1, "sinh", 2.0, 25.0, 0.05)
     for rep in filling_verifier(Gs, 2.0, builtin_filling_family(Gs)):
         assert rep.passed, rep.to_dict()
-
-
-def test_slice_gradient_check_zero_and_negative():
-    G = small_graph()
-    rng = np.random.default_rng(8)
-    u = rng.normal(size=G.n_nodes)
-    rep = slice_gradient_check(G, u)
-    assert rep.max_violation == 0.0
-    g = discrete_upper_gradient(G, u).node
-    g[3] *= 0.9  # inject a 10% deficit
-    rep = slice_gradient_check(G, u, g_node=g)
-    assert rep.max_violation > 0.0
-    assert rep.worst_edge is not None
-    with pytest.raises(PreconditionError):
-        slice_gradient_check(build_filling_graph(circle(6, 1.0), SINH1, "sinh",
-                                                 1.0, 1.0, 0.25), np.zeros(19))
 
 
 def test_counterexample_thresholds():
