@@ -259,6 +259,9 @@ def snowflake_check(bm: BoundaryMetric, space: CarrierSpace, alpha: float,
     d, c = snowflake_pairs(bm, space)
     if d.size < 2:
         raise DomainError("not enough distinct pairs for a snowflake fit")
+    if d.min() == d.max():
+        raise DomainError(f"every carrier distance is {float(d[0])!r}: a snowflake fit needs two "
+                          "distinct distances")
     snow = d ** target
     C0 = float(np.max(np.maximum(c / snow, snow / c)))
     slope, _ = np.polyfit(np.log(d), np.log(c), 1)

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.sparse import coo_matrix
-from scipy.special import expit, logsumexp, roots_jacobi
+from scipy.special import expit
 
 from .errors import (ConvergenceError, DomainError, PreconditionError, ResourceCapError,
                      ValidationError)
@@ -115,38 +115,23 @@ def _sinh_top(top: np.ndarray, width: float, beta: float) -> np.ndarray:
 def _first_sinh_cell(beta: float, dt: float) -> float:
     """Integral of sinh^beta over [0, dt].
 
-    sinh^beta = t^beta * (sinh t / t)^beta is only Hoelder at 0, so t^beta
-    goes into a 16-point Gauss-Jacobi weight on [0, x], where x halves from
-    dt until x <= 8 and (sinh t / t)^beta changes by at most e^_STEEP over
-    [0, x] (the branch points of that factor at +-i pi cost 16 nodes 1.4e-9
-    at beta 0.01 over [0, 40]); each half [x/2, x] on the way is a cell of
-    `_sinh_top`, and an infinite half ends the sum. The Gauss-Jacobi value is
-    taken in log space where its scale (x/2)^(beta+1) is not a normal
-    double (subnormal scales were seen 7% off) or the product overflows.
-    Where scipy cannot form the rule (beta above about 1020), [0, x] holds
-    less than 0.32^1020 (x <= 0.31) and is left out. The cell is inf or 0
-    only where its integral leaves double range, for the caller to refuse.
+    sinh^beta is only Hoelder at 0, so the halves [x/2, x] for x = dt,
+    dt/2, ... are cells of `_sinh_top`, in one call, until the first x with
+    x^2 max(1, beta) <= 1e-7. On [0, x], (sinh t / t)^beta =
+    1 + beta t^2/6 + beta (5 beta - 2) t^4/360 + ..., so the integral is
+    x^(beta+1)/(beta+1) (1 + beta (beta+1) x^2 / (6 (beta+3))) with the
+    t^4 term, under 2e-16 of it there, left out; it is taken in log space.
+    The cell is inf or 0 only where its integral leaves double range, for
+    the caller to refuse.
     """
-    x, pieces = dt, 0.0
-    while x > 8.0 or beta * np.log(np.sinh(x) / x) > _STEEP:
-        pieces += float(_sinh_top(np.array([x]), 0.5 * x, beta)[0])
-        if pieces == math.inf:
-            return pieces
+    x, tops = dt, []
+    while x * x * max(1.0, beta) > 1e-7:
+        tops.append(x)
         x *= 0.5
-    try:
-        xj, wj = roots_jacobi(16, 0.0, beta)
-    except ValueError:
-        return pieces
-    if not np.all(np.isfinite(wj)):
-        return pieces
-    tj = 0.5 * x * (1.0 + xj)
-    smooth = (np.sinh(tj) / tj) ** beta
-    scale = np.float64(0.5 * x) ** (beta + 1.0)
-    cell = scale * float(wj @ smooth)
-    if not (scale >= np.finfo(float).tiny and np.isfinite(cell)):
-        cell = np.exp((beta + 1.0) * math.log(0.5 * x)
-                      + logsumexp(beta * np.log(np.sinh(tj) / tj), b=wj))
-    return pieces + cell
+    tops = np.array(tops)
+    halves = float(np.sum(_sinh_top(tops, 0.5 * tops, beta)))
+    bend = beta * x * x / 6.0 * ((beta + 1.0) / (beta + 3.0))
+    return halves + math.exp((beta + 1.0) * math.log(x) - math.log1p(beta) + math.log1p(bend))
 
 
 def _level_grid(measure: np.ndarray, has_apex: bool, weight_kind: str, beta: float,
@@ -181,7 +166,7 @@ def _level_grid(measure: np.ndarray, has_apex: bool, weight_kind: str, beta: flo
             f"filling graph would have {n_nodes} nodes, above the cap {cap} "
             "(WARPFILL_MAX_NODES)")
     levels = np.arange(n_levels) * dt
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         masses = _cell_masses(weight_kind, beta, levels, dt)
         # node measures are products and rounding is monotone: extremes decide
         full = masses[1:] if has_apex else masses
@@ -319,9 +304,15 @@ def discrete_upper_gradient(G: FillingGraph, u: np.ndarray) -> GradientField:
 
 
 def lp_norm(values: np.ndarray, weights: np.ndarray, p: float) -> float:
+    """(sum_i w_i |v_i|^p)^(1/p); inf where the sum overflows. DomainError
+    naming p where the sum underflows to 0 though some v_i of positive
+    weight is not 0."""
     check_p(p)
     with np.errstate(over="ignore"):
         total = float(np.sum(np.abs(values) ** p * weights))
+    if total == 0.0 and np.any((values != 0.0) & (weights > 0.0)):
+        raise DomainError(f"the L^{p} norm underflows double precision; "
+                          "rescale the function or the weights")
     return total ** (1.0 / p)
 
 
@@ -344,13 +335,18 @@ def _chunked_dot(values: np.ndarray, weights: np.ndarray, c: float, exponent: fl
 
 
 def _slope(c: float, values: np.ndarray, weights: np.ndarray, p: float,
-           buf: np.ndarray) -> float:
+           buf: np.ndarray, ends: tuple) -> float:
     """sum_i w_i sign(c - v_i) |c - v_i|^{p-1}, the derivative of the L^p
-    objective over p."""
+    objective over p. At an end of the bracket `ends` every term has one
+    sign, so it is 0 there only by underflow, unless no other value has
+    positive weight."""
     s = _chunked_dot(values, weights, c, p - 1.0, signed=True, buf=buf)
     if not math.isfinite(s):
         raise DomainError(f"the L^{p} objective overflows double precision at c = {c!r}; "
                           "rescale the function or the weights")
+    if s == 0.0 and c in ends and np.any((values != c) & (weights > 0.0)):
+        raise DomainError(f"the L^{p} objective's slope underflows double precision at "
+                          f"c = {c!r}; rescale the function or the weights")
     return s
 
 
@@ -362,11 +358,10 @@ def optimal_subtracted_constant(values: np.ndarray, weights: np.ndarray, p: floa
     sum_i w_i sign(c - v_i) |c - v_i|^{p-1}, is continuous and nondecreasing,
     so brentq finds its sign change on [min v, max v] to 4 ulp (2e-323
     absolute near 0), or raises ConvergenceError after _ROOT_MAXITER
-    iterations; an end where the derivative is exactly 0 is returned as
-    is. The result is the best of that root and the nearest data value on
-    each side: with steep weights the optimum often sits exactly on a data
-    value. Values must be finite, and DomainError is raised when the
-    objective overflows.
+    iterations. The result is the best of that root and the nearest data
+    value on each side: with steep weights the optimum often sits exactly on
+    a data value. Values must be finite, and DomainError is raised when the
+    objective overflows or its derivative underflows to 0 at an end.
     """
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -392,7 +387,7 @@ def optimal_subtracted_constant(values: np.ndarray, weights: np.ndarray, p: floa
     # arrays would keep them alive until the next garbage collection
     buf = np.empty((2, min(values.size, _CHUNK)))
     # xtol = 5e-324 would make brentq's stopping test unreachable for a root at 0
-    root, info = brentq(_slope, lo, hi, args=(values, weights, p, buf),
+    root, info = brentq(_slope, lo, hi, args=(values, weights, p, buf, (lo, hi)),
                         xtol=4.0 * math.ulp(0.0), rtol=4.0 * np.finfo(float).eps,
                         maxiter=_ROOT_MAXITER, full_output=True, disp=False)
     if not info.converged:
@@ -455,7 +450,8 @@ def optimal_constant_and_ratio(G: FillingGraph, u: np.ndarray, p: float,
     """Optimal subtracted constant, both norms and their ratio for one
     discrete function, judged against a caller-supplied reference constant
     (pass iff ratio <= constant * (1 + slack)). A function with zero
-    gradient norm is constant: it keeps c = u[0] and ratio 0."""
+    gradient norm is constant: it keeps c = u[0] and ratio 0. A report whose
+    gradient norm overflows is divergent and neither passes nor fails."""
     check_p_and_slack(p, slack)
     u = np.asarray(u, dtype=float)
     g = discrete_upper_gradient(G, u)
@@ -467,12 +463,13 @@ def optimal_constant_and_ratio(G: FillingGraph, u: np.ndarray, p: float,
         c = optimal_subtracted_constant(u, w, p)
         lp_u = lp_norm(u - c, w, p)
         ratio = lp_u / lp_g
-    passed = None if math.isnan(paper_constant) else bool(
+    divergent = not math.isfinite(lp_g)
+    passed = None if divergent or math.isnan(paper_constant) else bool(
         ratio <= paper_constant * (1.0 + slack))
-    sharp_passed = None if sharp_constant is None else bool(
+    sharp_passed = None if divergent or sharp_constant is None else bool(
         ratio <= sharp_constant * (1.0 + slack))
     return SPReport(name, p, c, lp_u, lp_g, ratio, paper_constant, passed, slack,
-                    not math.isfinite(lp_g), sharp_constant, sharp_passed)
+                    divergent, sharp_constant, sharp_passed)
 
 
 def check_p(p: float) -> None:

@@ -355,13 +355,17 @@ def test_bad_truncation_exit_2(capsys, circle_path, argv, message):
     (["counterexample", "--space", "{circle}", "--beta", "1e300"], 2,
      "error: invalid input: sinh weight with beta=1e+300 overflows double precision"),
     (["poincare", "--p", "200"], 0, ""),
-    (["poincare", "--p", "1e300"], 2, "error: invalid input: the L^1e+300 objective overflows"),
+    (["poincare", "--p", "1e300"], 2,
+     "error: invalid input: the L^1e+300 objective's slope underflows"),
+    (["poincare", "--p", "400"], 2, "error: invalid input: the L^400.0 norm underflows"),
 ])
 def test_extreme_grids_and_exponents_exit_cleanly(capsys, circle_path, argv, code, message):
     # each of these exited 1 on an OverflowError or ValueError: a level count,
     # a first sinh cell or a reference constant past double range, or a level
     # array allocated before the node cap was checked. Now bad input exits 2
-    # with one line on stderr and no warning, and p = 200 runs.
+    # with one line on stderr and no warning, and p = 200 runs. At p = 400 a
+    # deviation norm underflows to 0, and at p = 1e300 the solver's slope at an
+    # end of its bracket; both passed as a ratio of 0.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got, out, err = run(capsys, [a.format(circle=circle_path) for a in argv])
@@ -405,6 +409,21 @@ def test_boundary_refuses_a_subnormal_carrier_exit_2(capsys, tmp_path):
                                   "--out-prefix", str(tmp_path / "b")])
     assert code == 2 and out == ""
     assert err.startswith("error: invalid input") and "overflows psi" in err
+    assert not list(tmp_path.glob("b_*"))
+
+
+def test_boundary_refuses_an_equidistant_carrier_exit_2(capsys, tmp_path):
+    # every distance of K6 is 1, so ln(d) is constant and the snowflake fit
+    # was an internal LinAlgError, after LAPACK and numpy complained
+    path = tmp_path / "k6.json"
+    save_space(warpfill.from_graph([(i, j, 1.0) for i in range(6) for j in range(i + 1, 6)],
+                                   n=6), str(path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["boundary", "--space", str(path), "--profile", "exp:1",
+                                      "--out-prefix", str(tmp_path / "b")])
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: invalid input: every carrier distance is 1.0")
     assert not list(tmp_path.glob("b_*"))
 
 

@@ -143,6 +143,17 @@ def test_snowflake_sinh_alpha2_halves_exponent():
     assert rep.passed, rep.to_dict()
 
 
+@pytest.mark.parametrize("length", [1.0, 2.0])
+def test_snowflake_refuses_an_equidistant_carrier(length):
+    # ln(d) is constant over the pairs of K6, so no exponent can be fitted
+    k6 = from_graph([(i, j, length) for i in range(6) for j in range(i + 1, 6)], n=6)
+    bm = boundary_metric(EXP1, k6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"every carrier distance is {length}"):
+            snowflake_check(bm, k6, EXP1.alpha)
+
+
 def test_boundary_gromov_product_is_deep_pair_limit():
     Y = circle(64, 2 * math.pi)
     bm = boundary_metric(EXP1, Y, eps=0.1, basepoint_y=0)

@@ -88,6 +88,65 @@ def test_first_sinh_cell_matches_quadrature(beta, dt):
     assert masses[0] == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
+def _first_cell_quad(beta, dt):
+    """quad of sinh^beta over [0, dt], taken as sinh(dt)^beta times the
+    integral of (sinh t / sinh dt)^beta so that quad sees no overflow; None
+    where the integral leaves the normal double range."""
+    log_top = math.log(math.sinh(dt))
+    q = quad(lambda x: math.exp(beta * (math.log(math.sinh(x)) - log_top)) if x > 0.0 else 0.0,
+             0.0, dt, epsabs=0, epsrel=1e-13, limit=200)[0]
+    log_ref = beta * log_top + math.log(q)
+    if not math.log(np.finfo(float).tiny) < log_ref < math.log(np.finfo(float).max):
+        return None
+    return math.exp(log_ref)
+
+
+def _first_cell(beta, dt):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return poincare._level_grid(np.ones(1), False, "sinh", beta, dt, dt)[1][0]
+
+
+@pytest.mark.parametrize("beta", [0.01, 0.5, 1.0, 2.0, 3.0, 10.0, 100.0, 1000.0])
+def test_first_sinh_cell_grid_matches_quadrature(beta):
+    # the halves of _sinh_top and the two-term series at the bottom, against
+    # quad wherever the integral is a normal double
+    checked = 0
+    for dt in (1e-6, 1e-3, 0.02, 0.1, 0.5, 1.0, 8.0, 20.0):
+        ref = _first_cell_quad(beta, dt)
+        if ref is not None:
+            assert _first_cell(beta, dt) == pytest.approx(ref, rel=1e-12, abs=0.0), dt
+            checked += 1
+    assert checked >= 2
+
+
+@pytest.mark.parametrize("beta", [0.01, 0.5, 2.0, 10.0])
+def test_first_sinh_cell_either_side_of_the_first_halving(monkeypatch, beta):
+    # dt^2 max(1, beta) <= 1e-7 takes the series alone; just above, [dt/2, dt]
+    # is one cell of _sinh_top and the series covers [0, dt/2]
+    tops, sinh_top = [], poincare._sinh_top
+
+    def spy(top, width, b):
+        tops.append(top.size)
+        return sinh_top(top, width, b)
+
+    monkeypatch.setattr(poincare, "_sinh_top", spy)
+    edge = math.sqrt(1e-7 / max(1.0, beta))
+    for dt, halves in ((edge * (1.0 - 1e-6), 0), (edge * (1.0 + 1e-6), 1)):
+        tops.clear()
+        cell = poincare._first_sinh_cell(beta, dt)
+        assert tops == [halves]
+        assert cell == pytest.approx(_first_cell_quad(beta, dt), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("beta, dt, pin", [(2.0, 0.1, 3.3400063527349693e-04),
+                                           (1.0, 0.02, 2.0000666675555623e-04)])
+def test_first_sinh_cell_of_the_benchmark_grids(beta, dt, pin):
+    # the first cells of the benchmark's sinh grids, as the Gauss-Jacobi rule
+    # gave them
+    assert _first_cell(beta, dt) == pytest.approx(pin, rel=2e-13, abs=0.0)
+
+
 @pytest.mark.parametrize("beta, dt, levels", [(1000.0, 0.5, [1]), (100.0, 0.5, range(1, 4)),
                                               (20.0, 2.0, range(1, 4)), (300.0, 0.1, range(1, 12)),
                                               (1e4, 0.01, range(84, 93)), (0.5, 40.0, [1, 2])])
@@ -234,6 +293,32 @@ def test_optimal_constant_raises_at_iteration_cap(monkeypatch):
     values = np.random.default_rng(4).normal(size=60)
     with pytest.raises(ConvergenceError):
         optimal_subtracted_constant(values, np.ones(60), 1.5)
+
+
+def test_optimal_constant_refuses_a_slope_that_underflows_at_an_end():
+    # 0.1^399 underflows, so the slope is exactly 0 at the lower end, which
+    # brentq would return; by symmetry the minimizer is 0.05
+    values = np.linspace(0.0, 0.1, 1000)
+    with pytest.raises(DomainError, match=r"^the L\^400.0 objective's slope underflows"):
+        optimal_subtracted_constant(values, np.ones(1000), 400.0)
+    assert optimal_subtracted_constant(values, np.ones(1000), 200.0) == pytest.approx(0.05)
+    # with no weight off the lower end, 0 there is the true slope
+    assert optimal_subtracted_constant(np.array([0.0, 1.0]), np.array([1.0, 0.0]), 400.0) == 0.0
+
+
+def test_lp_norm_refuses_a_sum_that_underflows():
+    with pytest.raises(DomainError, match=r"^the L\^400.0 norm underflows"):
+        lp_norm(np.full(3, 0.1), np.ones(3), 400.0)
+    assert lp_norm(np.array([0.0, 0.1]), np.array([1.0, 0.0]), 400.0) == 0.0
+    assert lp_norm(np.full(3, 0.1), np.ones(3), 200.0) > 0.0
+
+
+def test_a_divergent_report_neither_passes_nor_fails():
+    # the gradient norm of e^{-4t} overflows at p = 700 on the e^t half-line
+    rep = halfline_verifier("exp", 1.0, 700.0, [("exp_decay_4", lambda t: np.exp(-4.0 * t))],
+                            dt=0.01, t_max=10.0)[0]
+    assert rep.divergent and rep.lp_g == math.inf
+    assert rep.passed is None and rep.sharp_passed is None
 
 
 def test_spreport_constant_function():
