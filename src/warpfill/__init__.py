@@ -11,15 +11,13 @@ __version__ = "0.1.0"
 from .errors import (DomainError, PreconditionError, ResourceCapError, SchemaError,
                      UnboundedError, ValidationError)
 from .profiles import (FMinResult, WarpProfile, exp_supremizer_bounds, golden_section,
-                       minimize_F, minimize_F_batch, sup_G, sup_G_batch,
-                       validate_profile)
+                       minimize_F, minimize_F_batch, sup_G, sup_G_batch)
 from .spaces import (CarrierSpace, approx_length_check, circle, from_graph,
                      from_matrix, load_space, save_space, validate_matrix)
 from .warped import (WarpedPoint, distance, distance_batch, gromov_product,
                      gromov_product_batch)
 from .hyperbolicity import (BoundaryMetric, DeltaReport, boundary_metric, default_eps,
-                            delta_bound, estimate_delta, estimate_delta_exhaustive,
-                            snowflake_check)
+                            delta_bound, estimate_delta, snowflake_check)
 from .poincare import (CounterexampleReport, FillingGraph, SPReport,
                        build_filling_graph, builtin_filling_family,
                        builtin_halfline_family, counterexample_suite,

@@ -214,11 +214,9 @@ def cmd_boundary(ns) -> dict:
     else:
         _write_table(chain_path, bm.chained, ",")
     lower_ok = bool(np.all(bm.chained >= 0.5 * bm.premetric))
-    upper_ok = bool(np.all(bm.chained <= bm.premetric))
     result = {"eps": bm.eps, "eps_warning": bm.eps_warning, "delta_used": bm.delta_used,
               "premetric_csv": pre_path, "chained_csv": chain_path,
-              "comparison": {"half_premetric_le_chained": lower_ok,
-                             "chained_le_premetric": upper_ok},
+              "comparison": {"half_premetric_le_chained": lower_ok},
               "closure_check": bm.closure_check,
               "closure_lowered": int(np.count_nonzero(bm.chained < bm.premetric)),
               "snowflake": snow.to_dict()}

@@ -22,7 +22,7 @@ from scipy.sparse.csgraph import csgraph_from_dense, floyd_warshall
 
 from .errors import DomainError, PreconditionError
 from .profiles import WarpProfile, sup_G_batch
-from .spaces import _TILE_CELLS, CarrierSpace, _min_over_k
+from .spaces import CarrierSpace
 from .warped import WarpedPoint, gromov_product_batch
 
 
@@ -115,47 +115,6 @@ def estimate_delta(profile: WarpProfile, space: CarrierSpace, t_max: float,
                        basepoint_y, seed)
 
 
-def estimate_delta_exhaustive(profile: WarpProfile, space: CarrierSpace,
-                              t_levels, basepoint_y: int = 0) -> DeltaReport:
-    """Exhaustive four-point defect over a lattice (t_levels x carrier),
-    still with the basepoint fixed. O(m^3) in m = len(t_levels) * n, on the
-    tiled sweep of `spaces`; meant for small instances (1 <= m <= 1259)."""
-    t_levels = np.asarray(t_levels, dtype=float)
-    tt = np.repeat(t_levels, space.n)
-    yy = np.tile(np.arange(space.n), t_levels.size)
-    m = tt.size
-    if not 0 < m ** 3 <= 2_000_000_000:
-        raise DomainError(f"an exhaustive scan takes 1 to 1259 lattice points, got {m}")
-    G = gromov_product_batch(profile, space, basepoint_y, tt[:, None], yy[:, None], tt, yy)
-    # max over k of min(G[i, k], G[k, j]), minus G[i, j]: rounding is monotone,
-    # so this is exactly the largest defect over k
-    defect = -_min_over_k(-G, np.maximum) - G
-    delta = max(0.0, float(defect.max()))
-    ijk = _first_witness(G, defect, delta) if delta > 0.0 else (0, 0, 0)
-    witness = (WarpedPoint(0.0, basepoint_y),) + tuple(
-        WarpedPoint(float(tt[q]), int(yy[q])) for q in ijk)
-    return DeltaReport(delta, delta_bound(profile, space), m ** 3, witness, basepoint_y)
-
-
-def _first_witness(G: np.ndarray, defect: np.ndarray, delta: float):
-    """(i, j, k) with min(G[i, k], G[k, j]) - G[i, j] == delta = defect[i, j]:
-    the smallest such k, then the first (i, j) in row-major order. Symmetric
-    carriers tie on many pairs, so these go in tiles, each searching only the
-    k below the best so far (a tie at that k keeps the earlier pair)."""
-    I, J = np.nonzero(defect == delta)
-    k_best, q = G.shape[0], 0
-    step = max(1, _TILE_CELLS // G.shape[0])
-    for s in range(0, I.size, step):
-        i, j = I[s:s + step], J[s:s + step]
-        hit = np.minimum(G[i, :k_best], G[:k_best, j].T) - G[i, j, None] == delta
-        rows = np.flatnonzero(hit.any(axis=1))
-        if rows.size:
-            ks = np.argmax(hit[rows], axis=1)
-            r = int(np.argmin(ks))
-            k_best, q = int(ks[r]), s + int(rows[r])
-    return int(I[q]), int(J[q]), k_best
-
-
 def default_eps(delta: float) -> float:
     """Default visual parameter 0.9 * min(1, 1/(5*delta)), safely inside the
     range where the chain closure stays within a factor 2 of the premetric."""
@@ -202,23 +161,25 @@ def boundary_metric(profile: WarpProfile, space: CarrierSpace, eps: float | None
     `default_eps` of the profile bound; a larger eps only sets a warning
     flag (the factor-2 comparison is then not guaranteed).
 
-    The profile must stay below C * e^{alpha t}; this is checked on 241
-    evenly spaced points of [0, min(60, 600/alpha)], where e^{alpha t} and
-    the builtin profiles stay below e^600 and so representable.
+    The profile must stay below C * e^{alpha t}. The builtins do by their
+    formulas (exp with C = 1, sinh^alpha with C = 2^-alpha); a custom
+    profile is checked on 241 evenly spaced points of [0, min(60, 600/alpha)],
+    where e^{alpha t} stays below e^600 and so representable.
     """
     if not (0 <= basepoint_y < space.n):
         raise DomainError(f"basepoint index {basepoint_y} out of range")
     if eps is not None and not (math.isfinite(eps) and eps > 0.0):
         raise DomainError(f"eps must be positive and finite, got {eps}")
-    grid = np.linspace(0.0, min(60.0, 600.0 / profile.alpha), 241)
-    ratios = np.asarray(profile.psi(grid), float) * np.exp(-profile.alpha * grid)
-    # psi <= C e^{alpha t} means psi * e^{-alpha t} plateaus; a ratio still
-    # climbing across the tail of the grid has no admissible C
-    half = ratios[grid >= 0.5 * grid[-1]]
-    if (not np.all(np.isfinite(ratios))) or (half.size >= 2 and half[-1] > 1.05 * half[0]):
-        raise PreconditionError(
-            "profile is not dominated by C * e^{alpha t}: the ratio psi(t) e^{-alpha t} "
-            "keeps growing on the validation grid")
+    if profile.kind == "custom":
+        grid = np.linspace(0.0, min(60.0, 600.0 / profile.alpha), 241)
+        ratios = np.asarray(profile.psi(grid), float) * np.exp(-profile.alpha * grid)
+        # psi <= C e^{alpha t} means psi * e^{-alpha t} plateaus; a ratio still
+        # climbing across the tail of the grid has no admissible C
+        half = ratios[grid >= 0.5 * grid[-1]]
+        if (not np.all(np.isfinite(ratios))) or (half.size >= 2 and half[-1] > 1.05 * half[0]):
+            raise PreconditionError(
+                "profile is not dominated by C * e^{alpha t}: the ratio psi(t) e^{-alpha t} "
+                "keeps growing on the validation grid")
     delta = delta_bound(profile, space)
     if eps is None:
         eps = default_eps(delta)

@@ -67,16 +67,14 @@ def _cell_masses(weight_kind: str, beta: float, levels: np.ndarray, dt: float) -
         return (np.exp(beta * (levels + dt)) - np.exp(beta * levels)) / beta
     # sinh: 16-point Gauss-Legendre per cell where sinh^beta changes by at
     # most e^_STEEP across it (error about 1e-14 against quad; 8e-10 seen at
-    # e^40, 2e-7 at e^66); steeper cells are summed near their top. Past
-    # t = _FAR, sinh t = e^t / 2 to rounding, and that form holds sinh^beta
-    # where it is finite though sinh t overflows (t past about 710.5)
+    # e^40, 2e-7 at e^66); steeper cells are summed near their top, and so are
+    # cells reaching past t = _FAR, since `_sinh_top` works in log space and
+    # holds sinh^beta where it is finite though sinh t overflows (t past
+    # about 710.5)
     mid = levels + 0.5 * dt
     pts = mid[:, None] + 0.5 * dt * _GL_NODES[None, :]
-    far = pts > _FAR
-    vals = np.sinh(np.where(far, 0.0, pts)) ** beta
-    vals[far] = np.exp(beta * (pts[far] - math.log(2.0)))
-    masses = 0.5 * dt * vals @ _GL_WEIGHTS
-    steep = beta * dt > _STEEP * np.tanh(levels)
+    masses = 0.5 * dt * np.sinh(pts) ** beta @ _GL_WEIGHTS
+    steep = (beta * dt > _STEEP * np.tanh(levels)) | (levels + dt > _FAR)
     steep[0] = False
     masses[steep] = _sinh_top(levels[steep] + dt, dt, beta)
     masses[0] = _first_sinh_cell(beta, dt)
@@ -408,7 +406,7 @@ class SPReport:
     c_star: float
     lp_u_minus_c: float
     lp_g: float
-    ratio: float
+    ratio: float | None
     paper_constant: float
     passed: bool | None
     slack: float
@@ -451,7 +449,8 @@ def optimal_constant_and_ratio(G: FillingGraph, u: np.ndarray, p: float,
     discrete function, judged against a caller-supplied reference constant
     (pass iff ratio <= constant * (1 + slack)). A function with zero
     gradient norm is constant: it keeps c = u[0] and ratio 0. A report whose
-    gradient norm overflows is divergent and neither passes nor fails."""
+    gradient norm overflows is divergent: its ratio is None, and it neither
+    passes nor fails."""
     check_p_and_slack(p, slack)
     u = np.asarray(u, dtype=float)
     g = discrete_upper_gradient(G, u)
@@ -462,8 +461,8 @@ def optimal_constant_and_ratio(G: FillingGraph, u: np.ndarray, p: float,
     else:
         c = optimal_subtracted_constant(u, w, p)
         lp_u = lp_norm(u - c, w, p)
-        ratio = lp_u / lp_g
-    divergent = not math.isfinite(lp_g)
+        ratio = lp_u / lp_g if math.isfinite(lp_g) else None
+    divergent = ratio is None
     passed = None if divergent or math.isnan(paper_constant) else bool(
         ratio <= paper_constant * (1.0 + slack))
     sharp_passed = None if divergent or sharp_constant is None else bool(

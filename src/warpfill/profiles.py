@@ -153,12 +153,6 @@ class SupremizerBounds:
     upper: float
 
 
-@dataclass
-class ProfileValidation:
-    passed: bool
-    violations: list
-
-
 def golden_section(f: Callable, a, b, tol: float = 1e-12):
     """Golden-section search for a minimum of f on [a, b], elementwise.
 
@@ -428,61 +422,3 @@ def exp_supremizer_bounds(K: float, D: float, alpha: float, d: float) -> Supremi
     # never puts the exact value outside it
     pad = 8.0 * np.finfo(float).eps * max(1.0, abs(C) + abs(shift))
     return SupremizerBounds(exact, -C + shift - pad, C + shift + pad)
-
-
-def validate_profile(profile: WarpProfile, grid) -> ProfileValidation:
-    """Check the growth condition psi <= psi'/alpha, monotonicity, and the
-    exponential lower bound psi(r) >= psi(b) e^{alpha (r-b)} on a grid.
-
-    Violations beyond 1e-9 relative tolerance are reported with the
-    offending sample.
-    """
-    grid = np.unique(np.asarray(grid, dtype=float))
-    if grid.size == 0 or np.any(grid < 0.0) or not np.all(np.isfinite(grid)):
-        raise DomainError("validation grid must be nonempty, finite and within [0, inf)")
-    rtol = 1e-9
-    violations = []
-    psi = np.asarray(profile.psi(grid), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dpsi = np.asarray(profile.dpsi(grid), dtype=float)
-
-    if np.any(psi < -rtol):
-        k = int(np.argmin(psi))
-        violations.append(("nonnegative", float(grid[k]), float(psi[k])))
-
-    bound = dpsi / profile.alpha
-    scale = np.maximum(1.0, np.maximum(np.abs(psi), np.abs(bound)))
-    undefined = np.isnan(bound) & (grid > 0.0)  # C^1 is only required on (0, inf)
-    if np.any(undefined):
-        k = int(np.argmax(undefined))
-        violations.append(("derivative_undefined", float(grid[k])))
-    with np.errstate(invalid="ignore"):
-        bad = psi - bound > rtol * scale
-    bad &= ~np.isnan(bound)  # an infinite derivative satisfies the condition
-    if np.any(bad):
-        k = int(np.argmax(np.where(bad, psi - bound, -np.inf)))
-        violations.append(("growth_condition", float(grid[k]), float(psi[k]), float(bound[k])))
-
-    dec = psi[1:] - psi[:-1] < -rtol * np.maximum(1.0, np.abs(psi[:-1]))
-    if np.any(dec):
-        k = int(np.argmax(dec))
-        violations.append(("nondecreasing", float(grid[k]), float(psi[k]), float(psi[k + 1])))
-
-    # exponential lower bound over sampled pairs b < r with psi(b) > 0
-    pos = psi > 0.0
-    if np.any(pos):
-        idx = np.flatnonzero(pos)
-        if idx.size > 256:
-            idx = idx[np.linspace(0, idx.size - 1, 256).astype(int)]
-        b, r = grid[idx][:, None], grid[idx][None, :]
-        pb, pr = psi[idx][:, None], psi[idx][None, :]
-        with np.errstate(over="ignore"):
-            floor = pb * np.exp(profile.alpha * (r - b))
-        bad = (r > b) & (pr < floor * (1.0 - rtol))
-        if np.any(bad):
-            i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            violations.append(("exponential_lower_bound",
-                               float(b[i, 0]), float(r[0, j]),
-                               float(pr[0, j]), float(floor[i, j])))
-
-    return ProfileValidation(not violations, violations)

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 import orjson
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra, shortest_path
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import DomainError, SchemaError, ValidationError
 
@@ -53,7 +53,6 @@ class CarrierSpace:
         self.edges = None if edges is None else _edge_array(edges, self.dist.shape[0])
         self.triangle_check = None
         self._adjacency = None
-        self._pred_cache = {}
 
     @property
     def n(self) -> int:
@@ -90,28 +89,6 @@ class CarrierSpace:
                 rows, cols = np.triu_indices(self.n, 1)
                 self._adjacency = _essential(D, rows, cols, _detours(D)[rows, cols])
         return self._adjacency
-
-    def _skeleton_csr(self):
-        rows, cols, lens = self.adjacency()
-        return coo_matrix((lens, (rows, cols)), shape=(self.n, self.n)).tocsr()
-
-    def chain(self, i: int, j: int) -> list:
-        """A node chain from i to j whose consecutive hops sum to dist(i, j),
-        following essential edges."""
-        if i == j:
-            return [i]
-        if i not in self._pred_cache:
-            _, pred = dijkstra(self._skeleton_csr(), directed=False, indices=i,
-                               return_predecessors=True)
-            self._pred_cache[i] = pred
-        pred = self._pred_cache[i]
-        path = [j]
-        while path[-1] != i:
-            p = int(pred[path[-1]])
-            if p < 0:
-                raise ValidationError(f"no chain from {i} to {j} in the metric skeleton")
-            path.append(p)
-        return path[::-1]
 
 
 def _min_over_k(A, op):

@@ -191,7 +191,6 @@ def test_boundary_auto_eps_and_csv(capsys, tmp_path, circle_path):
     delta = 2.0 + 3.0 * math.pi
     assert res["eps"] == pytest.approx(0.9 * min(1.0, 1.0 / (5.0 * delta)))
     assert res["comparison"]["half_premetric_le_chained"]
-    assert res["comparison"]["chained_le_premetric"]
     pre = np.loadtxt(res["premetric_csv"], delimiter=",")
     chained = np.loadtxt(res["chained_csv"], delimiter=",")
     assert pre.shape == (32, 32) and chained.shape == (32, 32)

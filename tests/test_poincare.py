@@ -74,10 +74,10 @@ def _sinh_quad(beta, a, b):
                                       (600.0, 0.5), (2.0, 0.1), (0.01, 1e-305), (0.01, 40.0),
                                       (10.0, 8.0)])
 def test_first_sinh_cell_matches_quadrature(beta, dt):
-    # beta 1000 and 2000: scipy's Gauss-Jacobi weights overflow; 391 and 706:
-    # its scale is subnormal (7% and 2% off in linear space); a tiny dt: the
-    # scale is subnormal at any beta; dt 40 and 8: (sinh t / t)^beta is too
-    # far from a polynomial on [0, dt] (1.4e-9 and 1.9e-8 off)
+    # steep beta (1000, 2000, 600): sinh^beta changes by hundreds of e-folds
+    # across [0, dt]; beta 391 and 706: (dt/2)^(beta+1) is subnormal; a tiny
+    # dt: the cell is near the bottom of double range at any beta; wide dt (40
+    # and 8): (sinh t / t)^beta is far from its series in t^2 on [0, dt]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, masses = poincare._level_grid(np.ones(1), False, "sinh", beta, dt, dt)
@@ -318,6 +318,7 @@ def test_a_divergent_report_neither_passes_nor_fails():
     rep = halfline_verifier("exp", 1.0, 700.0, [("exp_decay_4", lambda t: np.exp(-4.0 * t))],
                             dt=0.01, t_max=10.0)[0]
     assert rep.divergent and rep.lp_g == math.inf
+    assert rep.ratio is None
     assert rep.passed is None and rep.sharp_passed is None
 
 

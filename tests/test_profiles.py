@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from warpfill import (WarpProfile, exp_supremizer_bounds, minimize_F, minimize_F_batch,
-                      sup_G, sup_G_batch, validate_profile)
+                      sup_G, sup_G_batch)
 from warpfill.errors import ConvergenceError, DomainError, SchemaError, UnboundedError
 from warpfill.profiles import FMinResult, _newton_root
 
@@ -42,25 +42,6 @@ def brute_force_tau(profile, d, tmax, step=1e-4):
     best = min(f for f, _ in candidates)
     tau = max(x for f, x in candidates if f <= best)
     return tau, float(profile.psi(tau)) * d - 2.0 * tau
-
-
-def test_validate_exp_passes_with_equality():
-    rep = validate_profile(WarpProfile.exp(1.0), np.linspace(0, 10, 200))
-    assert rep.passed, rep.violations
-
-
-def test_validate_sinh_passes():
-    for alpha in (0.5, 1.0, 2.0):
-        rep = validate_profile(WarpProfile.sinh_pow(alpha), np.linspace(0, 10, 200))
-        assert rep.passed, (alpha, rep.violations)
-
-
-def test_validate_linear_profile_fails():
-    prof = WarpProfile.custom(lambda t: np.asarray(t) + 1.0,
-                              lambda t: np.ones_like(np.asarray(t, float)), 1.0)
-    rep = validate_profile(prof, np.linspace(0, 10, 200))
-    assert not rep.passed
-    assert any(v[0] == "growth_condition" for v in rep.violations)
 
 
 def test_minimize_examples():
