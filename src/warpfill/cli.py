@@ -109,10 +109,10 @@ def _family_field(k: int, item: dict, key: str) -> np.ndarray:
 def _load_family(spec: str) -> list:
     """(name, u) pairs from a family file; u(t, y=None) interpolates the
     entry's table in t and ignores y, so it is radial on any graph."""
-    with open(spec) as fh:
+    with open(spec, "rb") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise SchemaError(f"family file {spec!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "family" not in doc:
         raise SchemaError(f"family file {spec!r} must be {{'family': [...]}}")
@@ -373,10 +373,10 @@ def _from_config(action: argparse.Action, value):
 def _config_defaults(path: str, options: list) -> dict:
     """Option defaults from a config file, by destination; null values and
     unknown keys are ignored."""
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         try:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise SchemaError(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise SchemaError("config file must hold a JSON object")
@@ -422,6 +422,10 @@ def main(argv=None) -> int:
         return 0
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
+        return 2
+    except (IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+        print(f"error: cannot open file: {exc.filename or exc}: {exc.strerror}",
+              file=sys.stderr)
         return 2
     except SchemaError as exc:
         print(f"error: schema mismatch: {exc}", file=sys.stderr)

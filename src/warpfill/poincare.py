@@ -24,10 +24,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 from scipy.sparse import coo_matrix
-from scipy.special import expit
 
 from .errors import (ConvergenceError, DomainError, PreconditionError, ResourceCapError,
                      ValidationError)
@@ -379,6 +376,7 @@ def optimal_subtracted_constant(values: np.ndarray, weights: np.ndarray, p: floa
         raise DomainError("values must be finite")
     if lo == hi:
         return lo
+    from scipy.optimize import brentq  # on use: loading it costs start-up time
 
     # the slope is a module-level function taking the arrays as brentq args:
     # brentq's wrapper sits in a reference cycle, and a closure over the
@@ -542,6 +540,7 @@ def filling_verifier(G: FillingGraph, p: float, family: Sequence,
 
 def builtin_halfline_family() -> list:
     """Twelve test functions with limits at infinity and integrable decay."""
+    from scipy.special import expit  # on use: loading it costs start-up time
     return [
         ("constant_one", lambda t: np.ones_like(t)),
         ("exp_decay_2", lambda t: np.exp(-2.0 * t)),
@@ -635,6 +634,7 @@ def counterexample_suite(carrier: CarrierSpace, y0: int, r: float, alpha: float,
     total mass, which leaves the weighted values, and so the objective,
     unchanged. The tail quadrature is one quad per schedule interval, summed.
     """
+    from scipy.integrate import quad  # on use: loading it costs start-up time
     check_p(p)  # before the level grid is laid
     if not (0 <= y0 < carrier.n):
         raise DomainError(f"y0 index {y0} out of range")

@@ -14,7 +14,6 @@ falls back to the sweep whenever the proof fails.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -398,8 +397,10 @@ def approx_length_check(space: CarrierSpace, eps: float) -> LengthCheckReport:
 
 
 def save_space(space: CarrierSpace, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps(space.to_dict()) + "\n")
+    # shortest round-trip float text, so every double reads back bit for bit;
+    # numpy scalars among the labels are written as the numbers they hold
+    with open(path, "wb") as fh:
+        fh.write(orjson.dumps(space.to_dict(), option=orjson.OPT_SERIALIZE_NUMPY) + b"\n")
 
 
 def _numeric_field(path: str, doc: dict, key: str, kind=None):

@@ -65,6 +65,14 @@ def test_missing_file_exit_2(capsys):
     assert err.startswith("error: file not found")
 
 
+def test_directory_as_file_exit_2(capsys, tmp_path, circle_path):
+    for argv in (["validate", "--space", str(tmp_path)],
+                 ["validate", "--space", circle_path, "--out", str(tmp_path)]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot open file") and str(tmp_path) in err
+
+
 def test_schema_mismatch_exit_2(capsys, tmp_path):
     path = tmp_path / "notjson.json"
     path.write_text("hello")
@@ -517,6 +525,15 @@ def test_malformed_family_exit_2(capsys, tmp_path, doc, names):
     assert all(name in err for name in names)
 
 
+@pytest.mark.parametrize("flag", ["--family", "--config"])
+def test_non_utf8_family_or_config_exit_2(capsys, tmp_path, flag):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"name": "\xff"}')
+    code, _, err = run(capsys, ["poincare", "--tmax", "5", "--dt", "0.5", flag, str(path)])
+    assert code == 2
+    assert err.startswith("error: schema mismatch") and "not valid JSON" in err
+
+
 def test_halfline_family_file_builds_one_graph(capsys, tmp_path, monkeypatch):
     from warpfill import poincare
     calls = []
@@ -689,3 +706,30 @@ def test_halfline_far_tail_has_no_overflow_warning():
     assert proc.returncode == 0 and proc.stderr == ""
     reports = json.loads(proc.stdout)["result"]["reports"]
     assert len(reports) == 12 and all(r["passed"] for r in reports)
+
+
+_IMPORT_SET_SCRIPT = """
+import math, sys
+import warpfill.cli as cli
+from warpfill import circle, save_space
+
+deferred = {"scipy.integrate", "scipy.optimize", "scipy.special"}
+save_space(circle(32, 2 * math.pi), "c32.json")
+for argv in (["validate"], ["dist", "--profile", "exp:1", "--from", "3,0", "--to", "4,2"],
+             ["delta", "--profile", "exp:1", "--count", "100"],
+             ["boundary", "--profile", "exp:1"]):
+    assert cli.main(argv + ["--space", "c32.json"]) == 0, argv
+assert not deferred & set(sys.modules), deferred & set(sys.modules)
+assert cli.main(["counterexample", "--space", "c32.json", "--p", "3", "--r", "1",
+                 "--schedule", "3,4", "--dt", "0.1"]) == 0
+assert {"scipy.integrate", "scipy.optimize"} <= set(sys.modules)
+"""
+
+
+def test_cli_loads_scipy_quadrature_and_root_finder_only_where_they_run(tmp_path):
+    # a fresh interpreter: this one has imported every module already
+    src = os.path.dirname(os.path.dirname(warpfill.__file__))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_SET_SCRIPT], cwd=tmp_path,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -153,6 +153,39 @@ def test_json_roundtrip(tmp_path):
     assert np.array_equal(s.measure, s2.measure)
 
 
+def test_save_space_round_trips_every_double_bit_for_bit(tmp_path):
+    vals = [5e-324, 2.2250738585072014e-308, 1e-5, 1e16, 1e22, 0.1 + 0.2,
+            1.7976931348623157e308]
+    n = len(vals) + 1
+    labels = ["hub", "ä", "ß", "日本", "emoji \U0001f600", "é", "\u00a0", 'q"\\']
+    path = tmp_path / "star.json"
+    # sums of two legs overflow to inf, which the triangle check passes with a warning
+    with np.errstate(over="ignore"):
+        # a star: leaf i is vals[i - 1] from the hub, and two leaves are the sum
+        # of their legs, capped at the largest double
+        D = np.zeros((n, n))
+        D[0, 1:] = D[1:, 0] = vals
+        D[1:, 1:] = np.minimum(np.add.outer(vals, vals), np.finfo(float).max)
+        np.fill_diagonal(D, 0.0)
+        space = from_matrix(D, np.array(vals + [0.5]), labels, [(0, i) for i in range(1, n)])
+        save_space(space, str(path))
+        back = load_space(str(path))
+    assert np.array_equal(back.dist.view(np.uint64), space.dist.view(np.uint64))
+    assert np.array_equal(back.measure.view(np.uint64), space.measure.view(np.uint64))
+    assert back.labels == labels and np.array_equal(back.edges, space.edges)
+    # readers without orjson get the same values
+    doc = json.loads(path.read_bytes())
+    assert np.array_equal(np.array(doc["dist"]).view(np.uint64), space.dist.view(np.uint64))
+    assert np.array_equal(np.array(doc["measure"]).view(np.uint64),
+                          space.measure.view(np.uint64))
+    assert doc["labels"] == labels and doc["edges"] == space.edges.tolist()
+    save_space(circle(16, 16.0), str(path))
+    assert load_space(str(path)).triangle_check == "edge certificate"
+    # labels given as a numpy array are numpy scalars, saved as the numbers they hold
+    save_space(from_matrix([[0, 1], [1, 0]], labels=np.array([0.5, 1.5])), str(path))
+    assert load_space(str(path)).labels == [0.5, 1.5]
+
+
 def test_csv_import(tmp_path):
     path = tmp_path / "space.csv"
     path.write_text("0,1,2,1.5\n1,0,1,1.5\n2,1,0,1.5\n")
