@@ -17,9 +17,9 @@ import sys
 from datetime import datetime, timezone
 
 import numpy as np
+import orjson
 
 from . import __version__
-from ._fmt import format_e18
 from .errors import (DomainError, PreconditionError, ResourceCapError, SchemaError,
                      UnboundedError, ValidationError)
 from .hyperbolicity import boundary_metric, estimate_delta, snowflake_check, snowflake_pairs
@@ -40,46 +40,34 @@ def _parse_point(text: str) -> WarpedPoint:
         raise SchemaError(f"point must be 't,y' (e.g. '5,0'), got {text!r}") from exc
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _emit(doc: dict, out_path: str | None) -> None:
-    text = json.dumps(doc, indent=2, default=_json_default)
+    text = orjson.dumps(doc, option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY
+                        | orjson.OPT_APPEND_NEWLINE)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        with open(out_path, "wb") as fh:
+            fh.write(text)
     else:
-        sys.stdout.write(text + "\n")
-
-
-# cells per write in `_write_table`; the kernel's temporaries for one tile
-# peak near 4 MB
-_TILE_CELLS = 1 << 14
+        sys.stdout.write(text.decode())
 
 
 def _write_table(path: str, M, delimiter: str, header: str | None = None) -> None:
-    """Write M as `np.savetxt(path, M, fmt="%.18e", delimiter=delimiter,
-    header=header)` does, byte for byte, formatting one tile of about
-    _TILE_CELLS cells per `format_e18` call. The delimiter is one character.
-    A 1-D M is written as one column."""
+    """Write M as text, one line per row, cells split by `delimiter` and each
+    float in orjson's shortest round-trip form, so `np.loadtxt` reads every
+    value back bit for bit. Non-finite cells are written as `inf`, `-inf` and
+    `nan`. `header` lines come first, each prefixed with `# `. A 1-D M is
+    written as one column."""
     M = np.asarray(M, dtype=np.float64)
-    if M.ndim == 1:
-        M = M[:, None]
-    ends = np.full(M.shape[1], ord(delimiter), dtype=np.uint8)
-    ends[-1] = ord("\n")
-    step = max(1, _TILE_CELLS // M.shape[1])
-    ends = np.tile(ends, min(step, M.shape[0]))
+    M = np.ascontiguousarray(M[:, None] if M.ndim == 1 else M)
+    # strip "[[" and "]]"; orjson writes every non-finite cell as null, in row-major order
+    parts = orjson.dumps(M, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"null")
+    body = parts[0] + b"".join(repr(v).encode() + rest
+                               for v, rest in zip(M[~np.isfinite(M)].tolist(), parts[1:]))
+    body = body.replace(b"],[", b"\n").replace(b",", delimiter.encode())
     with open(path, "wb") as fh:
         if header:
             fh.write(("# " + header.replace("\n", "\n# ") + "\n").encode("latin1"))
-        for r in range(0, M.shape[0], step):
-            tile = M[r:r + step].ravel()
-            fh.write(format_e18(tile, ends[:tile.size]))
+        fh.write(body)
+        fh.write(b"\n")
 
 
 def _envelope(ns, seed, constants: dict, result) -> dict:

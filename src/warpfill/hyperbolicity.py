@@ -18,7 +18,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import csgraph_from_dense, floyd_warshall
 
 from .errors import DomainError, PreconditionError
 from .profiles import WarpProfile, sup_G_batch
@@ -145,6 +144,9 @@ def _min_plus_closure(M: np.ndarray):
         if np.all(M <= C.min(axis=1)[:, None] + C.min(axis=0)):
             np.fill_diagonal(C, 0.0)
             return C, "certificate"
+    # on use: loading it costs start-up time
+    from scipy.sparse.csgraph import csgraph_from_dense, floyd_warshall
+
     return (floyd_warshall(csgraph_from_dense(M, null_value=np.inf), directed=True),
             "floyd-warshall")
 
@@ -181,6 +183,9 @@ def boundary_metric(profile: WarpProfile, space: CarrierSpace, eps: float | None
                 "profile is not dominated by C * e^{alpha t}: the ratio psi(t) e^{-alpha t} "
                 "keeps growing on the validation grid")
     delta = delta_bound(profile, space)
+    if not math.isfinite(delta):
+        raise DomainError(f"the hyperbolicity bound {delta} is not finite, so no eps > 0 keeps "
+                          "the chain closure within a factor 2 of the premetric")
     if eps is None:
         eps = default_eps(delta)
     eps_warning = eps > min(1.0, 1.0 / (5.0 * delta)) + 1e-15
@@ -192,7 +197,9 @@ def boundary_metric(profile: WarpProfile, space: CarrierSpace, eps: float | None
     if np.any(off):
         sup = np.full_like(D, -math.inf)
         sup[off] = sup_G_batch(profile, D[off])
-        two_prod[off] = profile.psi0 * (d0[:, None] + d0[None, :])[off] + sup[off]
+        two_prod[off] = sup[off]
+        if profile.psi0 != 0.0:  # else d0 sums past double range would give 0 * inf
+            two_prod[off] += profile.psi0 * (d0[:, None] + d0[None, :])[off]
     with np.errstate(over="ignore"):
         premetric = np.exp(-eps * 0.5 * two_prod)
     chained, closure_check = _min_plus_closure(premetric)

@@ -24,7 +24,6 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
 
 from .errors import (ConvergenceError, DomainError, PreconditionError, ResourceCapError,
                      ValidationError)
@@ -260,6 +259,8 @@ class FillingGraph:
 
     def sparse(self):
         """Symmetric sparse adjacency with edge lengths as weights."""
+        from scipy.sparse import coo_matrix  # on use: loading it costs start-up time
+
         a, b, w = self.edges
         m = coo_matrix((np.concatenate([w, w]),
                         (np.concatenate([a, b]), np.concatenate([b, a]))),

@@ -14,12 +14,11 @@ falls back to the sweep whenever the proof fails.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
 import orjson
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import DomainError, SchemaError, ValidationError
 
@@ -107,8 +106,10 @@ def _min_over_k(A, op):
 def _detours(D):
     """min over k not in {i, j} of D[i, k] + D[k, j] for i != j (inf when n <= 2),
     the sweep behind both the triangle check and the skeleton. An infinite
-    diagonal makes the terms k = i and k = j infinite."""
-    return _min_over_k(np.where(np.eye(len(D), dtype=bool), np.inf, D), np.add)
+    diagonal makes the terms k = i and k = j infinite; a sum past double
+    range is infinite too, without a warning."""
+    with np.errstate(over="ignore"):
+        return _min_over_k(np.where(np.eye(len(D), dtype=bool), np.inf, D), np.add)
 
 
 def _pair_detours(D, rows, cols):
@@ -118,17 +119,20 @@ def _pair_detours(D, rows, cols):
     AT = np.ascontiguousarray(A.T)
     out = np.empty(len(rows))
     step = max(1, _TILE_CELLS // max(len(D), 1))
-    for e0 in range(0, len(rows), step):
-        s = slice(e0, e0 + step)
-        out[s] = (A[rows[s]] + AT[cols[s]]).min(axis=1)
+    with np.errstate(over="ignore"):  # inf, as in `_detours`
+        for e0 in range(0, len(rows), step):
+            s = slice(e0, e0 + step)
+            out[s] = (A[rows[s]] + AT[cols[s]]).min(axis=1)
     return out
 
 
 def _essential(D, rows, cols, detour):
     """(rows, cols, lens) of the pairs (rows, cols) whose detour exceeds
-    D + 1e-12 * max(1, max D), in the given order."""
+    D + 1e-12 * max(1, max D), in the given order. A pair with no finite
+    detour is kept even where D + 1e-12 * max(1, max D) rounds to inf."""
     tol = _ATOL * max(1.0, float(D.max()))
-    keep = detour > D[rows, cols] + tol
+    with np.errstate(over="ignore"):
+        keep = (detour > D[rows, cols] + tol) | np.isinf(detour)
     rows, cols = rows[keep].astype(np.int64), cols[keep].astype(np.int64)
     return rows, cols, D[rows, cols]
 
@@ -179,15 +183,16 @@ def _edge_certificate(D, edges):
     relaxed = True
     covered = np.zeros((n, n), dtype=bool)  # covered[j, i]: (H) holds for (i, j)
     step = max(1, _TILE_CELLS // n)
-    for e0 in range(0, len(src), step):
-        s = slice(e0, e0 + step)
-        near, far = DT[src[s]], DT[dst[s]]
-        diff = (near + w[s, None]) - far
-        relaxed = relaxed and bool(diff.min() >= -eps)
-        hop = (near < far) & (diff <= eps)
-        y = dst[s]
-        first = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])
-        covered[y[first]] |= np.logical_or.reduceat(hop, first, axis=0)
+    with np.errstate(over="ignore"):  # a sum past double range is an inf that fails (H)
+        for e0 in range(0, len(src), step):
+            s = slice(e0, e0 + step)
+            near, far = DT[src[s]], DT[dst[s]]
+            diff = (near + w[s, None]) - far
+            relaxed = relaxed and bool(diff.min() >= -eps)
+            hop = (near < far) & (diff <= eps)
+            y = dst[s]
+            first = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])
+            covered[y[first]] |= np.logical_or.reduceat(hop, first, axis=0)
     np.fill_diagonal(covered, True)
     return relaxed, bool(covered.all())
 
@@ -229,8 +234,8 @@ def _check_matrix(dist, measure=None, edges=None):
     `_edge_array`) let `_edge_certificate` prove them without the sweep."""
     D = np.asarray(dist, dtype=float)
     violations = []
-    if D.ndim != 2 or D.shape[0] != D.shape[1]:
-        return [("shape", D.shape, "matrix must be square")], None
+    if D.ndim != 2 or D.shape[0] != D.shape[1] or D.size == 0:
+        return [("shape", D.shape, "matrix must be square and non-empty")], None
     n = D.shape[0]
     if not np.all(np.isfinite(D)):
         i, j = np.argwhere(~np.isfinite(D))[0]
@@ -257,14 +262,15 @@ def _check_matrix(dist, measure=None, edges=None):
     # when neither test fires, the per-k report loop would find nothing.
     if detour is not None and (np.any(np.diag(D) != 0.0) or np.any(np.triu(D - detour, 1) > tol)):
         count = 0
-        for k in range(n):
-            excess = D - (D[:, [k]] + D[[k], :])
-            bad = np.argwhere(np.triu(excess, 1) > tol)
-            for i, j in bad:
-                count += 1
-                if count <= _MAX_REPORTED:
-                    violations.append(("triangle", (int(i), int(j), int(k)),
-                                       float(D[i, j]), float(D[i, k] + D[k, j])))
+        with np.errstate(over="ignore"):  # a sum past double range is inf, as in the sweep
+            for k in range(n):
+                excess = D - (D[:, [k]] + D[[k], :])
+                bad = np.argwhere(np.triu(excess, 1) > tol)
+                for i, j in bad:
+                    count += 1
+                    if count <= _MAX_REPORTED:
+                        violations.append(("triangle", (int(i), int(j), int(k)),
+                                           float(D[i, j]), float(D[i, k] + D[k, j])))
         if count > _MAX_REPORTED:
             violations.append(("triangle_overflow", count, "additional violations elided"))
 
@@ -320,6 +326,9 @@ def from_graph(edges, n: int | None = None, measure=None, labels=None) -> Carrie
     The graph must be connected; otherwise the error names a stranded
     component. Node measures default to 1 per node.
     """
+    from scipy.sparse import coo_matrix  # on use: loading it costs start-up time
+    from scipy.sparse.csgraph import connected_components, shortest_path
+
     edges = list(edges)
     if not edges and n in (None, 1):
         return CarrierSpace(np.zeros((1, 1)), np.ones(1), labels, np.zeros((0, 2), np.int64))
@@ -444,13 +453,16 @@ def _load_json(path: str) -> CarrierSpace:
 
 def _load_csv(path: str) -> CarrierSpace:
     try:
-        raw = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+        with warnings.catch_warnings():
+            # a file with no rows is refused below, without numpy's warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            raw = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
     except ValueError as exc:
         raise SchemaError(f"space file {path!r} is not numeric CSV: {exc}") from exc
     n, cols = raw.shape
-    if cols != n + 1:
+    if n == 0 or cols != n + 1:
         raise SchemaError(
-            f"space CSV {path!r} must have n rows of n distances plus a measure column "
+            f"space CSV {path!r} must have n >= 1 rows of n distances plus a measure column "
             f"(got {n}x{cols})")
     return from_matrix(raw[:, :n], raw[:, n])
 

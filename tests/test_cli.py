@@ -79,6 +79,14 @@ def test_schema_mismatch_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, ["validate", "--space", str(path)])
     assert code == 2
     assert err.startswith("error: schema mismatch")
+    # a CSV file with no rows is refused without numpy's "no data" warning
+    path = tmp_path / "empty.csv"
+    path.write_bytes(b"")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, ["validate", "--space", str(path)])
+    assert code == 2 and err.count("\n") == 1
+    assert err.startswith("error: schema mismatch") and "(got 0x1)" in err
 
 
 @pytest.mark.parametrize("doc, field", [
@@ -212,22 +220,30 @@ _SPECIAL = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, -1e308, 1.0
 
 @pytest.mark.parametrize("M", [
     np.array([[math.pi]]),
-    np.array(_SPECIAL[:11])[:, None],                       # k x 1, k not a multiple of a tile
+    np.array(_SPECIAL[:11])[:, None],                       # k x 1
     np.array(_SPECIAL).reshape(6, 2),
     np.array(_SPECIAL[:7]),                                 # 1-D: written as one column
     np.random.default_rng(3).standard_normal((9, 5)) * 10.0 ** np.arange(-200, 250, 90),
-    # an exact tie at 19 digits (...015625) and non-finite cells in one tile
+    # an exact tie at 19 digits (...015625) and non-finite cells in one row
     np.array([[21089332485663.016, math.inf, 0.1], [math.nan, -21089332485663.016, -math.inf]]),
 ], ids=["1x1", "kx1", "kx2", "1d", "9x5", "tie"])
-@pytest.mark.parametrize("tile", [1, 3, 4, cli._TILE_CELLS])
 @pytest.mark.parametrize("delimiter, header", [
     (",", None), (" ", None), (",", "t_max,g_norm,u_deviation"), (" ", "two\nlines")])
-def test_write_table_matches_savetxt(tmp_path, monkeypatch, M, tile, delimiter, header):
-    monkeypatch.setattr(cli, "_TILE_CELLS", tile)
-    ours, ref = tmp_path / "ours.txt", tmp_path / "ref.txt"
-    cli._write_table(str(ours), M, delimiter, header=header)
-    np.savetxt(str(ref), M, fmt="%.18e", delimiter=delimiter, header=header or "")
-    assert ours.read_bytes() == ref.read_bytes()
+def test_write_table_round_trips_every_cell(tmp_path, M, delimiter, header):
+    path = tmp_path / "table.txt"
+    cli._write_table(str(path), M, delimiter, header=header)
+    text = path.read_text()
+    lines = text.splitlines()
+    n_header = 0 if header is None else header.count("\n") + 1
+    assert all(line.startswith("# ") for line in lines[:n_header])
+    assert len(lines) == n_header + len(M) and text.endswith("\n")
+    assert "null" not in text
+    back = np.loadtxt(str(path), delimiter=delimiter, ndmin=2)
+    want = np.asarray(M, dtype=np.float64).reshape(len(M), -1)
+    assert back.shape == want.shape
+    assert np.array_equal(np.isnan(back), np.isnan(want))
+    assert np.array_equal(back[~np.isnan(back)].view(np.int64),
+                          want[~np.isnan(want)].view(np.int64))
 
 
 def test_boundary_chained_file_copy_rule(capsys, tmp_path, circle_path, monkeypatch):
@@ -431,6 +447,18 @@ def test_boundary_refuses_an_equidistant_carrier_exit_2(capsys, tmp_path):
                                       "--out-prefix", str(tmp_path / "b")])
     assert code == 2 and out == "" and err.count("\n") == 1
     assert err.startswith("error: invalid input: every carrier distance is 1.0")
+    assert not list(tmp_path.glob("b_*"))
+
+
+def test_boundary_refuses_an_infinite_delta_bound_exit_2(capsys, tmp_path):
+    # the exp bound 2 + 3 diam(Y) overflows; the auto eps was 0 and the check "passed"
+    path = tmp_path / "h3.json"
+    path.write_text(json.dumps({"dist": [[0, 1e308, 5e307], [1e308, 0, 6e307],
+                                         [5e307, 6e307, 0]]}))
+    code, out, err = run(capsys, ["boundary", "--space", str(path), "--profile", "exp:1",
+                                  "--out-prefix", str(tmp_path / "b")])
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: invalid input: the hyperbolicity bound inf is not finite")
     assert not list(tmp_path.glob("b_*"))
 
 
@@ -713,13 +741,13 @@ import math, sys
 import warpfill.cli as cli
 from warpfill import circle, save_space
 
-deferred = {"scipy.integrate", "scipy.optimize", "scipy.special"}
 save_space(circle(32, 2 * math.pi), "c32.json")
 for argv in (["validate"], ["dist", "--profile", "exp:1", "--from", "3,0", "--to", "4,2"],
              ["delta", "--profile", "exp:1", "--count", "100"],
              ["boundary", "--profile", "exp:1"]):
     assert cli.main(argv + ["--space", "c32.json"]) == 0, argv
-assert not deferred & set(sys.modules), deferred & set(sys.modules)
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not loaded, loaded
 assert cli.main(["counterexample", "--space", "c32.json", "--p", "3", "--r", "1",
                  "--schedule", "3,4", "--dt", "0.1"]) == 0
 assert {"scipy.integrate", "scipy.optimize"} <= set(sys.modules)

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph
 from hypothesis import event, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -10,7 +11,6 @@ from warpfill import (WarpProfile, WarpedPoint, boundary_metric, circle, default
                       delta_bound, estimate_delta, from_graph, from_matrix, gromov_product,
                       snowflake_check, sup_G)
 from warpfill.errors import DomainError
-from warpfill import hyperbolicity
 from warpfill.hyperbolicity import _min_plus_closure
 
 SINH1 = WarpProfile.sinh_pow(1.0)
@@ -93,6 +93,19 @@ def test_boundary_comparison_band_and_warning():
     assert np.allclose(bm.chained, bm.chained.T)
     big = boundary_metric(EXP1, Y, eps=5.0)
     assert big.eps_warning
+
+
+def test_boundary_refuses_an_infinite_delta_bound():
+    # 3 psi(0) diam(Y) overflows for exp, where the auto eps was 0 and the
+    # premetric diagonal NaN; sinh has psi(0) = 0 and a finite bound
+    Y = from_matrix([[0.0, 1e308, 5e307], [1e308, 0.0, 6e307], [5e307, 6e307, 0.0]])
+    for eps in (None, 0.5):
+        with pytest.raises(DomainError, match="bound inf is not finite"):
+            boundary_metric(EXP1, Y, eps)
+    far = from_matrix([[0.0, 1e308, 9e307], [1e308, 0.0, 1.5e308], [9e307, 1.5e308, 0.0]])
+    for space in (Y, far):  # far: d0 sums off the diagonal overflow too
+        bm = boundary_metric(SINH1, space)
+        assert bm.delta_used == 2.0 and np.all(np.isfinite(bm.premetric))
 
 
 def test_boundary_growth_guard():
@@ -253,7 +266,8 @@ def test_boundary_closure_skips_floyd_warshall_when_certified(monkeypatch):
     def no_floyd_warshall(*args, **kwargs):
         raise AssertionError("floyd_warshall ran")
 
-    monkeypatch.setattr(hyperbolicity, "floyd_warshall", no_floyd_warshall)
+    # the closure imports floyd_warshall when it runs, so patch it where it is read from
+    monkeypatch.setattr(scipy.sparse.csgraph, "floyd_warshall", no_floyd_warshall)
     Y = circle(64, 2 * math.pi)
     for profile in (EXP1, SINH1, WarpProfile.sinh_pow(1.5)):
         bm = boundary_metric(profile, Y)  # auto eps

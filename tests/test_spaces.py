@@ -33,6 +33,9 @@ def test_validate_matrix_reports_everything():
     bad = [[0, -1, 3], [1, 0, 1], [3, 1, 0.5]]
     kinds = {v[0] for v in validate_matrix(bad)}
     assert {"negative", "asymmetry", "diagonal"} <= kinds
+    assert [v[0] for v in validate_matrix(np.zeros((0, 0)))] == ["shape"]
+    with pytest.raises(ValidationError, match="non-empty"):
+        from_matrix(np.zeros((0, 0)))
 
 
 def test_measure_positivity():
@@ -159,17 +162,16 @@ def test_save_space_round_trips_every_double_bit_for_bit(tmp_path):
     n = len(vals) + 1
     labels = ["hub", "ä", "ß", "日本", "emoji \U0001f600", "é", "\u00a0", 'q"\\']
     path = tmp_path / "star.json"
-    # sums of two legs overflow to inf, which the triangle check passes with a warning
+    # a star: leaf i is vals[i - 1] from the hub, and two leaves are the sum
+    # of their legs, capped at the largest double
+    D = np.zeros((n, n))
+    D[0, 1:] = D[1:, 0] = vals
     with np.errstate(over="ignore"):
-        # a star: leaf i is vals[i - 1] from the hub, and two leaves are the sum
-        # of their legs, capped at the largest double
-        D = np.zeros((n, n))
-        D[0, 1:] = D[1:, 0] = vals
         D[1:, 1:] = np.minimum(np.add.outer(vals, vals), np.finfo(float).max)
-        np.fill_diagonal(D, 0.0)
-        space = from_matrix(D, np.array(vals + [0.5]), labels, [(0, i) for i in range(1, n)])
-        save_space(space, str(path))
-        back = load_space(str(path))
+    np.fill_diagonal(D, 0.0)
+    space = from_matrix(D, np.array(vals + [0.5]), labels, [(0, i) for i in range(1, n)])
+    save_space(space, str(path))
+    back = load_space(str(path))
     assert np.array_equal(back.dist.view(np.uint64), space.dist.view(np.uint64))
     assert np.array_equal(back.measure.view(np.uint64), space.measure.view(np.uint64))
     assert back.labels == labels and np.array_equal(back.edges, space.edges)
@@ -184,6 +186,24 @@ def test_save_space_round_trips_every_double_bit_for_bit(tmp_path):
     # labels given as a numpy array are numpy scalars, saved as the numbers they hold
     save_space(from_matrix([[0, 1], [1, 0]], labels=np.array([0.5, 1.5])), str(path))
     assert load_space(str(path)).labels == [0.5, 1.5]
+
+
+def test_carriers_near_the_top_of_double_range():
+    # detour sums overflow to inf; the suite turns a RuntimeWarning into a failure
+    top = np.finfo(float).max
+    two = from_matrix([[0.0, top], [top, 0.0]])
+    rows, cols, lens = two.adjacency()  # no detour at all: the one pair is an edge
+    assert rows.tolist() == [0] and cols.tolist() == [1] and lens.tolist() == [top]
+    D = np.full((3, 3), 1e308)
+    np.fill_diagonal(D, 0.0)
+    for edges in (None, [(0, 1), (1, 2), (0, 2)]):
+        tri = from_matrix(D, edges=edges)
+        assert tri.triangle_check == ("sweep" if edges is None else "edge certificate")
+        assert [a.tolist() for a in tri.adjacency()[:2]] == [[0, 0, 1], [1, 2, 2]]
+    D[0, 1] = D[1, 0] = top
+    D[1, 2] = D[2, 1] = 1e307
+    kinds = [v[0] for v in validate_matrix(D)]
+    assert kinds == ["triangle"]
 
 
 def test_csv_import(tmp_path):
