@@ -227,20 +227,28 @@ _SPECIAL = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, -1e308, 1.0
     # an exact tie at 19 digits (...015625) and non-finite cells in one row
     np.array([[21089332485663.016, math.inf, 0.1], [math.nan, -21089332485663.016, -math.inf]]),
 ], ids=["1x1", "kx1", "kx2", "1d", "9x5", "tie"])
+@pytest.mark.parametrize("tile", [1, 3, 4, 1 << 14])
 @pytest.mark.parametrize("delimiter, header", [
     (",", None), (" ", None), (",", "t_max,g_norm,u_deviation"), (" ", "two\nlines")])
-def test_write_table_round_trips_every_cell(tmp_path, M, delimiter, header):
-    path = tmp_path / "table.txt"
-    cli._write_table(str(path), M, delimiter, header=header)
-    text = path.read_text()
-    lines = text.splitlines()
+def test_write_table_matches_savetxt(tmp_path, M, tile, delimiter, header):
+    # M stacked by rows until the table holds at least `tile` cells; savetxt's
+    # %.18e text reads back bit for bit, so both files hold the same lines,
+    # fields and values
+    M = np.concatenate([M] * -(-tile // M.size))
+    ours, ref = tmp_path / "ours.txt", tmp_path / "ref.txt"
+    cli._write_table(str(ours), M, delimiter, header=header)
+    np.savetxt(str(ref), M, fmt="%.18e", delimiter=delimiter, header=header or "")
+    text = ours.read_text()
+    assert "null" not in text and text.endswith("\n")
+    lines, ref_lines = text.splitlines(), ref.read_text().splitlines()
     n_header = 0 if header is None else header.count("\n") + 1
+    assert lines[:n_header] == ref_lines[:n_header]
     assert all(line.startswith("# ") for line in lines[:n_header])
-    assert len(lines) == n_header + len(M) and text.endswith("\n")
-    assert "null" not in text
-    back = np.loadtxt(str(path), delimiter=delimiter, ndmin=2)
-    want = np.asarray(M, dtype=np.float64).reshape(len(M), -1)
-    assert back.shape == want.shape
+    assert ([line.count(delimiter) for line in lines[n_header:]]
+            == [line.count(delimiter) for line in ref_lines[n_header:]])
+    back = np.loadtxt(str(ours), delimiter=delimiter, ndmin=2)
+    want = np.loadtxt(str(ref), delimiter=delimiter, ndmin=2)
+    assert back.shape == want.shape == (len(M), M.size // len(M))
     assert np.array_equal(np.isnan(back), np.isnan(want))
     assert np.array_equal(back[~np.isnan(back)].view(np.int64),
                           want[~np.isnan(want)].view(np.int64))
