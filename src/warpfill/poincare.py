@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import os
+import struct
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -37,9 +38,12 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _STEEP, _TOP, _PANELS = 16.0, 40.0, 8
 _FAR = 700.0
 _CHUNK = 1 << 16
-# brentq iterations before ConvergenceError; roots many decades below the bracket
-# width (near 0 under steep weights) have taken up to about 1400
+# brentq iterations before ConvergenceError; on a bracket narrowed to _SPAN
+# doubles (one binade), 3600 seeded adversarial inputs (values over 300 decades,
+# weights e^(-300..600)) took at most 154, on a root within an ulp of a value
+# holding nearly all the weight
 _ROOT_MAXITER = 3000
+_SPAN = 1 << 52
 
 
 def _fiber(node_y: np.ndarray, values: np.ndarray, apex_value: float = 0.0) -> np.ndarray:
@@ -324,9 +328,9 @@ def _chunked_dot(values: np.ndarray, weights: np.ndarray, c: float, exponent: fl
         np.abs(d, out=a)
         with np.errstate(over="ignore"):  # the callers refuse or skip inf
             np.power(a, exponent, out=a)
-        if signed:
-            np.copysign(a, d, out=a)
-        total += float(np.dot(a, weights[s:s + _CHUNK]))
+            if signed:
+                np.copysign(a, d, out=a)
+            total += float(np.dot(a, weights[s:s + _CHUNK]))
     return total
 
 
@@ -346,14 +350,48 @@ def _slope(c: float, values: np.ndarray, weights: np.ndarray, p: float,
     return s
 
 
+def _ordered(x: float) -> int:
+    """An integer key that orders doubles as their values (both zeros 0)."""
+    k = struct.unpack("<q", struct.pack("<d", x))[0]
+    return k if k >= 0 else -(k & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _from_ordered(k: int) -> float:
+    """The double with key k (see _ordered)."""
+    return math.copysign(struct.unpack("<d", struct.pack("<q", abs(k)))[0], k)
+
+
+def _merge_equal_values(values: np.ndarray, weights: np.ndarray):
+    """(v, w): the distinct values in increasing order, each with the total
+    weight of its entries. One stable argsort, then np.add.reduceat over the
+    runs of equal values; a total that overflows is inf, without a warning."""
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
+    with np.errstate(over="ignore"):
+        return v[starts], np.add.reduceat(weights[order], starts)
+
+
+def _known_slope(c: float, known: dict, *args) -> float:
+    """_slope(c, *args), taken from `known` where it was already computed."""
+    s = known.get(c)
+    return _slope(c, *args) if s is None else s
+
+
 def optimal_subtracted_constant(values: np.ndarray, weights: np.ndarray, p: float) -> float:
     """Minimizer of c -> ||values - c||_p with the given weights.
 
     Weighted median for p = 1 and weighted mean for p = 2. Otherwise the
     objective is convex and its derivative, p times
-    sum_i w_i sign(c - v_i) |c - v_i|^{p-1}, is continuous and nondecreasing,
-    so brentq finds its sign change on [min v, max v] to 4 ulp (2e-323
-    absolute near 0), or raises ConvergenceError after _ROOT_MAXITER
+    sum_i w_i sign(c - v_i) |c - v_i|^{p-1}, is continuous and nondecreasing.
+    Equal values are merged first (`_merge_equal_values`), which leaves the
+    objective unchanged; where a merged weight overflows though no input
+    weight is infinite, the values are only sorted. The bracket
+    [min v, max v] is split at 0, then at the middle of the ordered bit
+    patterns, until it lies within one binade: a root many decades below
+    the bracket width, as under steep weights, would otherwise cost brentq
+    a bisection per halving. brentq then finds the sign change to 4 ulp
+    (2e-323 absolute near 0), or raises ConvergenceError after _ROOT_MAXITER
     iterations. The result is the best of that root and the nearest data
     value on each side: with steep weights the optimum often sits exactly on
     a data value. Values must be finite, and DomainError is raised when the
@@ -379,23 +417,37 @@ def optimal_subtracted_constant(values: np.ndarray, weights: np.ndarray, p: floa
         return lo
     from scipy.optimize import brentq  # on use: loading it costs start-up time
 
+    v, w = _merge_equal_values(values, weights)
+    if np.isinf(w).any() and np.isfinite(weights).all():
+        order = np.argsort(values, kind="stable")
+        v, w = values[order], weights[order]
     # the slope is a module-level function taking the arrays as brentq args:
     # brentq's wrapper sits in a reference cycle, and a closure over the
     # arrays would keep them alive until the next garbage collection
-    buf = np.empty((2, min(values.size, _CHUNK)))
+    buf = np.empty((2, min(v.size, _CHUNK)))
+    args = (v, w, p, buf, (lo, hi))
+    # both ends first, for their overflow and underflow checks; the splits
+    # stop at a slope of exactly 0, and brentq reads the slopes found here
+    a, b = lo, hi
+    known = {lo: _slope(lo, *args), hi: _slope(hi, *args)}
+    while known[a] < 0.0 < known[b] and _ordered(b) - _ordered(a) > _SPAN:
+        m = 0.0 if a < 0.0 < b else _from_ordered((_ordered(a) + _ordered(b)) // 2)
+        known[m] = _slope(m, *args)
+        a, b = (a, m) if known[m] >= 0.0 else (m, b)
     # xtol = 5e-324 would make brentq's stopping test unreachable for a root at 0
-    root, info = brentq(_slope, lo, hi, args=(values, weights, p, buf, (lo, hi)),
+    root, info = brentq(_known_slope, a, b, args=(known,) + args,
                         xtol=4.0 * math.ulp(0.0), rtol=4.0 * np.finfo(float).eps,
                         maxiter=_ROOT_MAXITER, full_output=True, disp=False)
     if not info.converged:
         raise ConvergenceError(
             f"subtracted-constant root find did not converge in {_ROOT_MAXITER} "
             f"iterations (bracket around {root!r})")
-    # lo <= root <= hi, so both neighbours exist; ties go to the data value
-    below = float(np.max(values, where=values <= root, initial=-math.inf))
-    above = float(np.min(values, where=values >= root, initial=math.inf))
+    # v[k - 1] < root <= v[k], and k > 0 unless root is lo; ties go to the data value
+    k = int(np.searchsorted(v, root))
+    above = float(v[k])
+    below = above if above == root else float(v[k - 1])
     return min((below, above, root),
-               key=lambda c: _chunked_dot(values, weights, c, p, signed=False, buf=buf))
+               key=lambda c: _chunked_dot(v, w, c, p, signed=False, buf=buf))
 
 
 @dataclass
@@ -569,7 +621,12 @@ def builtin_filling_family(G: FillingGraph) -> list:
     d0 = carrier.dist[:, 0] if carrier.n > 1 else np.zeros(1)
     diam = max(carrier.diameter(), 1e-12)
     bump = np.maximum(0.0, 0.5 * diam - d0)
-    harmonic = np.cos(math.pi * d0 / diam)
+    with np.errstate(over="ignore"):
+        phase = math.pi * d0 / diam
+    # where pi * d0 overflows (distances near 1e308), divide first
+    far = np.isinf(phase)
+    phase[far] = math.pi * (d0[far] / diam)
+    harmonic = np.cos(phase)
     # fiber-dependent factors must decay radially: below the threshold the
     # gradient of a persistent fiber oscillation is never p-integrable
     return [
@@ -692,9 +749,9 @@ def counterexample_suite(carrier: CarrierSpace, y0: int, r: float, alpha: float,
     for T in schedule:
         L = int(round(T / dt))
         g_norms.append(float(g_cum[L - 1]) ** (1.0 / p))
-        level_u, inv = np.unique(u_r[:L], return_inverse=True)
+        level_u, level_m = _merge_equal_values(u_r[:L], m[:L])
         vals = np.outer(level_u, u_y).ravel()
-        weights = np.outer(np.bincount(inv, m[:L]), mu).ravel()
+        weights = np.outer(level_m, mu).ravel()
         c = optimal_subtracted_constant(vals, weights, p)
         u_devs.append(lp_norm(vals - c, weights, p))
         tails_d.append(float(tail_cum[L - 1]))

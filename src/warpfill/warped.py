@@ -81,5 +81,9 @@ def gromov_product_batch(profile: WarpProfile, space: CarrierSpace, basepoint_y:
     _check_points(space, 0.0, basepoint_y)
     d_y = space.dist[y1, y2]
     _, fmin = minimize_F_batch(profile, d_y, np.minimum(t1, t2))
+    if profile.psi0 == 0.0:
+        # 0 * (d0[y1] + d0[y2]) would be NaN where the sum overflows; 0.0 - fmin
+        # has the bits of 0 * sum - fmin, for a zero fmin too
+        return 0.5 * (0.0 - fmin)
     d0 = space.dist[:, basepoint_y]
     return 0.5 * (profile.psi0 * (d0[y1] + d0[y2]) - fmin)

@@ -470,6 +470,39 @@ def test_boundary_refuses_an_infinite_delta_bound_exit_2(capsys, tmp_path):
     assert not list(tmp_path.glob("b_*"))
 
 
+@pytest.fixture
+def h3_path(tmp_path):
+    # three points whose distances, times pi or summed in pairs, overflow
+    path = tmp_path / "h3.json"
+    path.write_text(json.dumps({"dist": [[0, 1e308, 5e307], [1e308, 0, 6e307],
+                                         [5e307, 6e307, 0]]}))
+    return str(path)
+
+
+def test_poincare_on_a_carrier_near_double_range(capsys, h3_path):
+    # pi * d0 overflowed in the harmonic fiber factor, whose norms came out null
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["poincare", "--space", h3_path, "--tmax", "1",
+                                      "--dt", "0.5"])
+    assert code == 0 and err == ""
+    reports = {r["name"]: r for r in json.loads(out)["result"]["reports"]}
+    harmonic = reports["oscillatory_harmonic"]
+    assert harmonic["lp_g"] > 0.0 and harmonic["lp_u_minus_c"] is not None
+    assert all(r["passed"] for r in reports.values())
+
+
+def test_sinh_delta_on_a_carrier_near_double_range(capsys, h3_path):
+    # psi(0) * (d0[y1] + d0[y2]) was 0 * inf, and the defect max(0, nan) = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["delta", "--space", h3_path, "--profile", "sinh:1",
+                                      "--count", "100"])
+    assert code == 0 and err == ""
+    result = json.loads(out)["result"]
+    assert 0.0 <= result["delta_basepoint"] <= result["delta_bound_paper"]
+
+
 @pytest.mark.parametrize("argv, cfg, message", [
     (["poincare"], {"slack": "nan"}, "slack must be finite"),
     (["poincare", "--space", "{circle}"], {"p": "inf"}, "p must be finite"),

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from warpfill import (CarrierSpace, WarpProfile, build_filling_graph, builtin_filling_family,
@@ -304,6 +305,82 @@ def test_optimal_constant_refuses_a_slope_that_underflows_at_an_end():
     assert optimal_subtracted_constant(values, np.ones(1000), 200.0) == pytest.approx(0.05)
     # with no weight off the lower end, 0 there is the true slope
     assert optimal_subtracted_constant(np.array([0.0, 1.0]), np.array([1.0, 0.0]), 400.0) == 0.0
+
+
+def test_optimal_constant_refuses_an_overflowing_objective_without_a_warning():
+    # the slope at 1 is 2e308 * 1; the suite turns a RuntimeWarning into an error
+    with pytest.raises(DomainError, match=r"^the L\^1.5 objective overflows"):
+        optimal_subtracted_constant(np.array([0.0, 0.0, 1.0]), np.array([1e308, 1e308, 1.0]), 1.5)
+
+
+def test_optimal_constant_solves_unmerged_where_a_merged_weight_overflows():
+    # the two values 0 would merge into a weight of inf; each alone is finite
+    values, weights = np.array([0.0, 0.0, 0.5]), np.array([1e308, 1e308, 1.0])
+    assert optimal_subtracted_constant(values, weights, 1.5) == 0.0
+
+
+def _counting_slope(monkeypatch):
+    """Replace poincare._slope with a wrapper that records where it is called."""
+    calls, slope = [], poincare._slope
+
+    def counted(c, *args):
+        calls.append(c)
+        return slope(c, *args)
+
+    monkeypatch.setattr(poincare, "_slope", counted)
+    return calls
+
+
+def test_optimal_constant_bounds_the_slope_passes_on_adversarial_inputs(monkeypatch):
+    # values over 300 decades of both signs, weights e^(-300..600): the root
+    # lies many decades below the bracket width, where brentq alone bisected
+    # from the far end (over 300 passes for these inputs)
+    rng = np.random.default_rng(2026)
+    calls = _counting_slope(monkeypatch)
+    worst = 0
+    for _ in range(300):
+        n = int(rng.integers(50, 500))
+        values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300.0, 0.0, n)
+        weights = np.exp(rng.uniform(-300.0, 600.0, n))
+        calls.clear()
+        c = optimal_subtracted_constant(values, weights, 1.5)
+        assert values.min() <= c <= values.max()
+        worst = max(worst, len(calls))
+    assert worst <= 64
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=2, max_size=30, unique=True),
+       st.lists(st.floats(1e-100, 1e100), min_size=30, max_size=30),
+       st.sampled_from([1.05, 1.5, 3.0]), st.integers(0, 2 ** 32 - 1))
+def test_optimal_constant_ignores_how_equal_values_split_their_weight(values, weights,
+                                                                      p, seed):
+    # each weight split into two exact halves at the same value, in any order,
+    # merges back into the unsplit input, so the answer has the same bits;
+    # values on a grid of 1/64 keep the objective and its slope in range
+    values, weights = np.array(values) / 64.0, np.array(weights[:len(values)])
+    order = np.random.default_rng(seed).permutation(2 * values.size)
+    halves_v = np.concatenate([values, values])[order]
+    halves_w = np.concatenate([weights / 2.0, weights / 2.0])[order]
+    c = optimal_subtracted_constant(values, weights, p)
+    assert optimal_subtracted_constant(halves_v, halves_w, p) == c
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_optimal_constant_splits_a_straddling_bracket_at_zero(monkeypatch, sign):
+    # a heavy value at +-1e-30 puts the root 30 decades below the bracket
+    # width; the slope at 0, taken right after the ends, picks its side
+    values = np.array([-1.0, sign * 1e-30, 3.0])
+    weights = np.array([1.0, 1e40, 1.0])
+    calls = _counting_slope(monkeypatch)
+    c = optimal_subtracted_constant(values, weights, 1.5)
+    assert calls[:3] == [-1.0, 3.0, 0.0]
+    assert all(sign * x >= 0.0 for x in calls[2:])
+    assert c == sign * 1e-30
+    # a slope of exactly 0 there makes 0 the root
+    calls.clear()
+    assert optimal_subtracted_constant(np.array([-1.0, 1.0]), np.ones(2), 1.5) == 0.0
+    assert calls == [-1.0, 1.0, 0.0]
 
 
 def test_lp_norm_refuses_a_sum_that_underflows():

@@ -6,7 +6,8 @@ import pytest
 from scipy.sparse.csgraph import dijkstra
 
 from warpfill import (WarpProfile, WarpedPoint, build_filling_graph, circle, distance,
-                      distance_batch, gromov_product, gromov_product_batch)
+                      distance_batch, from_matrix, gromov_product, gromov_product_batch)
+from warpfill.profiles import minimize_F_batch
 from warpfill.errors import DomainError
 
 EXP1 = WarpProfile.exp(1.0)
@@ -78,6 +79,25 @@ def test_gromov_product_consistency_with_distances():
             direct = 0.5 * (distance(prof, Y8, p1, base) + distance(prof, Y8, p2, base)
                             - distance(prof, Y8, p1, p2))
             assert gromov_product(prof, Y8, y0, p1, p2) == pytest.approx(direct, abs=1e-10)
+
+
+def test_sinh_gromov_products_past_double_range_of_the_basepoint_sums():
+    # d0[y1] + d0[y2] overflows, and psi(0) = 0 drops it: no 0 * inf = NaN
+    Y = from_matrix([[0.0, 1e308, 5e307], [1e308, 0.0, 6e307], [5e307, 6e307, 0.0]])
+    t1, y1 = np.array([0.0, 2.0, 3.0]), np.array([1, 1, 0])
+    t2, y2 = np.array([0.0, 0.5, 7.0]), np.array([1, 2, 1])
+    vals = gromov_product_batch(SINH1, Y, 0, t1, y1, t2, y2)
+    _, fmin = minimize_F_batch(SINH1, Y.dist[y1, y2], np.minimum(t1, t2))
+    assert np.array_equal(vals, -0.5 * fmin)
+    # a zero fmin gives +0.0, as 0 * (finite sum) - fmin did
+    assert math.copysign(1.0, vals[0]) == 1.0 and vals[0] == 0.0
+    # where the sum is finite the bits are those of the full expression
+    t = np.linspace(0.0, 6.0, 16)
+    y = np.arange(16) % 8
+    d0 = Y8.dist[:, 3]
+    _, fmin = minimize_F_batch(SINH1, Y8.dist[y, y[::-1]], np.minimum(t, t[::-1]))
+    assert np.array_equal(gromov_product_batch(SINH1, Y8, 3, t, y, t[::-1], y[::-1]),
+                          0.5 * (0.0 * (d0[y] + d0[y[::-1]]) - fmin))
 
 
 def test_gromov_batch_matches_scalar():
