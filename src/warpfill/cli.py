@@ -382,20 +382,37 @@ _COMMANDS = {
 }
 
 
+def _options(parser: argparse.ArgumentParser, subcommand: str):
+    """(sub, options): the subcommand's parser, and (key, action) per option
+    of it but --help and --config; the key, in config files and the config
+    block, is the long option name with '-' turned into '_'."""
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[subcommand]
+    return sub, [(a.option_strings[0][2:].replace("-", "_"), a)
+                 for a in sub._actions if a.dest not in ("help", "config")]
+
+
+# build_parser() costs about 2 ms, so main builds it once per process; runs
+# without --config leave it unchanged
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    parser = _PARSER
     ns = parser.parse_args(argv)
     try:
-        sub = next(a for a in parser._actions
-                   if isinstance(a, argparse._SubParsersAction)).choices[ns.subcommand]
-        # (key, action) per option but --help and --config; the key, in config files
-        # and the config block, is the long option name with '-' turned into '_'
-        options = [(a.option_strings[0][2:].replace("-", "_"), a)
-                   for a in sub._actions if a.dest not in ("help", "config")]
         if ns.config:
-            # config values become defaults, so a second parse lets flags win
+            # config values become defaults, so a second parse lets flags win;
+            # set_defaults changes the parser, so it gets one of its own
+            parser = build_parser()
+            sub, options = _options(parser, ns.subcommand)
             sub.set_defaults(**_config_defaults(ns.config, options))
             ns = parser.parse_args(argv)
+        else:
+            options = _options(parser, ns.subcommand)[1]
         ns.options = options
         # required options are checked here, after a config file may have set them
         if not ns.space and ns.subcommand in ("validate", "dist", "delta", "boundary",

@@ -44,6 +44,19 @@ _CHUNK = 1 << 16
 # holding nearly all the weight
 _ROOT_MAXITER = 3000
 _SPAN = 1 << 52
+# `_sorted_runs` tries numpy's default sort first where the direction of the
+# values turns at more than 1 in _TURNS of them; the benchmark's solver inputs
+# turn at under 1 in 16 (timsort faster by 1.5-10x), or at 2 in 3 (the default
+# sort faster by 4x)
+_TURNS = 8
+# values per block of `_SlopeBounds`; the bound on the magnitudes of a
+# slope's terms under which they decide its sign; and the least count of
+# values they are used for: below about 1000 values a full pass costs no
+# more than the bounds (on a 2-core x86-64 VM, 15 us against 16 us at 200
+# values, 136 us against 25 us at 20,000)
+_BLOCK = 32
+_SAFE = 2.0 ** 1000
+_BOUNDED = 1024
 
 
 def _fiber(node_y: np.ndarray, values: np.ndarray, apex_value: float = 0.0) -> np.ndarray:
@@ -303,6 +316,36 @@ def discrete_upper_gradient(G: FillingGraph, u: np.ndarray) -> GradientField:
     return GradientField(g_edge, g_node)
 
 
+def _radial_levels(G: FillingGraph, u: np.ndarray) -> np.ndarray | None:
+    """The value of u on each level of G, where u is finite and its bits are
+    equal across every level (so -0.0 and 0.0 differ); None otherwise, and
+    for a u without one value per node. The apex level is its one node."""
+    n = G.carrier.n
+    if u.shape != (G.n_nodes,):
+        return None
+    if n > 1:
+        rows = (u[1:] if G.has_apex else u).view(np.int64).reshape(-1, n)
+        if not (rows == rows[:, :1]).all():
+            return None
+    levels = np.concatenate((u[:1], u[1::n])) if G.has_apex else u[::n]
+    return levels if np.isfinite(levels).all() else None
+
+
+def _radial_gradient(G: FillingGraph, levels: np.ndarray) -> np.ndarray:
+    """Per level, the node value of `discrete_upper_gradient` for the radial
+    function with these level values: every horizontal quotient is 0, so a
+    node takes the larger of its radial quotients |u_i - u_{i+-1}| / dt."""
+    q = np.abs(np.diff(levels)) / G.dt
+    g = np.append(q, 0.0)
+    np.maximum(g[1:], q, out=g[1:])
+    return g
+
+
+def _norm_underflows(p: float) -> DomainError:
+    return DomainError(f"the L^{p} norm underflows double precision; "
+                       "rescale the function or the weights")
+
+
 def lp_norm(values: np.ndarray, weights: np.ndarray, p: float) -> float:
     """(sum_i w_i |v_i|^p)^(1/p); inf where the sum overflows. DomainError
     naming p where the sum underflows to 0 though some v_i of positive
@@ -311,8 +354,23 @@ def lp_norm(values: np.ndarray, weights: np.ndarray, p: float) -> float:
     with np.errstate(over="ignore"):
         total = float(np.sum(np.abs(values) ** p * weights))
     if total == 0.0 and np.any((values != 0.0) & (weights > 0.0)):
-        raise DomainError(f"the L^{p} norm underflows double precision; "
-                          "rescale the function or the weights")
+        raise _norm_underflows(p)
+    return total ** (1.0 / p)
+
+
+def _radial_lp_norm(G: FillingGraph, levels: np.ndarray, p: float) -> float:
+    """lp_norm over G's node measures of the radial function with these
+    level values. |.|^p is taken once per level and the terms are summed
+    over the nodes, in node order, so the sum has the bits of lp_norm's.
+    Every node measure is positive (`_level_grid`)."""
+    n = G.carrier.n
+    with np.errstate(over="ignore"):
+        terms = np.abs(levels) ** p
+        if n > 1:
+            terms = np.repeat(terms, n)[G._off:]
+        total = float(np.sum(terms * G.node_measure))
+    if total == 0.0 and np.any(levels != 0.0):
+        raise _norm_underflows(p)
     return total ** (1.0 / p)
 
 
@@ -361,15 +419,119 @@ def _from_ordered(k: int) -> float:
     return math.copysign(struct.unpack("<d", struct.pack("<q", abs(k)))[0], k)
 
 
-def _merge_equal_values(values: np.ndarray, weights: np.ndarray):
-    """(v, w): the distinct values in increasing order, each with the total
-    weight of its entries. One stable argsort, then np.add.reduceat over the
-    runs of equal values; a total that overflows is inf, without a warning."""
+def _sorted_runs(values: np.ndarray):
+    """(order, starts): a stable sorting order of values, and where the runs
+    of equal values begin in values[order].
+
+    numpy's stable sort (timsort) merges the monotone runs it finds, so on
+    values made of long runs, as sampled functions of t are, it takes a
+    fraction of the default sort's time. Where the direction turns at more
+    than 1 in _TURNS of the values, the default sort comes first: if every
+    value is distinct, its order is the only increasing one, so the stable
+    one, and the stable sort runs only where a run of equal values exists.
+    """
+    up = values[1:] > values[:-1]
+    if np.count_nonzero(up[1:] != up[:-1]) * _TURNS > values.size:
+        order = np.argsort(values)
+        v = values[order]
+        new = np.concatenate(([True], v[1:] != v[:-1]))
+        if new.all():
+            return order, np.flatnonzero(new)
     order = np.argsort(values, kind="stable")
     v = values[order]
-    starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
+    return order, np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
+
+
+def _merge_equal_values(values: np.ndarray, weights: np.ndarray):
+    """(v, w): the distinct values in increasing order, each with the total
+    weight of its entries, in the order of a stable sort. np.add.reduceat
+    sums each run of equal values; a total that overflows is inf, without a
+    warning."""
+    order, starts = _sorted_runs(values)
     with np.errstate(over="ignore"):
-        return v[starts], np.add.reduceat(weights[order], starts)
+        return values[order[starts]], np.add.reduceat(weights[order], starts)
+
+
+def _radial_merge(G: FillingGraph, levels: np.ndarray):
+    """`_merge_equal_values(u, G.node_measure)` for the radial u with these
+    level values, from a sort of the levels alone. The nodes of a level are
+    consecutive in node order, so the stable order of the nodes is the
+    stable order of the levels, each level spread over its nodes. The node
+    measures are gathered in that order and summed over the same runs, so
+    the pairs have the bits of the node path's."""
+    if G.carrier.n == 1:  # one node per level: the nodes are the levels
+        return _merge_equal_values(levels, G.node_measure)
+    order, starts = _sorted_runs(levels)
+    size = np.full(levels.size, G.carrier.n)
+    size[0] -= G._off  # the apex level is one node
+    first = np.cumsum(size) - size  # node id of each level's first node
+    size = size[order]
+    at = np.cumsum(size) - size  # where each sorted level's nodes begin
+    gather = np.arange(G.n_nodes) + np.repeat(first[order] - at, size)
+    with np.errstate(over="ignore"):
+        return levels[order[starts]], np.add.reduceat(G.node_measure[gather], at[starts])
+
+
+class _SlopeBounds:
+    """Bounds on `_slope` over sorted values v, from blocks of _BLOCK
+    consecutive values, each summarised by its least value, its greatest
+    value and its total weight W.
+
+    phi(x) = sign(x) |x|^(p-1) increases, so each value v_i of a block
+    [first, last] has phi(c - last) <= phi(c - v_i) <= phi(c - first): the
+    slope at c lies between sum W phi(c - last) and sum W phi(c - first),
+    and sum_i w_i |c - v_i|^(p-1) <= S = sum W (|c - first|^(p-1) +
+    |c - last|^(p-1)). A block that straddles c is bounded on both sides.
+
+    Rounding, with u = 2^-53: numpy's power is within an ulp or two (4u)
+    of |x|^(p-1), and a rounded difference c - v_i moves it by (p-1)u more;
+    a dot product of m terms errs by at most (m - 1)u times the sum of
+    their magnitudes, and a block weight by (B - 1)u of itself. A power or
+    product that falls below the normal range errs by at most 2^-1074 more.
+    So the full pass over N values and each computed bound lie within
+    (N + K + B + 2p + 8) u S + 2^-1074 (2 sum W + N + K) of their exact
+    values together, K being the block count. `sign` takes
+    2 (N + K + B + 2p + 16) u S + 2^-1070 (sum W + N + K), from the
+    computed S and sum W, as its margin: a decided sign is the full pass's,
+    and the full pass is not 0 there. Where S is 2^1000 or more no sign is
+    decided, so a full pass that would overflow runs, and refuses.
+    """
+
+    def __init__(self, v: np.ndarray, w: np.ndarray, p: float):
+        starts = np.arange(0, v.size, _BLOCK)
+        self.first = v[starts]
+        self.last = v[np.minimum(starts + _BLOCK, v.size) - 1]
+        with np.errstate(over="ignore"):
+            self.weight = np.add.reduceat(w, starts)
+            self.floor = math.ldexp(float(self.weight.sum()) + v.size + starts.size, -1070)
+        self.rel = 2.0 * (v.size + starts.size + _BLOCK + 2.0 * p + 16.0) * 2.0 ** -53
+        self.exponent = p - 1.0
+
+    def sign(self, c: float) -> float:
+        """1.0 or -1.0 where the bounds fix the sign of `_slope` at c and
+        keep it off 0, else 0.0."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            far, near = c - self.first, c - self.last
+            a_far, a_near = np.abs(far) ** self.exponent, np.abs(near) ** self.exponent
+            upper = float(np.dot(np.copysign(a_far, far), self.weight))
+            lower = float(np.dot(np.copysign(a_near, near), self.weight))
+            size = float(np.dot(a_far + a_near, self.weight))
+        margin = self.rel * size + self.floor
+        if not size < _SAFE:
+            return 0.0
+        if lower > margin:
+            return 1.0
+        return -1.0 if upper < -margin else 0.0
+
+
+def _slope_sign(c: float, bounds: _SlopeBounds | None, known: dict, args: tuple) -> float:
+    """`_slope(c, *args)` or, where `bounds` decide it, its sign (then the
+    full pass would not be 0 and would raise nothing). A computed slope is
+    kept in `known`."""
+    s = 0.0 if bounds is None else bounds.sign(c)
+    if s == 0.0:
+        s = known[c] = _slope(c, *args)
+    return s
 
 
 def _known_slope(c: float, known: dict, *args) -> float:
@@ -378,13 +540,15 @@ def _known_slope(c: float, known: dict, *args) -> float:
     return _slope(c, *args) if s is None else s
 
 
-def optimal_subtracted_constant(values: np.ndarray, weights: np.ndarray, p: float) -> float:
+def optimal_subtracted_constant(values: np.ndarray, weights: np.ndarray, p: float,
+                                merged: tuple | None = None) -> float:
     """Minimizer of c -> ||values - c||_p with the given weights.
 
     Weighted median for p = 1 and weighted mean for p = 2. Otherwise the
     objective is convex and its derivative, p times
     sum_i w_i sign(c - v_i) |c - v_i|^{p-1}, is continuous and nondecreasing.
-    Equal values are merged first (`_merge_equal_values`), which leaves the
+    Equal values are merged first (`_merge_equal_values`, or `merged`, its
+    result where the caller has it at less cost), which leaves the
     objective unchanged; where a merged weight overflows though no input
     weight is infinite, the values are only sorted. The bracket
     [min v, max v] is split at 0, then at the middle of the ordered bit
@@ -417,7 +581,7 @@ def optimal_subtracted_constant(values: np.ndarray, weights: np.ndarray, p: floa
         return lo
     from scipy.optimize import brentq  # on use: loading it costs start-up time
 
-    v, w = _merge_equal_values(values, weights)
+    v, w = _merge_equal_values(values, weights) if merged is None else merged
     if np.isinf(w).any() and np.isfinite(weights).all():
         order = np.argsort(values, kind="stable")
         v, w = values[order], weights[order]
@@ -427,13 +591,21 @@ def optimal_subtracted_constant(values: np.ndarray, weights: np.ndarray, p: floa
     buf = np.empty((2, min(v.size, _CHUNK)))
     args = (v, w, p, buf, (lo, hi))
     # both ends first, for their overflow and underflow checks; the splits
-    # stop at a slope of exactly 0, and brentq reads the slopes found here
+    # stop at a slope of exactly 0. Up to there only signs are needed, which
+    # the bounds give where they can, and a full pass runs where they cannot.
+    # brentq is handed the slopes at the ends of the final bracket, so it
+    # runs as if every sign had come from a full pass
+    bounds = _SlopeBounds(v, w, p) if v.size >= _BOUNDED else None
+    known = {}
     a, b = lo, hi
-    known = {lo: _slope(lo, *args), hi: _slope(hi, *args)}
-    while known[a] < 0.0 < known[b] and _ordered(b) - _ordered(a) > _SPAN:
+    sa, sb = _slope_sign(lo, bounds, known, args), _slope_sign(hi, bounds, known, args)
+    while sa < 0.0 < sb and _ordered(b) - _ordered(a) > _SPAN:
         m = 0.0 if a < 0.0 < b else _from_ordered((_ordered(a) + _ordered(b)) // 2)
-        known[m] = _slope(m, *args)
-        a, b = (a, m) if known[m] >= 0.0 else (m, b)
+        s = _slope_sign(m, bounds, known, args)
+        a, sa, b, sb = (a, sa, m, s) if s >= 0.0 else (m, s, b, sb)
+    for end in (a, b):
+        if end not in known:
+            known[end] = _slope(end, *args)
     # xtol = 5e-324 would make brentq's stopping test unreachable for a root at 0
     root, info = brentq(_known_slope, a, b, args=(known,) + args,
                         xtol=4.0 * math.ulp(0.0), rtol=4.0 * np.finfo(float).eps,
@@ -445,7 +617,9 @@ def optimal_subtracted_constant(values: np.ndarray, weights: np.ndarray, p: floa
     # v[k - 1] < root <= v[k], and k > 0 unless root is lo; ties go to the data value
     k = int(np.searchsorted(v, root))
     above = float(v[k])
-    below = above if above == root else float(v[k - 1])
+    if above == root:  # then the three candidates tie, and the first is above
+        return above
+    below = float(v[k - 1])
     return min((below, above, root),
                key=lambda c: _chunked_dot(v, w, c, p, signed=False, buf=buf))
 
@@ -466,7 +640,9 @@ class SPReport:
     sharp_passed: bool | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # every field is a scalar, so a shallow copy is asdict's result, at a
+        # fraction of its cost
+        return dict(vars(self))
 
 
 def halfline_constant_general(alpha: float, p: float) -> float:
@@ -501,17 +677,31 @@ def optimal_constant_and_ratio(G: FillingGraph, u: np.ndarray, p: float,
     (pass iff ratio <= constant * (1 + slack)). A function with zero
     gradient norm is constant: it keeps c = u[0] and ratio 0. A report whose
     gradient norm overflows is divergent: its ratio is None, and it neither
-    passes nor fails."""
+    passes nor fails.
+
+    A radial u (`_radial_levels`) is reported from its L level values in
+    place of its nodes: the gradient, the |.|^p of both norms and the sort
+    of the solver's merge run over the levels, and the norms sum over the
+    nodes in node order, so every number has the bits of the node path's."""
     check_p_and_slack(p, slack)
     u = np.asarray(u, dtype=float)
-    g = discrete_upper_gradient(G, u)
     w = G.node_measure
-    lp_g = lp_norm(g.node, w, p)
+    levels = _radial_levels(G, u)
+    if levels is None:
+        lp_g = lp_norm(discrete_upper_gradient(G, u).node, w, p)
+    else:
+        G.edges  # built for its refusals of a bad graph, which no radial u escapes
+        lp_g = _radial_lp_norm(G, _radial_gradient(G, levels), p)
     if lp_g == 0.0:
         c, lp_u, ratio = float(u[0]), 0.0, 0.0
     else:
-        c = optimal_subtracted_constant(u, w, p)
-        lp_u = lp_norm(u - c, w, p)
+        if levels is None:
+            c = optimal_subtracted_constant(u, w, p)
+            lp_u = lp_norm(u - c, w, p)
+        else:
+            merged = None if p in (1.0, 2.0) else _radial_merge(G, levels)
+            c = optimal_subtracted_constant(u, w, p, merged)
+            lp_u = _radial_lp_norm(G, levels - c, p)
         ratio = lp_u / lp_g if math.isfinite(lp_g) else None
     divergent = ratio is None
     passed = None if divergent or math.isnan(paper_constant) else bool(

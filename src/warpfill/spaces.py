@@ -250,10 +250,13 @@ def _check_matrix(dist, measure=None, edges=None):
     bad = np.argwhere(D < -tol)
     for i, j in bad[:_MAX_REPORTED]:
         violations.append(("negative", (int(i), int(j)), float(D[i, j])))
-    asym = np.abs(D - D.T)
-    bad = np.argwhere(np.triu(asym, 1) > tol)
-    for i, j in bad[:_MAX_REPORTED]:
-        violations.append(("asymmetry", (int(i), int(j)), float(D[i, j]), float(D[j, i])))
+    bits = D.view(np.int64)
+    if not np.array_equal(bits, bits.T):
+        with np.errstate(over="ignore"):  # a difference past double range is inf
+            asym = np.abs(D - D.T)
+        bad = np.argwhere(np.triu(asym, 1) > tol)
+        for i, j in bad[:_MAX_REPORTED]:
+            violations.append(("asymmetry", (int(i), int(j)), float(D[i, j]), float(D[j, i])))
 
     certified = not violations and edges is not None and all(_edge_certificate(D, edges))
     detour = None if violations or certified else _detours(D)
@@ -279,11 +282,15 @@ def _check_matrix(dist, measure=None, edges=None):
         if m.shape != (n,):
             violations.append(("measure_shape", m.shape, n))
         else:
-            if not np.all(np.isfinite(m)):
+            finite = np.all(np.isfinite(m))
+            if not finite:
                 violations.append(("measure_finite", int(np.argwhere(~np.isfinite(m))[0]), None))
             bad = np.argwhere(m <= 0.0)
             for (i,) in bad[:_MAX_REPORTED]:
                 violations.append(("measure_positive", int(i), float(m[i])))
+            with np.errstate(over="ignore"):
+                if finite and not bad.size and m.sum() == np.inf:
+                    violations.append(("measure_total", None, "overflows double precision"))
     return violations, detour
 
 
@@ -300,20 +307,25 @@ def from_matrix(matrix, measure=None, labels=None, edges=None) -> CarrierSpace:
     """
     D = np.asarray(matrix, dtype=float)
     n = D.shape[0] if D.ndim == 2 else 0
+    return _validated(D, measure, labels, None if edges is None else _edge_array(edges, n))
+
+
+def _validated(D: np.ndarray, measure, labels, edges) -> CarrierSpace:
+    """`from_matrix` on a float matrix and edges that are already an
+    `_edge_array`, which is not made again."""
     if measure is None:
-        measure = np.ones(n)
-    if edges is not None:
-        edges = _edge_array(edges, n)
+        measure = np.ones(D.shape[0] if D.ndim == 2 else 0)
     violations, detour = _check_matrix(D, measure, edges)
     if violations:
         raise ValidationError(f"invalid carrier: {len(violations)} violation(s), "
                               f"first: {violations[0]}", violations)
-    space = CarrierSpace(D, measure, labels, edges)
+    space = CarrierSpace(D, measure, labels)
+    space.edges = edges
     if detour is None:
         space.triangle_check = "edge certificate"
     else:
         space.triangle_check = "sweep"
-        rows, cols = np.triu_indices(n, 1)
+        rows, cols = np.triu_indices(space.n, 1)
         space._adjacency = _essential(space.dist, rows, cols, detour[rows, cols])
     return space
 
@@ -448,7 +460,7 @@ def _load_json(path: str) -> CarrierSpace:
             edges = _edge_array(edges, n)
         except SchemaError as exc:
             raise SchemaError(f"space file {path!r}: field {exc}") from exc
-    return from_matrix(dist, measure, labels, edges)
+    return _validated(dist, measure, labels, edges)
 
 
 def _load_csv(path: str) -> CarrierSpace:

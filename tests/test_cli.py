@@ -765,6 +765,42 @@ def test_config_does_not_leak_into_the_next_call(capsys, tmp_path):
     assert (config["p"], config["model"], config["slack"]) == (1.0, "exp", 0.05)
 
 
+def test_the_parser_is_built_once_per_process(capsys, tmp_path, circle_path, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    monkeypatch.setattr(cli, "_PARSER", None)
+    for _ in range(2):
+        assert run(capsys, ["validate", "--space", circle_path])[0] == 0
+    assert len(built) == 1
+    # a --config run sets its defaults on a parser of its own
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"eps": 0.5}))
+    code, out, _ = run(capsys, ["validate", "--space", circle_path, "--config", str(path)])
+    assert code == 0 and json.loads(out)["config"]["eps"] == 0.5
+    code, out, _ = run(capsys, ["validate", "--space", circle_path])
+    doc = json.loads(out)
+    assert code == 0 and doc["config"]["eps"] is None and "length_check" not in doc["result"]
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize("doc, violations", [
+    ({"dist": [[0, -1.7e308], [1.7e308, 0]]}, ["('negative', (0, 1), -1.7e+308)",
+                                                "('asymmetry', (0, 1), -1.7e+308, 1.7e+308)"]),
+    ({"dist": [[0, 1], [1, 0]], "measure": [1e308, 1e308]},
+     ["('measure_total', None, 'overflows double precision')"]),
+])
+def test_carriers_past_double_range_are_refused_without_a_warning(capsys, tmp_path, doc,
+                                                                   violations):
+    path = tmp_path / "top.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, ["validate", "--space", str(path)])
+    assert code == 2
+    assert err.splitlines()[1:] == [f"  violated: {v}" for v in violations]
+
+
 def test_halfline_far_tail_has_no_overflow_warning():
     # smooth_step_down at t up to 354, where e^{4(t-3)} overflows double precision
     src = os.path.dirname(os.path.dirname(warpfill.__file__))

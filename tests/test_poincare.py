@@ -331,22 +331,91 @@ def _counting_slope(monkeypatch):
     return calls
 
 
-def test_optimal_constant_bounds_the_slope_passes_on_adversarial_inputs(monkeypatch):
-    # values over 300 decades of both signs, weights e^(-300..600): the root
-    # lies many decades below the bracket width, where brentq alone bisected
-    # from the far end (over 300 passes for these inputs)
+def _adversarial_inputs():
+    """300 seeded (values, weights): values over 300 decades of both signs,
+    weights e^(-300..600)."""
     rng = np.random.default_rng(2026)
-    calls = _counting_slope(monkeypatch)
-    worst = 0
     for _ in range(300):
         n = int(rng.integers(50, 500))
         values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300.0, 0.0, n)
-        weights = np.exp(rng.uniform(-300.0, 600.0, n))
+        yield values, np.exp(rng.uniform(-300.0, 600.0, n))
+
+
+def test_optimal_constant_bounds_the_slope_passes_on_adversarial_inputs(monkeypatch):
+    # the root lies many decades below the bracket width, where brentq alone
+    # bisected from the far end (over 300 passes for these inputs)
+    calls = _counting_slope(monkeypatch)
+    worst = 0
+    for values, weights in _adversarial_inputs():
         calls.clear()
         c = optimal_subtracted_constant(values, weights, 1.5)
         assert values.min() <= c <= values.max()
         worst = max(worst, len(calls))
     assert worst <= 64
+
+
+def _solve_or_refuse(values, weights, p):
+    try:
+        return np.float64(optimal_subtracted_constant(values, weights, p)).view(np.int64)
+    except DomainError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("cycle_p", [False, True])
+def test_bound_decided_splits_keep_the_answers_of_the_full_pass_loop(monkeypatch, cycle_p):
+    # the bounds split every input here; each sign they decide is checked
+    # against a full pass, and the full-pass loop (bounds that never decide)
+    # is the reference for the bits of c and the count of full passes
+    monkeypatch.setattr(poincare, "_BOUNDED", 2 * poincare._BLOCK)
+    full, slope_sign = poincare._slope, poincare._slope_sign
+    decided = []
+
+    def checked(c, bounds, known, args):
+        s = slope_sign(c, bounds, known, args)
+        if c not in known:
+            exact = full(c, *args)
+            assert exact != 0.0 and math.copysign(1.0, exact) == s, (c, exact, s)
+            decided.append(c)
+        return s
+
+    monkeypatch.setattr(poincare, "_slope_sign", checked)
+    calls = _counting_slope(monkeypatch)
+    ps = [1.5, 1.05, 2.5, 4.0] if cycle_p else [1.5]
+    for k, (values, weights) in enumerate(_adversarial_inputs()):
+        p = ps[k % len(ps)]
+        calls.clear()
+        c = _solve_or_refuse(values, weights, p)
+        passes = len(calls)
+        with monkeypatch.context() as m:
+            m.setattr(poincare._SlopeBounds, "sign", lambda self, c: 0.0)
+            calls.clear()
+            assert _solve_or_refuse(values, weights, p) == c
+            assert passes <= len(calls)
+    assert len(decided) > 300
+
+
+def test_slope_bounds_agree_with_the_full_pass_near_the_root(monkeypatch):
+    # blocks of 2 values one ulp apart bound the slope closely, so within
+    # 40 ulps of the root the bounds decide signs where the full pass is
+    # rounding-sensitive; each decided sign must be the full pass's, off 0
+    monkeypatch.setattr(poincare, "_BLOCK", 2)
+    rng = np.random.default_rng(5)
+    decided = 0
+    for _ in range(60):
+        base = rng.normal(size=int(rng.integers(550, 1500))) * 10.0 ** rng.uniform(-3, 3)
+        v = np.sort(np.concatenate([base, np.nextafter(base, np.inf)]))
+        w = rng.uniform(0.5, 2.0, v.size)
+        p = float(rng.choice([1.05, 1.5, 2.5, 4.0]))
+        bounds = poincare._SlopeBounds(v, w, p)
+        args = (v, w, p, np.empty((2, v.size)), (v[0], v[-1]))
+        c = optimal_subtracted_constant(v, w, p)
+        for x in c + np.arange(-40, 41) * np.spacing(c):
+            s = bounds.sign(float(x))
+            if s:
+                decided += 1
+                exact = poincare._slope(float(x), *args)
+                assert exact != 0.0 and math.copysign(1.0, exact) == s, (x, exact, s)
+    assert decided > 100
 
 
 @settings(max_examples=200, deadline=None)
@@ -381,6 +450,89 @@ def test_optimal_constant_splits_a_straddling_bracket_at_zero(monkeypatch, sign)
     calls.clear()
     assert optimal_subtracted_constant(np.array([-1.0, 1.0]), np.ones(2), 1.5) == 0.0
     assert calls == [-1.0, 1.0, 0.0]
+
+
+def _stable_merge(values, weights):
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
+    return v[starts], np.add.reduceat(weights[order], starts)
+
+
+def test_merge_equal_values_matches_a_stable_sort():
+    # distinct values in short runs take numpy's default sort, the rest the
+    # stable sort; the merged pairs have the bits of a stable sort's
+    rng = np.random.default_rng(24)
+    zeros = np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0] * 300)
+    cases = [rng.normal(size=5000), np.repeat(rng.normal(size=50), 100)[rng.permutation(5000)],
+             np.exp(-np.linspace(0.0, 20.0, 5000)), np.clip(np.linspace(-1.0, 3.0, 5000), 0.0, 1.0),
+             zeros[rng.permutation(zeros.size)], np.array([2.0]),
+             np.concatenate([rng.normal(size=3000), [0.0, -0.0]])[rng.permutation(3002)]]
+    for values in cases:
+        weights = rng.uniform(0.1, 2.0, values.size) * 10.0 ** rng.uniform(-3, 3, values.size)
+        got, ref = poincare._merge_equal_values(values, weights), _stable_merge(values, weights)
+        for a, b in zip(got, ref):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _report_bits(G, u, p):
+    """The report's to_dict() with every float as its bits, or the error."""
+    try:
+        rep = optimal_constant_and_ratio(G, u, p, 1.5, 0.1, "u", 2.0).to_dict()
+    except (DomainError, ValidationError) as exc:
+        return type(exc).__name__, str(exc)
+    return {k: np.float64(v).view(np.int64) if isinstance(v, float) else v
+            for k, v in rep.items()}
+
+
+_LEVEL_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.25, 1e-3, -1e-3, 3.0, 7.5])
+
+
+@st.composite
+def _radial_cases(draw):
+    kind = draw(st.sampled_from(["halfline", "circle", "graph"]))
+    model = draw(st.sampled_from(["exp", "sinh"]))
+    dt = draw(st.sampled_from([0.05, 0.1, 0.25]))
+    beta = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    t_max = draw(st.integers(1, 30)) * dt
+    if kind == "halfline":
+        G = halfline_graph(model, beta, t_max, dt)
+    else:
+        if kind == "circle":
+            Y = circle(draw(st.integers(3, 9)), 2 * math.pi)
+        else:
+            n = draw(st.integers(2, 7))
+            lengths = st.sampled_from([0.5, 1.0, 1.5, 2.0])
+            extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                            lengths), max_size=6))
+            Y = from_graph([(i, i + 1, draw(lengths)) for i in range(n - 1)]
+                           + [e for e in extra if e[0] != e[1]], n=n)
+        profile = EXP1 if model == "exp" else SINH1
+        G = build_filling_graph(Y, profile, model, beta, t_max, dt)
+    pool = draw(st.lists(_LEVEL_VALUES | st.floats(-10.0, 10.0), min_size=1, max_size=6))
+    levels = np.array(draw(st.lists(st.sampled_from(pool), min_size=G.n_levels,
+                                    max_size=G.n_levels)))
+    p = draw(st.sampled_from([1.0, 1.05, 1.5, 2.0, 2.5, 4.0]))
+    return G, levels, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(_radial_cases(), st.data())
+def test_level_grid_report_equals_the_node_report(case, data):
+    G, levels, p = case
+    u = levels[np.searchsorted(G.levels, G.node_t)]
+    assert np.array_equal(poincare._radial_levels(G, u).view(np.int64), levels.view(np.int64))
+    report = _report_bits(G, u, p)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(poincare, "_radial_levels", lambda G, u: None)
+        assert report == _report_bits(G, u, p)
+    # one node changed, on a level of more than one node, takes the node path
+    shared = np.flatnonzero(G.node_y >= 0) if G.carrier.n > 1 else np.array([], int)
+    if shared.size:
+        k = data.draw(st.sampled_from(shared.tolist()))
+        x = u[k]
+        u[k] = -x if x == 0.0 else np.nextafter(x, data.draw(st.sampled_from([-1.0, 1.0])) * np.inf)
+        assert poincare._radial_levels(G, u) is None
 
 
 def test_lp_norm_refuses_a_sum_that_underflows():

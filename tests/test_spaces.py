@@ -389,6 +389,17 @@ def test_certified_load_and_filling_graph_pay_no_sweep(tmp_path, monkeypatch):
         monkeypatch.undo()
 
 
+def test_a_json_carrier_normalizes_its_edges_once(tmp_path, monkeypatch):
+    path = tmp_path / "c.json"
+    save_space(circle(16, 2 * math.pi), str(path))
+    calls = []
+    edge_array = spaces._edge_array
+    monkeypatch.setattr(spaces, "_edge_array", lambda *a: calls.append(1) or edge_array(*a))
+    space = load_space(str(path))
+    assert len(calls) == 1 and space.edges.shape == (16, 2)
+    assert space.triangle_check == "edge certificate"
+
+
 def test_graph_carriers_keep_sorted_unique_edges():
     assert circle(4, 4.0).edges.tolist() == [[0, 1], [0, 3], [1, 2], [2, 3]]
     s = from_graph([(2, 1, 1.0), (1, 2, 1.0), (0, 1, 2.0), (1, 1, 0.5)])
