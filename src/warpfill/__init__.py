@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 
 from .errors import (DomainError, PreconditionError, ResourceCapError, SchemaError,
                      UnboundedError, ValidationError)
-from .profiles import (FMinResult, WarpProfile, exp_supremizer_bounds, golden_section,
-                       minimize_F, minimize_F_batch, sup_G, sup_G_batch)
+from .profiles import (FMinResult, WarpProfile, minimize_F, minimize_F_batch, sup_G,
+                       sup_G_batch)
 from .spaces import (CarrierSpace, approx_length_check, circle, from_graph,
                      from_matrix, load_space, save_space, validate_matrix)
 from .warped import (WarpedPoint, distance, distance_batch, gromov_product,

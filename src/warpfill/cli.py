@@ -51,18 +51,28 @@ def _emit(doc: dict, out_path: str | None) -> None:
 
 
 def _write_table(path: str, M, delimiter: str, header: str | None = None) -> None:
-    """Write M as text, one line per row, cells split by `delimiter` and each
-    float in orjson's shortest round-trip form, so `np.loadtxt` reads every
-    value back bit for bit. Non-finite cells are written as `inf`, `-inf` and
-    `nan`. `header` lines come first, each prefixed with `# `. A 1-D M is
-    written as one column."""
+    """Write M as text, one line per row, cells split by the one-character
+    `delimiter` and each float in orjson's shortest round-trip form, so
+    `np.loadtxt` reads every value back bit for bit. Non-finite cells are
+    written as `inf`, `-inf` and `nan`. `header` lines come first, each
+    prefixed with `# `. A 1-D M is written as one column."""
     M = np.asarray(M, dtype=np.float64)
-    M = np.ascontiguousarray(M[:, None] if M.ndim == 1 else M)
-    # strip "[[" and "]]"; orjson writes every non-finite cell as null, in row-major order
-    parts = orjson.dumps(M, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"null")
-    body = parts[0] + b"".join(repr(v).encode() + rest
-                               for v, rest in zip(M[~np.isfinite(M)].tolist(), parts[1:]))
-    body = body.replace(b"],[", b"\n").replace(b",", delimiter.encode())
+    M = M[:, None] if M.ndim == 1 else M
+    rows, cols = M.shape
+    # orjson writes the cells in row-major order split by commas, so every
+    # cols-th comma ends a row and the others become the delimiter
+    text = np.frombuffer(orjson.dumps(M.ravel(), option=orjson.OPT_SERIALIZE_NUMPY)[1:-1],
+                         np.uint8).copy()
+    commas = np.flatnonzero(text == ord(","))
+    text[commas] = ord(delimiter)
+    text[commas[cols - 1::max(cols, 1)]] = ord("\n")
+    body = text.tobytes() if cols else b"\n" * (rows - 1)  # no columns: empty lines
+    finite = np.isfinite(M)
+    if not finite.all():
+        # orjson writes every non-finite cell as null, in row-major order
+        parts = body.split(b"null")
+        body = parts[0] + b"".join(repr(v).encode() + rest
+                                   for v, rest in zip(M[~finite].tolist(), parts[1:]))
     with open(path, "wb") as fh:
         if header:
             fh.write(("# " + header.replace("\n", "\n# ") + "\n").encode("latin1"))

@@ -44,11 +44,6 @@ _CHUNK = 1 << 16
 # holding nearly all the weight
 _ROOT_MAXITER = 3000
 _SPAN = 1 << 52
-# `_sorted_runs` tries numpy's default sort first where the direction of the
-# values turns at more than 1 in _TURNS of them; the benchmark's solver inputs
-# turn at under 1 in 16 (timsort faster by 1.5-10x), or at 2 in 3 (the default
-# sort faster by 4x)
-_TURNS = 8
 # values per block of `_SlopeBounds`; the bound on the magnitudes of a
 # slope's terms under which they decide its sign; and the least count of
 # values they are used for: below about 1000 values a full pass costs no
@@ -421,22 +416,8 @@ def _from_ordered(k: int) -> float:
 
 def _sorted_runs(values: np.ndarray):
     """(order, starts): a stable sorting order of values, and where the runs
-    of equal values begin in values[order].
-
-    numpy's stable sort (timsort) merges the monotone runs it finds, so on
-    values made of long runs, as sampled functions of t are, it takes a
-    fraction of the default sort's time. Where the direction turns at more
-    than 1 in _TURNS of the values, the default sort comes first: if every
-    value is distinct, its order is the only increasing one, so the stable
-    one, and the stable sort runs only where a run of equal values exists.
-    """
-    up = values[1:] > values[:-1]
-    if np.count_nonzero(up[1:] != up[:-1]) * _TURNS > values.size:
-        order = np.argsort(values)
-        v = values[order]
-        new = np.concatenate(([True], v[1:] != v[:-1]))
-        if new.all():
-            return order, np.flatnonzero(new)
+    of equal values begin in values[order]. numpy's stable sort (timsort)
+    merges the monotone runs it finds, as sampled functions of t have."""
     order = np.argsort(values, kind="stable")
     v = values[order]
     return order, np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))

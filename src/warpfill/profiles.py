@@ -146,31 +146,20 @@ class FMinResult:
     interior: bool
 
 
-@dataclass(frozen=True)
-class SupremizerBounds:
-    exact: float
-    lower: float
-    upper: float
-
-
-def golden_section(f: Callable, a, b, tol: float = 1e-12):
+def _golden_section(f: Callable, a: np.ndarray, b: np.ndarray, tol: float):
     """Golden-section search for a minimum of f on [a, b], elementwise.
 
-    a and b are scalars or arrays, and f maps an array of points to its
-    values. Each element narrows its own bracket until it is at most tol
-    (or a few ulps) wide and gets (x, f(x)) at the bracket center, as
-    floats for scalar a and b. f should be unimodal on [a, b].
+    f maps an array of points to its values. Each element narrows its own
+    bracket until it is at most tol (or a few ulps) wide and gets (x, f(x))
+    at the bracket center. f should be unimodal on [a, b].
     """
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-    a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
     a, b = np.minimum(a, b), np.maximum(a, b)
     while (active := b - a > np.maximum(tol, 4.0 * _EPS * np.abs(b))).any():
         x1, x2 = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
         left = f(x1) <= f(x2)  # a minimum lies in [a, x2]
         a, b = np.where(active & ~left, x1, a), np.where(active & left, x2, b)
     x = 0.5 * (a + b)
-    fx = f(x)
-    return (float(x[0]), float(fx[0])) if scalar else (x, fx)
+    return x, f(x)
 
 
 def _newton_root(g: Callable, x, lo, hi, gtol):
@@ -298,7 +287,7 @@ def _custom_argmin(profile: WarpProfile, d, tmax):
         best = _KNOTS.size - 1 - np.argmin(vals[:, ::-1], axis=1)  # ties toward larger rho
         lo[s] = T[s] * _KNOTS[np.maximum(best - 1, 0)]
         hi[s] = T[s] * _KNOTS[np.minimum(best + 1, _KNOTS.size - 1)]
-    x, fx = golden_section(lambda r: F(r, d), lo, hi, tol=1e-10)
+    x, fx = _golden_section(lambda r: F(r, d), lo, hi, 1e-10)
     # where F descends into the overflow of psi, the golden section keeps a
     # right end where F = inf and ends within its final bracket of it
     if np.isinf(F(x + np.maximum(1e-10, 8.0 * _EPS * x), d)).any():
@@ -394,31 +383,3 @@ def sup_G_batch(profile: WarpProfile, d) -> np.ndarray:
 def sup_G(profile: WarpProfile, d: float) -> float:
     """`sup_G_batch` for a single d."""
     return float(sup_G_batch(profile, [d])[0])
-
-
-def exp_supremizer_bounds(K: float, D: float, alpha: float, d: float) -> SupremizerBounds:
-    """Exact value and two-sided bounds of sup_{rho>=0} (2*rho - K*d*e^{alpha*rho}).
-
-    The derivative is decreasing with a single zero; for d < 2/(K*alpha)
-    the supremum is (2/alpha)(ln(2/(K*alpha*d)) - 1), otherwise the value
-    at rho = 0, namely -K*d. The enclosure is -C - (2/alpha)ln d <= exact
-    <= C - (2/alpha)ln d with C the maximum of the three branch constants.
-    """
-    if K <= 0.0 or D <= 0.0 or alpha <= 0.0:
-        raise DomainError("exp_supremizer_bounds requires positive K, D, alpha")
-    if not (0.0 < d <= D):
-        raise DomainError(f"exp_supremizer_bounds requires 0 < d <= D, got d={d}, D={D}")
-    if d < 2.0 / (K * alpha):
-        exact = (2.0 / alpha) * (math.log(2.0 / (K * alpha * d)) - 1.0)
-    else:
-        exact = -K * d
-    C = max(
-        (2.0 / alpha) * abs(math.log(2.0 / (K * alpha)) - 1.0),
-        K * D * math.exp(alpha) + (2.0 / alpha) * math.log(K * alpha / 2.0),
-        (2.0 / alpha) * math.log(D),
-    )
-    shift = -(2.0 / alpha) * math.log(d)
-    # the enclosure can be an exact equality; pad a few ulps so rounding
-    # never puts the exact value outside it
-    pad = 8.0 * np.finfo(float).eps * max(1.0, abs(C) + abs(shift))
-    return SupremizerBounds(exact, -C + shift - pad, C + shift + pad)

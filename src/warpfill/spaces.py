@@ -278,20 +278,27 @@ def _check_matrix(dist, measure=None, edges=None):
             violations.append(("triangle_overflow", count, "additional violations elided"))
 
     if measure is not None:
-        m = np.asarray(measure, dtype=float)
-        if m.shape != (n,):
-            violations.append(("measure_shape", m.shape, n))
-        else:
-            finite = np.all(np.isfinite(m))
-            if not finite:
-                violations.append(("measure_finite", int(np.argwhere(~np.isfinite(m))[0]), None))
-            bad = np.argwhere(m <= 0.0)
-            for (i,) in bad[:_MAX_REPORTED]:
-                violations.append(("measure_positive", int(i), float(m[i])))
-            with np.errstate(over="ignore"):
-                if finite and not bad.size and m.sum() == np.inf:
-                    violations.append(("measure_total", None, "overflows double precision"))
+        violations += _measure_violations(measure, n)
     return violations, detour
+
+
+def _measure_violations(measure, n: int) -> list:
+    """The violations of node measures for n points: a wrong shape, a
+    non-finite or nonpositive entry, or a total past double range."""
+    m = np.asarray(measure, dtype=float)
+    if m.shape != (n,):
+        return [("measure_shape", m.shape, n)]
+    violations = []
+    finite = np.all(np.isfinite(m))
+    if not finite:
+        violations.append(("measure_finite", int(np.argmax(~np.isfinite(m))), None))
+    bad = np.argwhere(m <= 0.0)
+    for (i,) in bad[:_MAX_REPORTED]:
+        violations.append(("measure_positive", int(i), float(m[i])))
+    with np.errstate(over="ignore"):
+        if finite and not bad.size and m.sum() == np.inf:
+            violations.append(("measure_total", None, "overflows double precision"))
+    return violations
 
 
 def from_matrix(matrix, measure=None, labels=None, edges=None) -> CarrierSpace:
@@ -316,9 +323,7 @@ def _validated(D: np.ndarray, measure, labels, edges) -> CarrierSpace:
     if measure is None:
         measure = np.ones(D.shape[0] if D.ndim == 2 else 0)
     violations, detour = _check_matrix(D, measure, edges)
-    if violations:
-        raise ValidationError(f"invalid carrier: {len(violations)} violation(s), "
-                              f"first: {violations[0]}", violations)
+    _refuse(violations)
     space = CarrierSpace(D, measure, labels)
     space.edges = edges
     if detour is None:
@@ -336,14 +341,16 @@ def from_graph(edges, n: int | None = None, measure=None, labels=None) -> Carrie
     edges: iterable of (i, j, length) with positive lengths. Parallel edges
     are allowed, and a pair listed more than once keeps its shortest length.
     The graph must be connected; otherwise the error names a stranded
-    component. Node measures default to 1 per node.
+    component. Node measures default to 1 per node; like `from_matrix`, it
+    raises ValidationError for measures that are not finite, not positive
+    or whose total overflows.
     """
     from scipy.sparse import coo_matrix  # on use: loading it costs start-up time
     from scipy.sparse.csgraph import connected_components, shortest_path
 
     edges = list(edges)
     if not edges and n in (None, 1):
-        return CarrierSpace(np.zeros((1, 1)), np.ones(1), labels, np.zeros((0, 2), np.int64))
+        return _measured(np.zeros((1, 1)), measure, labels, np.zeros((0, 2), np.int64))
     ii = np.asarray([e[0] for e in edges], dtype=np.int64)
     jj = np.asarray([e[1] for e in edges], dtype=np.int64)
     ww = np.asarray([e[2] for e in edges], dtype=float)
@@ -363,9 +370,23 @@ def from_graph(edges, n: int | None = None, measure=None, labels=None) -> Carrie
         raise ValidationError(
             f"graph is disconnected: component {nodes} is unreachable", [("disconnected", nodes)])
     D = shortest_path(graph, directed=False)
+    return _measured(D, measure, labels, np.column_stack([ii, jj])[ii != jj])
+
+
+def _measured(D: np.ndarray, measure, labels, edges) -> CarrierSpace:
+    """CarrierSpace(D, measure, labels, edges), its measure (1 per node by
+    default) checked as `_check_matrix` checks it."""
     if measure is None:
-        measure = np.ones(n)
-    return CarrierSpace(D, measure, labels, np.column_stack([ii, jj])[ii != jj])
+        measure = np.ones(D.shape[0])
+    _refuse(_measure_violations(measure, D.shape[0]))
+    return CarrierSpace(D, measure, labels, edges)
+
+
+def _refuse(violations: list) -> None:
+    """Raise ValidationError carrying the violations, if there are any."""
+    if violations:
+        raise ValidationError(f"invalid carrier: {len(violations)} violation(s), "
+                              f"first: {violations[0]}", violations)
 
 
 def circle(n: int, circumference: float) -> CarrierSpace:

@@ -226,7 +226,9 @@ _SPECIAL = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, -1e308, 1.0
     np.random.default_rng(3).standard_normal((9, 5)) * 10.0 ** np.arange(-200, 250, 90),
     # an exact tie at 19 digits (...015625) and non-finite cells in one row
     np.array([[21089332485663.016, math.inf, 0.1], [math.nan, -21089332485663.016, -math.inf]]),
-], ids=["1x1", "kx1", "kx2", "1d", "9x5", "tie"])
+    np.random.default_rng(4).standard_normal((1, 1000)) * 10.0 ** np.arange(-300, 300, 0.6),
+    np.random.default_rng(5).standard_normal((500, 2)),
+], ids=["1x1", "kx1", "kx2", "1d", "9x5", "tie", "1x1000", "500x2"])
 @pytest.mark.parametrize("tile", [1, 3, 4, 1 << 14])
 @pytest.mark.parametrize("delimiter, header", [
     (",", None), (" ", None), (",", "t_max,g_norm,u_deviation"), (" ", "two\nlines")])
@@ -799,6 +801,15 @@ def test_carriers_past_double_range_are_refused_without_a_warning(capsys, tmp_pa
         code, _, err = run(capsys, ["validate", "--space", str(path)])
     assert code == 2
     assert err.splitlines()[1:] == [f"  violated: {v}" for v in violations]
+
+
+def test_non_finite_measure_exit_2(capsys, tmp_path):
+    # a CSV carrier's measure column reads nan as a number; it is bad input
+    path = tmp_path / "nan.csv"
+    path.write_text("0,1,1\n1,0,nan\n")
+    code, _, err = run(capsys, ["validate", "--space", str(path)])
+    assert code == 2
+    assert err.splitlines()[1:] == ["  violated: ('measure_finite', 1, None)"]
 
 
 def test_halfline_far_tail_has_no_overflow_warning():

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,24 @@ def test_from_graph_keeps_the_shortest_parallel_edge():
 def test_from_graph_single_node():
     s = from_graph([], n=1)
     assert s.n == 1 and s.dist[0, 0] == 0.0
+    # a given measure is kept, and checked
+    assert from_graph([], measure=[2.5]).measure.tolist() == [2.5]
+    with pytest.raises(ValidationError, match="measure_positive"):
+        from_graph([], measure=[0.0])
+
+
+@pytest.mark.parametrize("measure, kind", [([1e308, 1e308], "measure_total"),
+                                           ([1.0, 0.0], "measure_positive"),
+                                           ([1.0, math.nan], "measure_finite")])
+def test_from_graph_refuses_the_measures_from_matrix_refuses(measure, kind):
+    # the same violations as from_matrix, and no overflow warning on the total
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in (lambda: from_graph([(0, 1, 1.0)], measure=measure),
+                      lambda: from_matrix([[0.0, 1.0], [1.0, 0.0]], measure)):
+            with pytest.raises(ValidationError) as exc:
+                build()
+            assert [v[0] for v in exc.value.violations] == [kind]
 
 
 def test_from_graph_disconnected():
