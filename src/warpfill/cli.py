@@ -106,7 +106,8 @@ def _family_field(k: int, item: dict, key: str) -> np.ndarray:
 
 def _load_family(spec: str) -> list:
     """(name, u) pairs from a family file; u(t, y=None) interpolates the
-    entry's table in t and ignores y, so it is radial on any graph."""
+    entry's table in t and ignores y, so `FillingGraph.sample` gives it one
+    value per level, an (L, 1) array, on any graph."""
     with open(spec, "rb") as fh:
         try:
             doc = json.load(fh)

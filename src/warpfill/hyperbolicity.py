@@ -116,10 +116,15 @@ def estimate_delta(profile: WarpProfile, space: CarrierSpace, t_max: float,
 
 def default_eps(delta: float) -> float:
     """Default visual parameter 0.9 * min(1, 1/(5*delta)), safely inside the
-    range where the chain closure stays within a factor 2 of the premetric."""
+    range where the chain closure stays within a factor 2 of the premetric.
+    DomainError where it underflows to 0, as for delta near double range."""
     if delta <= 0.0:
         return 0.9
-    return 0.9 * min(1.0, 1.0 / (5.0 * delta))
+    eps = 0.9 * min(1.0, 1.0 / (5.0 * delta))
+    if not eps > 0.0:
+        raise DomainError(f"the default eps 0.9/(5*delta) underflows to 0 at the hyperbolicity "
+                          f"bound delta = {delta!r}; pass an explicit eps")
+    return eps
 
 
 def _min_plus_closure(M: np.ndarray):

@@ -18,6 +18,7 @@ and the failure threshold for the sharp counterexample is p = beta/alpha.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -191,19 +192,26 @@ def _level_grid(measure: np.ndarray, has_apex: bool, weight_kind: str, beta: flo
 class FillingGraph:
     """Weighted-graph discretization of the filling over a carrier.
 
-    Node arrays: node_t (radial coordinate), node_y (carrier index, -1 for
-    the apex) and node_measure (cell weight mass times carrier measure),
-    over the levels and masses of `_level_grid`.
-    Edges are built lazily: (edge_a, edge_b, edge_len) with radial edges
-    first, then horizontal edges level by level.
+    A function on the graph is an (L, k) array over the L levels of
+    `_level_grid` (see `grid`): k = n holds one value per carrier node, and
+    k = 1 one value per level, for a function that ignores y. When the
+    bottom level is one apex node, row 0 holds the apex value in every
+    column. Its weights (`weights`) are the cell masses times the carrier
+    measure, or times the total measure when k = 1.
+
+    The same graph is also listed node by node, for Dijkstra and oracles:
+    node_t (radial coordinate), node_y (carrier index, -1 for the apex),
+    node_measure (cell mass times carrier measure) and the lazily built
+    `edges` (edge_a, edge_b, edge_len), radial edges first, then horizontal
+    edges level by level.
     """
 
     def __init__(self, carrier: CarrierSpace, profile: WarpProfile, weight_kind: str,
                  beta: float, t_max: float, dt: float):
         n = carrier.n
         self.has_apex = profile.psi0 == 0.0 and n > 1
-        self.levels, masses = _level_grid(carrier.measure, self.has_apex, weight_kind,
-                                          beta, t_max, dt)
+        self.levels, self.masses = _level_grid(carrier.measure, self.has_apex, weight_kind,
+                                               beta, t_max, dt)
         self.carrier = carrier
         self.profile = profile
         self.weight_kind = weight_kind
@@ -214,10 +222,11 @@ class FillingGraph:
         self._off = off = n - 1 if self.has_apex else 0
         self.node_t = np.repeat(self.levels, n)[off:]
         self.node_y = np.tile(np.arange(n), self.n_levels)[off:]
-        self.node_measure = (np.repeat(masses, n) * np.tile(carrier.measure, self.n_levels))[off:]
+        self.node_measure = (np.repeat(self.masses, n)
+                             * np.tile(carrier.measure, self.n_levels))[off:]
         if self.has_apex:
             self.node_y[0] = -1
-            self.node_measure[0] = masses[0] * carrier.measure.sum()
+            self.node_measure[0] = self.masses[0] * carrier.measure.sum()
         self._edges = None
 
     @property
@@ -234,40 +243,87 @@ class FillingGraph:
         formula gives j - off <= 0) and 0 otherwise."""
         return max(level * self.carrier.n + j - self._off, 0)
 
+    def grid(self, u) -> np.ndarray:
+        """u as a function on the graph: an (L, 1) or (L, n) array as it is,
+        and one value per node, in node order, as (L, n) with the apex value
+        copied across row 0. DomainError for any other shape, and for an
+        (L, n) array whose apex row holds more than one value."""
+        u = np.asarray(u, dtype=float)
+        L, n = self.n_levels, self.carrier.n
+        if u.shape == (self.n_nodes,):
+            return np.concatenate((np.full(self._off, u[0]), u)).reshape(L, n)
+        if u.shape not in ((L, 1), (L, n)):
+            raise DomainError(f"a function on this filling graph has shape ({self.n_nodes},), "
+                              f"({L}, 1) or ({L}, {n}), got {u.shape}")
+        if self.has_apex and np.any(u[0] != u[0, 0]):
+            raise DomainError("row 0 of a function on this filling graph is its apex "
+                              "and must hold one value")
+        return u
+
+    def weights(self, k: int) -> np.ndarray:
+        """The (L, k) weights of a function of width k (see `grid`)."""
+        mu = self.carrier.measure
+        return self.masses[:, None] * (mu.sum() if k == 1 else mu)
+
+    def sample(self, fn: Callable) -> np.ndarray:
+        """fn(t, y_index) on the level grid, fn(levels[:, None], arange(n)[None, :]),
+        broadcast to (L, 1) or (L, n): a function that ignores y, or returns
+        a constant, comes out as (L, 1). With an apex, row 0 is fn(0.0, -1)."""
+        u = (np.asarray(fn(self.levels[:, None], np.arange(self.carrier.n)[None, :]), dtype=float)
+             + np.zeros((self.n_levels, 1)))
+        if self.has_apex:
+            u[0] = fn(0.0, -1)
+        return self.grid(u)
+
+    @functools.cached_property
+    def _horizontal(self):
+        """(a, b, lengths) of the horizontal edges, level by level: each
+        level's essential carrier edges as flat indices into the (L, n) grid,
+        of length psi(t_i) d_Y; there are none at the apex level or on a
+        one-point carrier. Refuses a level where psi or a length leaves
+        double range or where a length is 0."""
+        n = self.carrier.n
+        if n == 1:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0)
+        rows, cols, dd = self.carrier.adjacency()
+        start = 1 if self.has_apex else 0
+        scales = self.profile.psi(self.levels[start:])
+        if not np.all(np.isfinite(scales)):
+            i = start + int(np.argmin(np.isfinite(scales)))
+            raise DomainError(f"psi overflows at level {i} (t = {self.levels[i]:g})")
+        vanish = np.flatnonzero(scales <= 0.0)
+        if vanish.size:
+            raise ValidationError(
+                f"horizontal edges at level {start + vanish[0]} would have length 0 "
+                "(psi vanishes away from the apex)")
+        with np.errstate(over="ignore"):
+            lengths = scales[:, None] * dd
+        finite = np.isfinite(lengths).all(axis=1)
+        if not finite.all():
+            i = start + int(np.argmin(finite))
+            raise DomainError(f"horizontal edge lengths psi(t) * d_Y overflow at level {i} "
+                              f"(t = {self.levels[i]:g})")
+        if np.any(lengths <= 0.0):
+            raise ValidationError("graph has a nonpositive edge length")
+        base = np.arange(start, self.n_levels, dtype=np.int64)[:, None] * n
+        return (base + rows).ravel(), (base + cols).ravel(), lengths.ravel()
+
     @property
     def edges(self):
-        """(edge_a, edge_b, edge_len) arrays; built on first use."""
+        """(edge_a, edge_b, edge_len) arrays of node ids and lengths; built on
+        first use."""
         if self._edges is None:
-            self._edges = self._build_edges()
+            n = self.carrier.n
+            ids = np.maximum(np.arange(self.n_levels, dtype=np.int64)[:, None] * n
+                             + np.arange(n) - self._off, 0)  # ids[i, j] = node_index(i, j)
+            a, b, lengths = self._horizontal
+            # radial edges between consecutive levels, the apex fanning out to
+            # the whole first full level; then the horizontal edges, whose grid
+            # indices past the apex level are node ids plus off
+            self._edges = (np.concatenate((ids[:-1].ravel(), a - self._off)),
+                           np.concatenate((ids[1:].ravel(), b - self._off)),
+                           np.concatenate((np.full(ids[1:].size, self.dt), lengths)))
         return self._edges
-
-    def _build_edges(self):
-        n = self.carrier.n
-        ids = np.maximum(np.arange(self.n_levels, dtype=np.int64)[:, None] * n
-                         + np.arange(n) - self._off, 0)  # ids[i, j] = node_index(i, j)
-        # radial edges between consecutive levels; the apex fans out to the
-        # whole first full level
-        parts = [(ids[:-1].ravel(), ids[1:].ravel(), np.full(ids[1:].size, self.dt))]
-        # horizontal edges along essential carrier edges, level by level
-        if n > 1:
-            rows, colsj, dd = self.carrier.adjacency()
-            start = 1 if self.has_apex else 0
-            scales = self.profile.psi(self.levels[start:])
-            if not np.all(np.isfinite(scales)):
-                i = start + int(np.argmin(np.isfinite(scales)))
-                raise DomainError(f"psi overflows at level {i} (t = {self.levels[i]:g})")
-            vanish = np.flatnonzero(scales <= 0.0)
-            if vanish.size:
-                raise ValidationError(
-                    f"horizontal edges at level {start + vanish[0]} would have length 0 "
-                    "(psi vanishes away from the apex)")
-            base = ids[start:, :1]
-            parts.append(((base + rows).ravel(), (base + colsj).ravel(),
-                          (scales[:, None] * dd).ravel()))
-        edge_a, edge_b, edge_len = map(np.concatenate, zip(*parts))
-        if np.any(edge_len <= 0.0):
-            raise ValidationError("graph has a nonpositive edge length")
-        return edge_a, edge_b, edge_len
 
     def sparse(self):
         """Symmetric sparse adjacency with edge lengths as weights."""
@@ -279,11 +335,6 @@ class FillingGraph:
                        shape=(self.n_nodes, self.n_nodes))
         return m.tocsr()
 
-    def sample(self, fn: Callable) -> np.ndarray:
-        """Node values of fn(t, y_index), broadcast to one per node (so a
-        constant return is fine); the apex gets fn(0.0, -1)."""
-        return np.asarray(fn(self.node_t, self.node_y), dtype=float) + np.zeros(self.n_nodes)
-
 
 def build_filling_graph(carrier: CarrierSpace, profile: WarpProfile, weight_kind: str,
                         beta: float, t_max: float, dt: float) -> FillingGraph:
@@ -291,48 +342,26 @@ def build_filling_graph(carrier: CarrierSpace, profile: WarpProfile, weight_kind
     return FillingGraph(carrier, profile, weight_kind, beta, t_max, dt)
 
 
-@dataclass
-class GradientField:
-    edge: np.ndarray
-    node: np.ndarray
-
-
-def discrete_upper_gradient(G: FillingGraph, u: np.ndarray) -> GradientField:
-    """Edge difference quotients |u(a) - u(b)| / len(e), aggregated to nodes
-    by the maximum over incident edges."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (G.n_nodes,):
-        raise DomainError(f"function must have one value per node ({G.n_nodes})")
-    a, b, w = G.edges
-    g_edge = np.abs(u[a] - u[b]) / w
-    g_node = np.zeros(G.n_nodes)
-    np.maximum.at(g_node, a, g_edge)
-    np.maximum.at(g_node, b, g_edge)
-    return GradientField(g_edge, g_node)
-
-
-def _radial_levels(G: FillingGraph, u: np.ndarray) -> np.ndarray | None:
-    """The value of u on each level of G, where u is finite and its bits are
-    equal across every level (so -0.0 and 0.0 differ); None otherwise, and
-    for a u without one value per node. The apex level is its one node."""
-    n = G.carrier.n
-    if u.shape != (G.n_nodes,):
-        return None
-    if n > 1:
-        rows = (u[1:] if G.has_apex else u).view(np.int64).reshape(-1, n)
-        if not (rows == rows[:, :1]).all():
-            return None
-    levels = np.concatenate((u[:1], u[1::n])) if G.has_apex else u[::n]
-    return levels if np.isfinite(levels).all() else None
-
-
-def _radial_gradient(G: FillingGraph, levels: np.ndarray) -> np.ndarray:
-    """Per level, the node value of `discrete_upper_gradient` for the radial
-    function with these level values: every horizontal quotient is 0, so a
-    node takes the larger of its radial quotients |u_i - u_{i+-1}| / dt."""
-    q = np.abs(np.diff(levels)) / G.dt
-    g = np.append(q, 0.0)
+def discrete_upper_gradient(G: FillingGraph, u: np.ndarray) -> np.ndarray:
+    """The upper gradient of u (any shape `G.grid` reads), in u's (L, k)
+    layout: at each node the largest difference quotient |u(a) - u(b)| / len
+    over its edges. Radial quotients are |u_{i+1} - u_i| / dt; horizontal
+    ones run over `G._horizontal` and are 0 when k = 1, though the lengths
+    are still built, for their refusals of a bad graph. The apex takes the
+    largest of its radial quotients."""
+    u = G.grid(u)
+    a, b, lengths = G._horizontal
+    g = np.zeros(u.shape)
+    q = np.abs(np.diff(u, axis=0)) / G.dt
+    g[:-1] = q
     np.maximum(g[1:], q, out=g[1:])
+    if u.shape[1] > 1:
+        flat, g_flat = u.ravel(), g.reshape(-1)  # g is contiguous: a view
+        q = np.abs(flat[a] - flat[b]) / lengths
+        np.maximum.at(g_flat, a, q)
+        np.maximum.at(g_flat, b, q)
+    if G.has_apex:
+        g[0] = g[0].max()
     return g
 
 
@@ -349,22 +378,6 @@ def lp_norm(values: np.ndarray, weights: np.ndarray, p: float) -> float:
     with np.errstate(over="ignore"):
         total = float(np.sum(np.abs(values) ** p * weights))
     if total == 0.0 and np.any((values != 0.0) & (weights > 0.0)):
-        raise _norm_underflows(p)
-    return total ** (1.0 / p)
-
-
-def _radial_lp_norm(G: FillingGraph, levels: np.ndarray, p: float) -> float:
-    """lp_norm over G's node measures of the radial function with these
-    level values. |.|^p is taken once per level and the terms are summed
-    over the nodes, in node order, so the sum has the bits of lp_norm's.
-    Every node measure is positive (`_level_grid`)."""
-    n = G.carrier.n
-    with np.errstate(over="ignore"):
-        terms = np.abs(levels) ** p
-        if n > 1:
-            terms = np.repeat(terms, n)[G._off:]
-        total = float(np.sum(terms * G.node_measure))
-    if total == 0.0 and np.any(levels != 0.0):
         raise _norm_underflows(p)
     return total ** (1.0 / p)
 
@@ -414,43 +427,17 @@ def _from_ordered(k: int) -> float:
     return math.copysign(struct.unpack("<d", struct.pack("<q", abs(k)))[0], k)
 
 
-def _sorted_runs(values: np.ndarray):
-    """(order, starts): a stable sorting order of values, and where the runs
-    of equal values begin in values[order]. numpy's stable sort (timsort)
-    merges the monotone runs it finds, as sampled functions of t have."""
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    return order, np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
-
-
 def _merge_equal_values(values: np.ndarray, weights: np.ndarray):
     """(v, w): the distinct values in increasing order, each with the total
-    weight of its entries, in the order of a stable sort. np.add.reduceat
-    sums each run of equal values; a total that overflows is inf, without a
-    warning."""
-    order, starts = _sorted_runs(values)
+    weight of its entries, in the order of a stable sort. numpy's stable
+    sort (timsort) merges the monotone runs it finds, as sampled functions
+    of t have. np.add.reduceat sums each run of equal values; a total that
+    overflows is inf, without a warning."""
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
     with np.errstate(over="ignore"):
-        return values[order[starts]], np.add.reduceat(weights[order], starts)
-
-
-def _radial_merge(G: FillingGraph, levels: np.ndarray):
-    """`_merge_equal_values(u, G.node_measure)` for the radial u with these
-    level values, from a sort of the levels alone. The nodes of a level are
-    consecutive in node order, so the stable order of the nodes is the
-    stable order of the levels, each level spread over its nodes. The node
-    measures are gathered in that order and summed over the same runs, so
-    the pairs have the bits of the node path's."""
-    if G.carrier.n == 1:  # one node per level: the nodes are the levels
-        return _merge_equal_values(levels, G.node_measure)
-    order, starts = _sorted_runs(levels)
-    size = np.full(levels.size, G.carrier.n)
-    size[0] -= G._off  # the apex level is one node
-    first = np.cumsum(size) - size  # node id of each level's first node
-    size = size[order]
-    at = np.cumsum(size) - size  # where each sorted level's nodes begin
-    gather = np.arange(G.n_nodes) + np.repeat(first[order] - at, size)
-    with np.errstate(over="ignore"):
-        return levels[order[starts]], np.add.reduceat(G.node_measure[gather], at[starts])
+        return v[starts], np.add.reduceat(weights[order], starts)
 
 
 class _SlopeBounds:
@@ -521,15 +508,13 @@ def _known_slope(c: float, known: dict, *args) -> float:
     return _slope(c, *args) if s is None else s
 
 
-def optimal_subtracted_constant(values: np.ndarray, weights: np.ndarray, p: float,
-                                merged: tuple | None = None) -> float:
+def optimal_subtracted_constant(values: np.ndarray, weights: np.ndarray, p: float) -> float:
     """Minimizer of c -> ||values - c||_p with the given weights.
 
     Weighted median for p = 1 and weighted mean for p = 2. Otherwise the
     objective is convex and its derivative, p times
     sum_i w_i sign(c - v_i) |c - v_i|^{p-1}, is continuous and nondecreasing.
-    Equal values are merged first (`_merge_equal_values`, or `merged`, its
-    result where the caller has it at less cost), which leaves the
+    Equal values are merged first (`_merge_equal_values`), which leaves the
     objective unchanged; where a merged weight overflows though no input
     weight is infinite, the values are only sorted. The bracket
     [min v, max v] is split at 0, then at the middle of the ordered bit
@@ -562,7 +547,7 @@ def optimal_subtracted_constant(values: np.ndarray, weights: np.ndarray, p: floa
         return lo
     from scipy.optimize import brentq  # on use: loading it costs start-up time
 
-    v, w = _merge_equal_values(values, weights) if merged is None else merged
+    v, w = _merge_equal_values(values, weights)
     if np.isinf(w).any() and np.isfinite(weights).all():
         order = np.argsort(values, kind="stable")
         v, w = values[order], weights[order]
@@ -655,34 +640,21 @@ def optimal_constant_and_ratio(G: FillingGraph, u: np.ndarray, p: float,
                                name: str = "", sharp_constant: float | None = None) -> SPReport:
     """Optimal subtracted constant, both norms and their ratio for one
     discrete function, judged against a caller-supplied reference constant
-    (pass iff ratio <= constant * (1 + slack)). A function with zero
-    gradient norm is constant: it keeps c = u[0] and ratio 0. A report whose
-    gradient norm overflows is divergent: its ratio is None, and it neither
-    passes nor fails.
-
-    A radial u (`_radial_levels`) is reported from its L level values in
-    place of its nodes: the gradient, the |.|^p of both norms and the sort
-    of the solver's merge run over the levels, and the norms sum over the
-    nodes in node order, so every number has the bits of the node path's."""
+    (pass iff ratio <= constant * (1 + slack)). u is one value per node, or
+    an (L, 1) or (L, n) array (`FillingGraph.grid`), and is weighted by
+    `G.weights` of its width: a function that ignores y is reported from its
+    L level values. A function with zero gradient norm is constant: it
+    keeps c = u[0, 0] and ratio 0. A report whose gradient norm overflows is
+    divergent: its ratio is None, and it neither passes nor fails."""
     check_p_and_slack(p, slack)
-    u = np.asarray(u, dtype=float)
-    w = G.node_measure
-    levels = _radial_levels(G, u)
-    if levels is None:
-        lp_g = lp_norm(discrete_upper_gradient(G, u).node, w, p)
-    else:
-        G.edges  # built for its refusals of a bad graph, which no radial u escapes
-        lp_g = _radial_lp_norm(G, _radial_gradient(G, levels), p)
+    u = G.grid(u)
+    w = G.weights(u.shape[1])
+    lp_g = lp_norm(discrete_upper_gradient(G, u), w, p)
     if lp_g == 0.0:
-        c, lp_u, ratio = float(u[0]), 0.0, 0.0
+        c, lp_u, ratio = float(u[0, 0]), 0.0, 0.0
     else:
-        if levels is None:
-            c = optimal_subtracted_constant(u, w, p)
-            lp_u = lp_norm(u - c, w, p)
-        else:
-            merged = None if p in (1.0, 2.0) else _radial_merge(G, levels)
-            c = optimal_subtracted_constant(u, w, p, merged)
-            lp_u = _radial_lp_norm(G, levels - c, p)
+        c = optimal_subtracted_constant(u.ravel(), w.ravel(), p)
+        lp_u = lp_norm(u - c, w, p)
         ratio = lp_u / lp_g if math.isfinite(lp_g) else None
     divergent = ratio is None
     passed = None if divergent or math.isnan(paper_constant) else bool(
@@ -718,17 +690,15 @@ def _poincare_reports(G: FillingGraph, p: float, family: Sequence, slack: float,
                       radial: bool = False) -> list:
     """One SPReport per family member. A member is (name, payload) or a bare
     payload named "u". A callable payload is sampled on G as fn(t, y), or as
-    fn(t) when radial; any other payload is read as node values."""
+    fn(t) when radial; any other payload is read by `G.grid`."""
     if not family:
         raise PreconditionError("family must be nonempty")
     out = []
     for member in family:
-        name, payload = (member if isinstance(member, tuple) and len(member) == 2
-                         else ("u", member))
-        if callable(payload):
-            vals = G.sample((lambda t, y: payload(t)) if radial else payload)
-        else:
-            vals = np.asarray(payload, dtype=float)
+        name, vals = (member if isinstance(member, tuple) and len(member) == 2
+                      else ("u", member))
+        if callable(vals):
+            vals = G.sample((lambda t, y, fn=vals: fn(t)) if radial else vals)
         out.append(optimal_constant_and_ratio(G, vals, p, constant, slack, name,
                                               sharp_constant))
     return out

@@ -505,6 +505,42 @@ def test_sinh_delta_on_a_carrier_near_double_range(capsys, h3_path):
     assert 0.0 <= result["delta_basepoint"] <= result["delta_bound_paper"]
 
 
+@pytest.fixture
+def far_circle_path(tmp_path):
+    # circle(12)'s distances times 1e307: the largest is 9.4e307, adjacent
+    # points lie 5.2e306 apart
+    Y = circle(12, 2 * math.pi)
+    path = tmp_path / "c12.json"
+    save_space(warpfill.CarrierSpace(Y.dist * 1e307, Y.measure), str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, message", [
+    # e^4 * 5.2e306 overflows: the affected quotients were silently 0
+    (["poincare", "--tmax", "10", "--dt", "0.5"],
+     "horizontal edge lengths psi(t) * d_Y overflow at level 8 (t = 4)"),
+    # 0.9 / (5 * 9.4e307) is 0, and exp(-0 * inf) put nan on the diagonal
+    (["boundary", "--profile", "exp:1"], "the default eps 0.9/(5*delta) underflows to 0"),
+])
+def test_far_carrier_refusals_exit_2(capsys, far_circle_path, argv, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, [argv[0], "--space", far_circle_path] + argv[1:])
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: invalid input: " + message)
+
+
+def test_far_carrier_below_the_overflow_exit_0(capsys, far_circle_path):
+    # the last level of --tmax 4 is t = 3.5, where every length is finite; an
+    # explicit eps is not refused
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["poincare", "--tmax", "4", "--dt", "0.5"],
+                     ["boundary", "--profile", "exp:1", "--eps", "0.5"]):
+            code, out, err = run(capsys, [argv[0], "--space", far_circle_path] + argv[1:])
+            assert code == 0 and err == "", argv
+
+
 @pytest.mark.parametrize("argv, cfg, message", [
     (["poincare"], {"slack": "nan"}, "slack must be finite"),
     (["poincare", "--space", "{circle}"], {"p": "inf"}, "p must be finite"),

@@ -56,6 +56,10 @@ def test_default_eps_rule():
     assert default_eps(0.0) == 0.9
     assert default_eps(2.0) == pytest.approx(0.9 * 0.1)
     assert default_eps(0.1) == pytest.approx(0.9)
+    # 5 * delta overflows, and the rule would give eps 0
+    with pytest.raises(DomainError, match=r"^the default eps 0.9/\(5\*delta\) underflows to 0 "
+                                          r"at the hyperbolicity bound delta = 9e\+307"):
+        default_eps(9e307)
 
 
 def test_min_plus_closure_idempotent_and_triangle():

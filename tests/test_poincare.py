@@ -177,26 +177,31 @@ def test_sinh_cells_past_the_overflow_of_sinh(beta, t, dt, ref):
 
 def test_upper_gradient_examples():
     G = small_graph()
-    u = np.ones(G.n_nodes)
-    g = discrete_upper_gradient(G, u)
-    assert np.all(g.node == 0.0)
-    # radial linear function has unit gradient on radial edges
-    g = discrete_upper_gradient(G, G.node_t.astype(float))
-    a, b, w = G.edges
-    radial = G.node_y[a] == G.node_y[b]
-    assert np.allclose(g.edge[radial], 1.0)
-    assert np.allclose(g.edge[~radial], 0.0)
-    # horizontal edge with increment psi(t) * d_Y has unit quotient
-    lvl = 2
-    t = G.levels[lvl]
-    u = np.zeros(G.n_nodes)
-    j, k = 0, 1
-    d_y = float(G.carrier.dist[j, k])
-    u[G.node_index(lvl, k)] = float(EXP1.psi(t)) * d_y
-    g = discrete_upper_gradient(G, u)
-    edge_mask = ((a == G.node_index(lvl, j)) & (b == G.node_index(lvl, k))) | \
-                ((b == G.node_index(lvl, j)) & (a == G.node_index(lvl, k)))
-    assert np.allclose(g.edge[edge_mask], 1.0)
+    assert np.all(discrete_upper_gradient(G, np.ones(G.n_nodes)) == 0.0)
+    # a radial linear function has unit gradient at every node, in either layout
+    g = discrete_upper_gradient(G, G.node_t)
+    assert g.shape == (G.n_levels, G.carrier.n) and np.allclose(g, 1.0)
+    assert np.array_equal(discrete_upper_gradient(G, G.levels[:, None]), g[:, :1])
+    # a horizontal increment psi(t) * d_Y along an edge is a unit quotient,
+    # the largest at the edge's other end
+    lvl, j, k = 2, 0, 1
+    u = np.zeros((G.n_levels, G.carrier.n))
+    u[lvl, k] = float(EXP1.psi(G.levels[lvl])) * float(G.carrier.dist[j, k])
+    assert discrete_upper_gradient(G, u)[lvl, j] == pytest.approx(1.0)
+
+
+def test_grid_reads_the_apex_row_as_one_node():
+    # a node vector's apex value fills row 0; an (L, n) array must hold one
+    # value there
+    G = small_graph(SINH1, "sinh")
+    assert G.has_apex
+    u = np.arange(G.n_nodes, dtype=float) + 1.0
+    grid = G.grid(u)
+    assert grid.shape == (G.n_levels, G.carrier.n) and np.all(grid[0] == 1.0)
+    assert np.array_equal(grid[1:].ravel(), u[1:])
+    grid[0, -1] = 2.0
+    with pytest.raises(DomainError, match="apex and must hold one value"):
+        optimal_constant_and_ratio(G, grid, 1.5)
 
 
 def test_optimal_constant_median_and_mean():
@@ -475,21 +480,20 @@ def test_merge_equal_values_matches_a_stable_sort():
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def _report_bits(G, u, p):
-    """The report's to_dict() with every float as its bits, or the error."""
-    try:
-        rep = optimal_constant_and_ratio(G, u, p, 1.5, 0.1, "u", 2.0).to_dict()
-    except (DomainError, ValidationError) as exc:
-        return type(exc).__name__, str(exc)
-    return {k: np.float64(v).view(np.int64) if isinstance(v, float) else v
-            for k, v in rep.items()}
+_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.25, 1e-3, -1e-3, 3.0, 7.5])
 
 
-_LEVEL_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.25, 1e-3, -1e-3, 3.0, 7.5])
+def _nodes(G, u):
+    """One value per node of an (L, 1) or (L, n) function; the apex is the
+    last value of row 0, the first n - 1 being the apex level's nodes that
+    the graph leaves out."""
+    L, n = G.n_levels, G.carrier.n
+    return np.broadcast_to(u, (L, n)).ravel()[L * n - G.n_nodes:]
 
 
 @st.composite
-def _radial_cases(draw):
+def _grid_cases(draw):
+    """A graph, a function on it in one of the layouts `grid` reads, and p."""
     kind = draw(st.sampled_from(["halfline", "circle", "graph"]))
     model = draw(st.sampled_from(["exp", "sinh"]))
     dt = draw(st.sampled_from([0.05, 0.1, 0.25]))
@@ -506,33 +510,57 @@ def _radial_cases(draw):
             extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
                                             lengths), max_size=6))
             Y = from_graph([(i, i + 1, draw(lengths)) for i in range(n - 1)]
-                           + [e for e in extra if e[0] != e[1]], n=n)
+                           + [e for e in extra if e[0] != e[1]], n=n,
+                           measure=0.5 + np.arange(n) % 3)  # unequal measures
         profile = EXP1 if model == "exp" else SINH1
         G = build_filling_graph(Y, profile, model, beta, t_max, dt)
-    pool = draw(st.lists(_LEVEL_VALUES | st.floats(-10.0, 10.0), min_size=1, max_size=6))
-    levels = np.array(draw(st.lists(st.sampled_from(pool), min_size=G.n_levels,
-                                    max_size=G.n_levels)))
+    L, n = G.n_levels, G.carrier.n
+    # values from 1e-60 up in magnitude keep every term of both sums in the
+    # normal range, where a relative bound holds
+    pool = draw(st.lists(_VALUES | st.floats(1e-60, 10.0) | st.floats(-10.0, -1e-60),
+                         min_size=1, max_size=6))
+    width = draw(st.sampled_from([1, n]))  # radial, or one value per carrier node
+    u = np.array(draw(st.lists(st.sampled_from(pool), min_size=L * width,
+                               max_size=L * width))).reshape(L, width)
+    if G.has_apex:
+        u[0] = u[0, 0]
+    nodes = _nodes(G, u)
+    u = draw(st.sampled_from([u, nodes]))
     p = draw(st.sampled_from([1.0, 1.05, 1.5, 2.0, 2.5, 4.0]))
-    return G, levels, p
+    return G, u, nodes, p
+
+
+def _fsum_objective(values, weights, p):
+    """sum_i w_i |v_i|^p, its terms summed exactly."""
+    return math.fsum(np.abs(values) ** p * weights)
 
 
 @settings(max_examples=150, deadline=None)
-@given(_radial_cases(), st.data())
-def test_level_grid_report_equals_the_node_report(case, data):
-    G, levels, p = case
-    u = levels[np.searchsorted(G.levels, G.node_t)]
-    assert np.array_equal(poincare._radial_levels(G, u).view(np.int64), levels.view(np.int64))
-    report = _report_bits(G, u, p)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(poincare, "_radial_levels", lambda G, u: None)
-        assert report == _report_bits(G, u, p)
-    # one node changed, on a level of more than one node, takes the node path
-    shared = np.flatnonzero(G.node_y >= 0) if G.carrier.n > 1 else np.array([], int)
-    if shared.size:
-        k = data.draw(st.sampled_from(shared.tolist()))
-        x = u[k]
-        u[k] = -x if x == 0.0 else np.nextafter(x, data.draw(st.sampled_from([-1.0, 1.0])) * np.inf)
-        assert poincare._radial_levels(G, u) is None
+@given(_grid_cases())
+def test_grid_report_is_within_rounding_of_the_node_report(case):
+    # the gradient has the bits of the edge-by-edge maximum over G.edges, and
+    # the report is within 1e-13 of sums over the nodes
+    G, u, nodes, p = case
+    a, b, w = G.edges
+    q = np.abs(nodes[a] - nodes[b]) / w
+    oracle = np.zeros(G.n_nodes)
+    np.maximum.at(oracle, a, q)
+    np.maximum.at(oracle, b, q)
+    g = discrete_upper_gradient(G, u)
+    assert np.array_equal(_nodes(G, g).view(np.int64), oracle.view(np.int64))
+    rep = optimal_constant_and_ratio(G, u, p)
+    m = G.node_measure
+    lp_g = _fsum_objective(oracle, m, p) ** (1.0 / p)
+    objective = _fsum_objective(nodes - rep.c_star, m, p)
+    lp_u = objective ** (1.0 / p)
+    assert rep.lp_g == pytest.approx(lp_g, rel=1e-13, abs=0.0)
+    if lp_g == 0.0:
+        assert rep.ratio == rep.lp_u_minus_c == 0.0 and np.all(nodes == rep.c_star)
+        return
+    assert rep.lp_u_minus_c == pytest.approx(lp_u, rel=1e-13, abs=0.0)
+    assert rep.ratio == pytest.approx(lp_u / lp_g, rel=1e-13, abs=0.0)
+    c = optimal_subtracted_constant(nodes, m, p)
+    assert objective == pytest.approx(_fsum_objective(nodes - c, m, p), rel=1e-13, abs=0.0)
 
 
 def test_lp_norm_refuses_a_sum_that_underflows():
@@ -624,7 +652,7 @@ def test_fubini_separable():
     u_y = 1.0 + np.cos(np.pi * G.carrier.dist[:, 0] / G.carrier.diameter())
     u = G.sample(lambda t, y: np.exp(-t) * u_y[np.maximum(y, 0)])
     p = 2.0
-    total = np.sum(np.abs(u) ** p * G.node_measure)
+    total = np.sum(np.abs(u.ravel()) ** p * G.node_measure)
     masses = G.node_measure.reshape(G.n_levels, G.carrier.n)[:, 0] / G.carrier.measure[0]
     radial = np.sum(np.abs(u_r) ** p * masses)
     fiber = np.sum(np.abs(u_y) ** p * G.carrier.measure)
@@ -672,10 +700,12 @@ def test_filling_verifier_oscillatory_passes():
 
 
 @pytest.mark.parametrize("form", ["named_callable", "named_array", "bare_callable",
-                                  "bare_array", "constant_callable"])
+                                  "bare_array", "constant_callable", "grid_array",
+                                  "level_array", "bad_shape"])
 @pytest.mark.parametrize("where", ["halfline", "filling"])
 def test_one_family_contract(where, form):
-    # both verifiers read every member form the same way
+    # both verifiers read every member form the same way, and an array as one
+    # value per node, as (L, 1) or as (L, n), refusing any other shape
     if where == "halfline":
         G = halfline_graph("exp", 1.0, 20.0, 0.05)
         fn, const = (lambda t: np.exp(-2.0 * t)), (lambda t: 2.5)
@@ -686,12 +716,26 @@ def test_one_family_contract(where, form):
         fn, const = (lambda t, y: np.exp(-2.0 * t) * np.cos(y)), (lambda t, y: 2.5)
         vals = np.exp(-2.0 * G.node_t) * np.cos(G.node_y)
         verify = lambda family: filling_verifier(G, 1.5, family)
+    L, n = G.n_levels, G.carrier.n
     member = {"named_callable": ("f", fn), "named_array": ("f", vals),
-              "bare_callable": fn, "bare_array": vals, "constant_callable": ("f", const)}[form]
+              "bare_callable": fn, "bare_array": vals, "constant_callable": ("f", const),
+              "grid_array": ("f", vals.reshape(L, n)),
+              "level_array": ("f", np.exp(-2.0 * G.levels)[:, None]),
+              "bad_shape": ("f", vals[None, :])}[form]
+    if form == "bad_shape":
+        with pytest.raises(DomainError, match=rf"has shape \({G.n_nodes},\), \({L}, 1\) or "
+                                              rf"\({L}, {n}\), got \(1, {G.n_nodes}\)$"):
+            verify([member])
+        return
     rep = verify([member])[0]
     assert rep.name == ("u" if form.startswith("bare") else "f")
     if form == "constant_callable":
         assert rep.ratio == 0.0 and rep.c_star == 2.5 and rep.passed
+    elif form == "level_array":
+        # weighted by the total carrier measure, within rounding of its nodes
+        ref = optimal_constant_and_ratio(G, np.exp(-2.0 * G.node_t), 1.5)
+        assert rep.ratio == pytest.approx(ref.ratio, rel=1e-13, abs=0.0)
+        assert rep.c_star == pytest.approx(ref.c_star, rel=1e-13, abs=0.0)
     else:
         ref = optimal_constant_and_ratio(G, vals, 1.5)
         assert rep.ratio == ref.ratio > 0.0 and rep.c_star == ref.c_star
@@ -767,6 +811,21 @@ def test_filling_graph_refuses_a_level_where_psi_overflows():
         G = build_filling_graph(circle(16, 2 * math.pi), profile, "exp", 0.1, 400.0, 10.0)
         with pytest.raises(DomainError, match=r"psi overflows at level 36 \(t = 360\)"):
             G.edges
+
+
+def test_filling_graph_refuses_a_level_where_a_length_overflows():
+    # psi is finite at every level, but e^4 times the adjacent distance
+    # 5.2e306 is not; a radial member, which has no horizontal quotient,
+    # is refused too
+    Y = circle(12, 2 * math.pi)
+    G = build_filling_graph(CarrierSpace(Y.dist * 1e307, Y.measure), EXP1, "exp", 1.0, 10.0, 0.5)
+    radial = G.sample(lambda t, y: np.exp(-t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: G.edges, lambda: optimal_constant_and_ratio(G, radial, 1.5)):
+            with pytest.raises(DomainError, match=r"^horizontal edge lengths psi\(t\) \* d_Y "
+                                                  r"overflow at level 8 \(t = 4\)$"):
+                call()
 
 
 def _oracle_edges(G):
