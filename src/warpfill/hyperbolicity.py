@@ -117,13 +117,14 @@ def estimate_delta(profile: WarpProfile, space: CarrierSpace, t_max: float,
 def default_eps(delta: float) -> float:
     """Default visual parameter 0.9 * min(1, 1/(5*delta)), safely inside the
     range where the chain closure stays within a factor 2 of the premetric.
-    DomainError where it underflows to 0, as for delta near double range."""
+    DomainError where it is 0, as past delta = 3.6e307, where 5*delta
+    overflows."""
     if delta <= 0.0:
         return 0.9
     eps = 0.9 * min(1.0, 1.0 / (5.0 * delta))
     if not eps > 0.0:
-        raise DomainError(f"the default eps 0.9/(5*delta) underflows to 0 at the hyperbolicity "
-                          f"bound delta = {delta!r}; pass an explicit eps")
+        raise DomainError(f"the default eps 0.9/(5*delta) is 0: 5*delta overflows at the "
+                          f"hyperbolicity bound delta = {delta!r}; pass an explicit eps")
     return eps
 
 

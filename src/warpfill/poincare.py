@@ -227,6 +227,8 @@ class FillingGraph:
         if self.has_apex:
             self.node_y[0] = -1
             self.node_measure[0] = self.masses[0] * carrier.measure.sum()
+        # every node measure is finite, but a level's total may not be
+        self._narrow = math.isfinite(float(self.masses.max()) * float(carrier.measure.sum()))
         self._edges = None
 
     @property
@@ -246,8 +248,10 @@ class FillingGraph:
     def grid(self, u) -> np.ndarray:
         """u as a function on the graph: an (L, 1) or (L, n) array as it is,
         and one value per node, in node order, as (L, n) with the apex value
-        copied across row 0. DomainError for any other shape, and for an
-        (L, n) array whose apex row holds more than one value."""
+        copied across row 0. An (L, 1) array is widened to (L, n) where a
+        level's total weight overflows though its node weights do not.
+        DomainError for any other shape, and for an (L, n) array whose apex
+        row holds more than one value."""
         u = np.asarray(u, dtype=float)
         L, n = self.n_levels, self.carrier.n
         if u.shape == (self.n_nodes,):
@@ -258,17 +262,21 @@ class FillingGraph:
         if self.has_apex and np.any(u[0] != u[0, 0]):
             raise DomainError("row 0 of a function on this filling graph is its apex "
                               "and must hold one value")
+        if u.shape[1] < n and not self._narrow:
+            return np.repeat(u, n, axis=1)
         return u
 
     def weights(self, k: int) -> np.ndarray:
-        """The (L, k) weights of a function of width k (see `grid`)."""
+        """The (L, k) weights of a function of width k (see `grid`, which
+        reads no function at width 1 where these overflow)."""
         mu = self.carrier.measure
         return self.masses[:, None] * (mu.sum() if k == 1 else mu)
 
     def sample(self, fn: Callable) -> np.ndarray:
         """fn(t, y_index) on the level grid, fn(levels[:, None], arange(n)[None, :]),
         broadcast to (L, 1) or (L, n): a function that ignores y, or returns
-        a constant, comes out as (L, 1). With an apex, row 0 is fn(0.0, -1)."""
+        a constant, comes out as (L, 1) unless `grid` widens it. With an
+        apex, row 0 is fn(0.0, -1)."""
         u = (np.asarray(fn(self.levels[:, None], np.arange(self.carrier.n)[None, :]), dtype=float)
              + np.zeros((self.n_levels, 1)))
         if self.has_apex:

@@ -520,7 +520,7 @@ def far_circle_path(tmp_path):
     (["poincare", "--tmax", "10", "--dt", "0.5"],
      "horizontal edge lengths psi(t) * d_Y overflow at level 8 (t = 4)"),
     # 0.9 / (5 * 9.4e307) is 0, and exp(-0 * inf) put nan on the diagonal
-    (["boundary", "--profile", "exp:1"], "the default eps 0.9/(5*delta) underflows to 0"),
+    (["boundary", "--profile", "exp:1"], "the default eps 0.9/(5*delta) is 0: 5*delta overflows"),
 ])
 def test_far_carrier_refusals_exit_2(capsys, far_circle_path, argv, message):
     with warnings.catch_warnings():

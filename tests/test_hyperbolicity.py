@@ -57,9 +57,11 @@ def test_default_eps_rule():
     assert default_eps(2.0) == pytest.approx(0.9 * 0.1)
     assert default_eps(0.1) == pytest.approx(0.9)
     # 5 * delta overflows, and the rule would give eps 0
-    with pytest.raises(DomainError, match=r"^the default eps 0.9/\(5\*delta\) underflows to 0 "
-                                          r"at the hyperbolicity bound delta = 9e\+307"):
-        default_eps(9e307)
+    with pytest.raises(DomainError, match=r"^the default eps 0.9/\(5\*delta\) is 0: 5\*delta "
+                                          r"overflows at the hyperbolicity bound delta = 4e\+307"):
+        default_eps(4e307)
+    # below the overflow 1/(5*delta) is subnormal but positive
+    assert 0.0 < default_eps(3.5e307) < 1e-308
 
 
 def test_min_plus_closure_idempotent_and_triangle():

@@ -828,6 +828,24 @@ def test_filling_graph_refuses_a_level_where_a_length_overflows():
                 call()
 
 
+def test_a_level_whose_total_weight_overflows_is_read_at_full_width():
+    # at t = 708 the cell mass is 5.2e307 and each node measure 2.7e307, but
+    # the level total, 2 pi times the mass, overflows: a member that ignores
+    # y is read as (L, n), weighted by the finite node measures
+    G = build_filling_graph(circle(12, 2 * math.pi), EXP1, "exp", 1.0, 709.0, 1.0)
+    family = dict(builtin_filling_family(G))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = filling_verifier(G, 1.0, [("constant_one", family["constant_one"])])[0]
+        ramp = G.sample(family["radial_ramp"])
+        g = discrete_upper_gradient(G, ramp)
+        lp_g = lp_norm(g, G.weights(ramp.shape[1]), 1.0)
+    assert one.ratio == 0.0 and one.passed
+    assert ramp.shape == g.shape == (G.n_levels, 12)
+    assert lp_g == pytest.approx(_fsum_objective(g.ravel(), G.node_measure, 1.0),
+                                 rel=1e-13, abs=0.0)
+
+
 def _oracle_edges(G):
     """The per-level edge loop, kept as a reference: radial edges level by
     level, then horizontal edges level by level."""
