@@ -435,6 +435,13 @@ def _from_ordered(k: int) -> float:
     return math.copysign(struct.unpack("<d", struct.pack("<q", abs(k)))[0], k)
 
 
+def _downscaled(weights: np.ndarray) -> np.ndarray:
+    """weights times 2^-k with 2^k > 2 len(weights): finite weights then sum
+    to a finite total, and the scaling is exact unless a result is subnormal.
+    A weighted mean or median does not change under it."""
+    return weights * 2.0 ** -(2 * weights.size).bit_length()
+
+
 def _merge_equal_values(values: np.ndarray, weights: np.ndarray):
     """(v, w): the distinct values in increasing order, each with the total
     weight of its entries, in the order of a stable sort. numpy's stable
@@ -519,7 +526,9 @@ def _known_slope(c: float, known: dict, *args) -> float:
 def optimal_subtracted_constant(values: np.ndarray, weights: np.ndarray, p: float) -> float:
     """Minimizer of c -> ||values - c||_p with the given weights.
 
-    Weighted median for p = 1 and weighted mean for p = 2. Otherwise the
+    Weighted median for p = 1 and weighted mean for p = 2; where finite
+    weights sum past double range, these two read the weights scaled by an
+    exact power of two (`_downscaled`), and otherwise their bits. Otherwise the
     objective is convex and its derivative, p times
     sum_i w_i sign(c - v_i) |c - v_i|^{p-1}, is continuous and nondecreasing.
     Equal values are merged first (`_merge_equal_values`), which leaves the
@@ -538,11 +547,18 @@ def optimal_subtracted_constant(values: np.ndarray, weights: np.ndarray, p: floa
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if p == 2.0:
+        with np.errstate(over="ignore"):
+            total = weights.sum()
+        if total == np.inf and np.isfinite(weights).all():
+            weights = _downscaled(weights)
         return float(np.average(values, weights=weights))
     if p == 1.0:
         order = np.argsort(values, kind="stable")
         v = values[order]
-        cum = np.cumsum(weights[order])
+        with np.errstate(over="ignore"):
+            cum = np.cumsum(weights[order])
+        if cum[-1] == np.inf and np.isfinite(weights).all():
+            cum = np.cumsum(_downscaled(weights[order]))
         half = 0.5 * cum[-1]
         k = int(np.searchsorted(cum, half))
         if k + 1 < v.size and abs(cum[k] - half) <= 1e-15 * cum[-1]:

@@ -14,6 +14,8 @@ falls back to the sweep whenever the proof fails.
 
 from __future__ import annotations
 
+import functools
+import os
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -26,6 +28,10 @@ _MAX_REPORTED = 200
 # metric tolerance, scaled by max(1, largest |entry|)
 _ATOL = 1e-12
 _TILE_CELLS = 1 << 16
+# a tile of `_min_over_k` holds about _TILE_CELLS / _TILE_DEPTH pairs, and
+# its scratch about _TILE_DEPTH values of k for each
+_TILE_DEPTH = 32
+_POOL = None  # `_run_tiles`' thread pool, made on first use
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
@@ -90,26 +96,90 @@ class CarrierSpace:
 
 
 def _min_over_k(A, op):
-    """out[i, j] = min over k of op(A[i, k], A[k, j]): an O(n^3) sweep over k,
-    accumulated in place, in row tiles of 2^16 cells that stay in cache."""
+    """out[i, j] = min over k of op(A[i, k], A[k, j]) for i < j: an O(n^3)
+    sweep over the strict upper triangle alone. Every other cell holds inf or
+    the same min.
+
+    The triangle is cut into row tiles, rows r0 <= i < r1 against columns
+    j >= r0, of about _TILE_CELLS / _TILE_DEPTH cells each (one row at
+    least). A tile sweeps k in chunks whose terms fill a scratch block of
+    about _TILE_CELLS cells, and folds each chunk's min into its cells. A min
+    is exact, so every cell is the least of the same rounded terms however the
+    tiles and chunks fall; `_run_tiles` spreads the tiles over the cores."""
     n = A.shape[0]
     out = np.full((n, n), np.inf)
-    step = max(1, _TILE_CELLS // max(n, 1))
-    buf = np.empty((min(step, n), n))
-    for r0 in range(0, n, step):
-        acc, tile = out[r0:r0 + step], A[r0:r0 + step]
-        for k in range(n):
-            np.minimum(acc, op(tile[:, k, None], A[k], out=buf[:len(tile)]), out=acc)
+    tiles, r0 = [], 0
+    while r0 < n - 1:
+        r1 = min(n - 1, r0 + max(1, _TILE_CELLS // _TILE_DEPTH // (n - r0)))
+        tiles.append((r0, r1))
+        r0 = r1
+    _run_tiles(functools.partial(_sweep_tile, A, op, out), tiles)
     return out
 
 
-def _detours(D):
-    """min over k not in {i, j} of D[i, k] + D[k, j] for i != j (inf when n <= 2),
-    the sweep behind both the triangle check and the skeleton. An infinite
-    diagonal makes the terms k = i and k = j infinite; a sum past double
-    range is infinite too, without a warning."""
+def _sweep_tile(A, op, out, tile):
+    """`_min_over_k` on rows r0 <= i < r1 and columns j >= r0 of out. The
+    column j = r0 is swept too, so that every chunk's min runs over at least
+    two columns: numpy takes the min along k in k order there, and one column
+    alone is reduced in another order, which could pick the other zero of a
+    tie between 0.0 and -0.0."""
+    r0, r1 = tile
+    n = A.shape[0]
+    acc = out[r0:r1, r0:]
+    depth = max(1, _TILE_CELLS // acc.size)
+    terms = np.empty((r1 - r0, min(depth, n), n - r0))
+    least = np.empty(acc.shape)
+    # a sum past double range is inf; set here, as numpy keeps the error state per thread
     with np.errstate(over="ignore"):
-        return _min_over_k(np.where(np.eye(len(D), dtype=bool), np.inf, D), np.add)
+        for k0 in range(0, n, depth):
+            chunk = terms[:, :min(depth, n - k0)]
+            op(A[r0:r1, k0:k0 + depth, None], A[None, k0:k0 + depth, r0:], out=chunk)
+            np.minimum(acc, np.minimum.reduce(chunk, axis=1, out=least), out=acc)
+
+
+def _run_tiles(fn, tiles) -> None:
+    """fn(tile) for every tile: inline on one core or for a single tile, and
+    otherwise on the module's thread pool, one thread per core the process
+    may use. The exception of the first tile that raised, in tile order, is
+    raised."""
+    global _POOL
+    cores = _cores()
+    if cores < 2 or len(tiles) < 2:
+        for tile in tiles:
+            fn(tile)
+        return
+    if _POOL is None:
+        from concurrent.futures import ThreadPoolExecutor  # on use: loading it costs start-up time
+        _POOL = ThreadPoolExecutor(cores, thread_name_prefix="warpfill-sweep")
+    for _ in _POOL.map(fn, tiles):
+        pass
+
+
+def _cores() -> int:
+    """The number of cores the process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _drop_pool() -> None:
+    """Forget the thread pool: a forked child has none of its threads."""
+    global _POOL
+    _POOL = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _detours(D):
+    """min over k not in {i, j} of D[i, k] + D[k, j] for i < j (inf when
+    n <= 2), the sweep behind both the triangle check and the skeleton; the
+    cells i >= j are not read. An infinite diagonal makes the terms k = i and
+    k = j infinite; a sum past double range is infinite too, without a
+    warning."""
+    return _min_over_k(np.where(np.eye(len(D), dtype=bool), np.inf, D), np.add)
 
 
 def _pair_detours(D, rows, cols):
@@ -216,7 +286,9 @@ def _edge_array(edges, n: int) -> np.ndarray:
     if np.any(arr[:, 0] == arr[:, 1]):
         k = int(np.argmax(arr[:, 0] == arr[:, 1]))
         raise SchemaError(f"'edges' holds a self-loop at node {int(arr[k, 0])}")
-    return np.unique(np.sort(arr.astype(np.int64), axis=1), axis=0)
+    i, j = arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64)
+    keys = np.unique(np.minimum(i, j) * n + np.maximum(i, j))  # row-major order of the pairs
+    return np.column_stack([keys // n, keys % n])
 
 
 def validate_matrix(dist, measure=None) -> list:

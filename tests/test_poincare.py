@@ -846,6 +846,27 @@ def test_a_level_whose_total_weight_overflows_is_read_at_full_width():
                                  rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_the_median_and_mean_of_weights_whose_total_overflows_are_finite(p):
+    # the same graph: every node weight is finite, their total is not
+    G = build_filling_graph(circle(12, 2 * math.pi), EXP1, "exp", 1.0, 709.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = {r.name: r for r in filling_verifier(G, p, builtin_filling_family(G))}
+    assert all(r.ratio is not None and r.passed and not r.divergent for r in reports.values())
+    assert reports["radial_ramp"].c_star == 1.0
+    values, weights = np.array([3.0, -1.0, 2.0, 5.0]), np.array([1e308, 1.7e308, 1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = optimal_subtracted_constant(values, weights, p)
+    assert c == optimal_subtracted_constant(values, weights / 8.0, p)
+    assert c == (2.0 if p == 1.0 else np.average(values, weights=weights / 8.0))
+    # a finite total keeps its bits
+    weights = np.array([1e307, 3e306, 1e-300, 7.0])
+    assert optimal_subtracted_constant(values, weights, p) == (
+        3.0 if p == 1.0 else np.average(values, weights=weights))
+
+
 def _oracle_edges(G):
     """The per-level edge loop, kept as a reference: radial edges level by
     level, then horizontal edges level by level."""

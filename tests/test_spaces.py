@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -359,7 +360,7 @@ def test_adjacency_matches_brute_force_oracle(name, monkeypatch):
     fresh = CarrierSpace(s.dist, s.measure).adjacency()
     assert _same_bits(fresh, _oracle_skeleton(s.dist))
     assert _same_bits(s.adjacency(), fresh)
-    monkeypatch.setattr(spaces, "_TILE_CELLS", 3 * s.n)  # three rows per tile
+    monkeypatch.setattr(spaces, "_TILE_CELLS", 3 * s.n)  # 3 pairs a chunk, a row a tile
     assert _same_bits(CarrierSpace(s.dist, s.measure).adjacency(), fresh)
 
 
@@ -519,11 +520,24 @@ def test_edge_certificate_is_sound(data):
         assert _same_bits(CarrierSpace(D, measure, edges=edges).adjacency(), sweep)
 
 
-def test_length_check_matches_brute_force_oracle():
+def _per_k_min(A, op):
+    """min over k of op(A[i, k], A[k, j]) for every cell, one k at a time in k
+    order: the sweep as it ran over the full square."""
+    out = np.full(A.shape, np.inf)
+    with np.errstate(over="ignore"):
+        for k in range(len(A)):
+            np.minimum(out, op(A[:, [k]], A[[k], :]), out=out)
+    return out
+
+
+def test_length_check_matches_brute_force_oracle(monkeypatch):
     rng = np.random.default_rng(40)
+    ring = [(i, (i + 1) % 23, float(rng.uniform(0.5, 2))) for i in range(23)]
     for s in (circle(9, 9.0), from_matrix(_euclid(rng, 15)), from_graph(
-            [(i, (i + 1) % 12, float(rng.uniform(0.5, 2))) for i in range(12)])):
+            [(i, (i + 1) % 12, float(rng.uniform(0.5, 2))) for i in range(12)]),
+            from_graph(ring + [(0, 11, 4.0), (5, 17, 3.5)])):
         L = s.dist.tolist()
+        wants = []
         for eps in (0.01, 0.6, 2.0):
             worst, pair, count = -math.inf, None, 0
             for i in range(s.n):
@@ -533,8 +547,53 @@ def test_length_check_matches_brute_force_oracle():
                         excess = min(max(L[i][k], L[k][j]) for k in range(s.n)) - 0.5 * L[i][j]
                         if excess > worst:
                             worst, pair = excess, (i, j)
-            want = ({"passed": worst <= 0.5 * eps, "eps": eps, "worst_excess": worst,
-                     "worst_pair": pair, "pairs_checked": count} if pair else
-                    {"passed": True, "eps": eps, "worst_excess": 0.0, "worst_pair": None,
-                     "pairs_checked": 0})
-            assert approx_length_check(s, eps).to_dict() == want
+            wants.append({"passed": worst <= 0.5 * eps, "eps": eps, "worst_excess": worst,
+                          "worst_pair": pair, "pairs_checked": count} if pair else
+                         {"passed": True, "eps": eps, "worst_excess": 0.0, "worst_pair": None,
+                          "pairs_checked": 0})
+        upper = np.triu_indices(s.n, 1)
+        A = np.where(np.eye(s.n, dtype=bool), np.inf, s.dist)
+        detours = _per_k_min(A, np.add)[upper].tobytes()
+        # the default tiles, then tiles of 3 rows at the top, taller further
+        # down, whose k chunks hold about 2 values (23 is a multiple of
+        # neither); each inline and on 2 threads
+        for cells, depth in ((spaces._TILE_CELLS, spaces._TILE_DEPTH), (6 * s.n, 2)):
+            monkeypatch.setattr(spaces, "_TILE_CELLS", cells)
+            monkeypatch.setattr(spaces, "_TILE_DEPTH", depth)
+            for cores in (1, 2):
+                monkeypatch.setattr(spaces, "_cores", lambda: cores)
+                assert [approx_length_check(s, eps).to_dict() for eps in (0.01, 0.6, 2.0)] == wants
+                assert spaces._detours(s.dist)[upper].tobytes() == detours
+            monkeypatch.undo()
+
+
+def test_the_sweep_keeps_the_bits_of_signed_zero_ties(monkeypatch):
+    rng = np.random.default_rng(41)
+    A = rng.choice([0.0, -0.0, 1.0, 2.0], size=(70, 70))
+    upper = np.triu_indices(70, 1)
+    for op in (np.add, np.maximum):
+        want = _per_k_min(A, op)[upper].tobytes()
+        for cells in (spaces._TILE_CELLS, 7 * 70, 64):
+            monkeypatch.setattr(spaces, "_TILE_CELLS", cells)
+            assert spaces._min_over_k(A, op)[upper].tobytes() == want
+
+
+def test_the_sweep_warns_on_no_thread_near_the_top_of_double_range(monkeypatch):
+    # no edges, so from_matrix runs the sweep; every sum of two entries
+    # overflows. 64 points make two tiles, each run on a thread of the pool
+    rng = np.random.default_rng(42)
+    D = np.triu(rng.uniform(1.0, 1.7, size=(64, 64)) * 1e308, 1)
+    D = D + D.T
+    names = []
+    sweep_tile = spaces._sweep_tile
+    monkeypatch.setattr(spaces, "_cores", lambda: 2)
+    monkeypatch.setattr(spaces, "_sweep_tile", lambda *a: names.append(
+        threading.current_thread().name) or sweep_tile(*a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = from_matrix(D)
+        report = approx_length_check(s, 1.0)
+    assert s.triangle_check == "sweep" and s.adjacency()[0].size == 64 * 63 // 2
+    upper = np.triu_indices(64, 1)
+    assert report.worst_excess == np.max(_per_k_min(D, np.maximum)[upper] - 0.5 * D[upper])
+    assert len(names) == 4 and all(name.startswith("warpfill-sweep") for name in names)
