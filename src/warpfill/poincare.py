@@ -436,9 +436,14 @@ def _from_ordered(k: int) -> float:
 
 
 def _downscaled(weights: np.ndarray) -> np.ndarray:
-    """weights times 2^-k with 2^k > 2 len(weights): finite weights then sum
-    to a finite total, and the scaling is exact unless a result is subnormal.
-    A weighted mean or median does not change under it."""
+    """weights, times 2^-k with 2^k > 2 len(weights) where all are finite and
+    total 2^1023 or more: each is then below 2^1023 / len(weights). Under
+    2^1023 no pairwise, cumulative or merged sum of the weights overflows. A
+    power of two is exact unless a result is subnormal, so no weighted mean,
+    median or slope root moves."""
+    with np.errstate(over="ignore"):
+        if not (weights.sum() >= 2.0 ** 1023 and np.isfinite(weights).all()):
+            return weights
     return weights * 2.0 ** -(2 * weights.size).bit_length()
 
 
@@ -446,13 +451,12 @@ def _merge_equal_values(values: np.ndarray, weights: np.ndarray):
     """(v, w): the distinct values in increasing order, each with the total
     weight of its entries, in the order of a stable sort. numpy's stable
     sort (timsort) merges the monotone runs it finds, as sampled functions
-    of t have. np.add.reduceat sums each run of equal values; a total that
-    overflows is inf, without a warning."""
+    of t have. np.add.reduceat sums each run of equal values; under
+    `_downscaled` weights no such total overflows."""
     order = np.argsort(values, kind="stable")
     v = values[order]
     starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
-    with np.errstate(over="ignore"):
-        return v[starts], np.add.reduceat(weights[order], starts)
+    return v[starts], np.add.reduceat(weights[order], starts)
 
 
 class _SlopeBounds:
@@ -526,55 +530,44 @@ def _known_slope(c: float, known: dict, *args) -> float:
 def optimal_subtracted_constant(values: np.ndarray, weights: np.ndarray, p: float) -> float:
     """Minimizer of c -> ||values - c||_p with the given weights.
 
-    Weighted median for p = 1 and weighted mean for p = 2; where finite
-    weights sum past double range, these two read the weights scaled by an
-    exact power of two (`_downscaled`), and otherwise their bits. Otherwise the
-    objective is convex and its derivative, p times
+    Every p passes one entry: the values must be finite (DomainError
+    otherwise), weights that total 2^1023 or more are scaled once by an
+    exact power of two (`_downscaled`), and a constant input returns its
+    value. Then p = 1 takes the weighted median and p = 2 the weighted mean.
+    For any other p the objective is convex and its derivative, p times
     sum_i w_i sign(c - v_i) |c - v_i|^{p-1}, is continuous and nondecreasing.
     Equal values are merged first (`_merge_equal_values`), which leaves the
-    objective unchanged; where a merged weight overflows though no input
-    weight is infinite, the values are only sorted. The bracket
-    [min v, max v] is split at 0, then at the middle of the ordered bit
-    patterns, until it lies within one binade: a root many decades below
-    the bracket width, as under steep weights, would otherwise cost brentq
-    a bisection per halving. brentq then finds the sign change to 4 ulp
-    (2e-323 absolute near 0), or raises ConvergenceError after _ROOT_MAXITER
-    iterations. The result is the best of that root and the nearest data
-    value on each side: with steep weights the optimum often sits exactly on
-    a data value. Values must be finite, and DomainError is raised when the
-    objective overflows or its derivative underflows to 0 at an end.
+    objective unchanged. The bracket [min v, max v] is split at 0, then at
+    the middle of the ordered bit patterns, until it lies within one binade:
+    a root many decades below the bracket width, as under steep weights,
+    would otherwise cost brentq a bisection per halving. brentq then finds
+    the sign change to 4 ulp (2e-323 absolute near 0), or raises
+    ConvergenceError after _ROOT_MAXITER iterations. The result is the best
+    of that root and the nearest data value on each side: with steep weights
+    the optimum often sits exactly on a data value. DomainError is raised
+    when the objective overflows or its derivative underflows to 0 at an end.
     """
     values = np.asarray(values, dtype=float)
-    weights = np.asarray(weights, dtype=float)
+    lo, hi = float(values.min()), float(values.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError("values must be finite")
+    weights = _downscaled(np.asarray(weights, dtype=float))
+    if lo == hi:
+        return lo
     if p == 2.0:
-        with np.errstate(over="ignore"):
-            total = weights.sum()
-        if total == np.inf and np.isfinite(weights).all():
-            weights = _downscaled(weights)
         return float(np.average(values, weights=weights))
     if p == 1.0:
         order = np.argsort(values, kind="stable")
         v = values[order]
-        with np.errstate(over="ignore"):
-            cum = np.cumsum(weights[order])
-        if cum[-1] == np.inf and np.isfinite(weights).all():
-            cum = np.cumsum(_downscaled(weights[order]))
+        cum = np.cumsum(weights[order])
         half = 0.5 * cum[-1]
         k = int(np.searchsorted(cum, half))
         if k + 1 < v.size and abs(cum[k] - half) <= 1e-15 * cum[-1]:
             return 0.5 * (float(v[k]) + float(v[k + 1]))
         return float(v[min(k, v.size - 1)])
-    lo, hi = float(values.min()), float(values.max())
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError("values must be finite")
-    if lo == hi:
-        return lo
     from scipy.optimize import brentq  # on use: loading it costs start-up time
 
     v, w = _merge_equal_values(values, weights)
-    if np.isinf(w).any() and np.isfinite(weights).all():
-        order = np.argsort(values, kind="stable")
-        v, w = values[order], weights[order]
     # the slope is a module-level function taking the arrays as brentq args:
     # brentq's wrapper sits in a reference cycle, and a closure over the
     # arrays would keep them alive until the next garbage collection
@@ -784,7 +777,7 @@ def builtin_filling_family(G: FillingGraph) -> list:
     """
     carrier = G.carrier
     d0 = carrier.dist[:, 0] if carrier.n > 1 else np.zeros(1)
-    diam = max(carrier.diameter(), 1e-12)
+    diam = carrier.diameter() or 1.0  # 0 only on the one-point carrier
     bump = np.maximum(0.0, 0.5 * diam - d0)
     with np.errstate(over="ignore"):
         phase = math.pi * d0 / diam

@@ -25,7 +25,7 @@ import orjson
 from .errors import DomainError, SchemaError, ValidationError
 
 _MAX_REPORTED = 200
-# metric tolerance, scaled by max(1, largest |entry|)
+# metric tolerance relative to the largest |entry| (`_tolerance`)
 _ATOL = 1e-12
 _TILE_CELLS = 1 << 16
 # a tile of `_min_over_k` holds about _TILE_CELLS / _TILE_DEPTH pairs, and
@@ -78,7 +78,7 @@ class CarrierSpace:
 
     def adjacency(self):
         """Essential edges (rows, cols, lens), row-major: pairs i < j whose
-        `_detours` exceed d(i, j) + 1e-12 * max(1, max d), so that shortest paths
+        `_detours` exceed d(i, j) + `_tolerance(d)`, so that shortest paths
         over them reproduce the matrix. Cached; `from_matrix` seeds it when it
         ran the sweep. When the edge certificate's check (H) holds, every
         essential pair is an edge, and only the edge pairs' detours are
@@ -182,6 +182,11 @@ def _detours(D):
     return _min_over_k(np.where(np.eye(len(D), dtype=bool), np.inf, D), np.add)
 
 
+def _tolerance(D) -> float:
+    """The metric tolerance: 1e-12 times the largest |entry| of D."""
+    return _ATOL * float(np.abs(D).max())
+
+
 def _pair_detours(D, rows, cols):
     """`_detours(D)[rows, cols]` for the given pairs alone, in O(len(rows) n):
     the same sums and an exact min, so the same bits."""
@@ -198,9 +203,9 @@ def _pair_detours(D, rows, cols):
 
 def _essential(D, rows, cols, detour):
     """(rows, cols, lens) of the pairs (rows, cols) whose detour exceeds
-    D + 1e-12 * max(1, max D), in the given order. A pair with no finite
-    detour is kept even where D + 1e-12 * max(1, max D) rounds to inf."""
-    tol = _ATOL * max(1.0, float(D.max()))
+    D + `_tolerance(D)`, in the given order. A pair with no finite detour is
+    kept even where D + tol rounds to inf."""
+    tol = _tolerance(D)
     with np.errstate(over="ignore"):
         keep = (detour > D[rows, cols] + tol) | np.isinf(detour)
     rows, cols = rows[keep].astype(np.int64), cols[keep].astype(np.int64)
@@ -211,9 +216,9 @@ def _edge_certificate(D, edges):
     """(relaxed, hops): the checks (R) and (H) that prove, in O(|E| n), what
     the O(n^3) sweep would find for a nonnegative D with a zero diagonal.
 
-    With u = 2^-53, s = max(1, max D) and tol = 1e-12 s (the sweep's), and
-    eps as below, for every directed edge x -> y (both orientations of each
-    edge):
+    With u = 2^-53, s = max D, the largest entry, and tol = 1e-12 s (the
+    sweep's `_tolerance`), and eps as below, for every directed edge x -> y
+    (both orientations of each edge):
       (R) D[i, y] - fl(D[i, x] + D[x, y]) <= eps for every i;
       (H) every pair i != j has an edge x -> j with D[i, x] < D[i, j] and
           fl(D[i, x] + D[x, j]) - D[i, j] <= eps.
@@ -232,18 +237,19 @@ def _edge_certificate(D, edges):
     and the sweep's own rounding of D[i, k] + D[k, j] adds at most 2 u s.
     With eps = (0.99 tol - (3n + 1) u s) / (2 (n - 1)) the sweep's excess
     stays below 0.99 tol (1 + 2u) - 2 u s < tol, so it reports no triangle;
-    the 1 % also covers the rounding of eps itself. eps is about 16 u s at
-    n = 256, 7 u s at 512 and 3 u s at 1024, and not positive from
-    n = 3000, where no certificate is tried.
+    the 1 % also covers the rounding of eps itself while eps is a normal
+    double (a rounded sum is within u of its value at every magnitude), so
+    no certificate is tried where eps is below 2^-1022 (s under about
+    1e-293 at n = 256), as on an all-zero D. eps is about 16 u s at
+    n = 256, 7 u s at 512 and 3 u s at 1024, and not positive from n = 3000.
 
     Skeleton. For a pair i < j that is not an edge, the x of (H) is neither
     i nor j, so the sweep's detour is at most D[i, j] + eps (1 + u), below
     fl(D[i, j] + tol): the pair is not essential. This uses (H) alone.
     """
     n = len(D)
-    scale = max(1.0, float(D.max()))
-    eps = (0.99 * _ATOL - (3 * n + 1) * _UNIT_ROUNDOFF) * scale / (2 * max(n - 1, 1))
-    if not (0.0 < eps < np.inf and D.min() >= 0.0 and not np.diag(D).any()):
+    eps = (0.99 * _ATOL - (3 * n + 1) * _UNIT_ROUNDOFF) * float(D.max()) / (2 * max(n - 1, 1))
+    if not (2.0 ** -1022 <= eps < np.inf and D.min() >= 0.0 and not np.diag(D).any()):
         return False, False
     src, dst = np.concatenate([edges, edges[:, ::-1]]).T
     order = np.argsort(dst, kind="stable")
@@ -295,7 +301,7 @@ def validate_matrix(dist, measure=None) -> list:
     """Collect every metric violation of a candidate distance matrix.
 
     Returns a list of (kind, indices, details) tuples; empty means valid.
-    The tolerance is 1e-12 scaled by the largest entry.
+    The tolerance is 1e-12 times the largest |entry| (`_tolerance`).
     """
     return _check_matrix(dist, measure)[0]
 
@@ -313,8 +319,7 @@ def _check_matrix(dist, measure=None, edges=None):
         i, j = np.argwhere(~np.isfinite(D))[0]
         violations.append(("finite", (int(i), int(j)), float(D[i, j])))
         return violations, None
-    scale = max(1.0, float(np.abs(D).max()))
-    tol = _ATOL * scale
+    tol = _tolerance(D)
 
     bad = np.argwhere(np.abs(np.diag(D)) > tol)
     for (i,) in bad[:_MAX_REPORTED]:

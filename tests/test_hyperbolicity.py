@@ -101,6 +101,18 @@ def test_boundary_comparison_band_and_warning():
     assert big.eps_warning
 
 
+def test_the_eps_warning_margin_is_relative():
+    # the guaranteed range ends at 1.33e-16 on this carrier; an absolute
+    # margin of 1e-15 let eps = 1e-15, 7.5 times that, through unwarned
+    Y = circle(16, 1e15)
+    bound = min(1.0, 1.0 / (5.0 * delta_bound(EXP1, Y)))
+    assert bound == pytest.approx(1.3333e-16, rel=1e-4)
+    assert boundary_metric(EXP1, Y, eps=1e-15).eps_warning
+    assert boundary_metric(EXP1, Y, eps=bound * (1.0 + 2.0 ** -49)).eps_warning
+    assert not boundary_metric(EXP1, Y, eps=bound).eps_warning
+    assert not boundary_metric(EXP1, Y).eps_warning  # auto eps
+
+
 def test_boundary_refuses_an_infinite_delta_bound():
     # 3 psi(0) diam(Y) overflows for exp, where the auto eps was 0 and the
     # premetric diagonal NaN; sinh has psi(0) = 0 and a finite bound

@@ -313,15 +313,33 @@ def test_optimal_constant_refuses_a_slope_that_underflows_at_an_end():
 
 
 def test_optimal_constant_refuses_an_overflowing_objective_without_a_warning():
-    # the slope at 1 is 2e308 * 1; the suite turns a RuntimeWarning into an error
-    with pytest.raises(DomainError, match=r"^the L\^1.5 objective overflows"):
-        optimal_subtracted_constant(np.array([0.0, 0.0, 1.0]), np.array([1e308, 1e308, 1.0]), 1.5)
+    # the slope at 0 is -(1e308)^2 through the values, whatever the weights;
+    # the suite turns a RuntimeWarning into an error
+    with pytest.raises(DomainError, match=r"^the L\^3.0 objective overflows double "
+                                          r"precision at c = 0.0;"):
+        optimal_subtracted_constant(np.array([0.0, 1e308]), np.ones(2), 3.0)
 
 
 def test_optimal_constant_solves_unmerged_where_a_merged_weight_overflows():
-    # the two values 0 would merge into a weight of inf; each alone is finite
-    values, weights = np.array([0.0, 0.0, 0.5]), np.array([1e308, 1e308, 1.0])
-    assert optimal_subtracted_constant(values, weights, 1.5) == 0.0
+    # the two values 0 would merge into a weight of inf, and the weights total
+    # 2e308: the entry scales them by 2^-4 first, exactly
+    weights = np.array([1e308, 1e308, 1.0])
+    for values in (np.array([0.0, 0.0, 0.5]), np.array([0.0, 0.0, 1.0])):
+        for p in (1.0, 1.5, 3.0):
+            c = optimal_subtracted_constant(values, weights, p)
+            assert c == 0.0 == optimal_subtracted_constant(values, weights * 2.0 ** -4, p)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_optimal_constant_refuses_values_that_are_not_finite(p, bad):
+    with pytest.raises(DomainError, match="^values must be finite$"):
+        optimal_subtracted_constant(np.array([bad, 1.0, 2.0]), np.ones(3), p)
+
+
+def test_the_mean_of_a_constant_input_is_its_value():
+    # np.average of three 0.1s is 0.10000000000000002
+    assert optimal_subtracted_constant(np.full(3, 0.1), np.ones(3), 2.0) == 0.1
 
 
 def _counting_slope(monkeypatch):
@@ -751,6 +769,18 @@ def test_builtin_filling_family_passes_below_threshold():
         assert rep.passed, rep.to_dict()
 
 
+def test_the_harmonic_fiber_factor_is_the_same_on_a_scaled_ring():
+    # a floor of 1e-12 on the diameter made the phase about 0 on the small ring
+    factors = []
+    for scale in (1.0, 1e-14):
+        Y = from_graph([(i, (i + 1) % 6, scale) for i in range(6)])
+        G = build_filling_graph(Y, EXP1, "exp", 1.0, 2.0, 1.0)
+        harmonic = dict(builtin_filling_family(G))["oscillatory_harmonic"]
+        factors.append(harmonic(np.zeros((1, 1)), np.arange(6)[None, :]))  # e^{-3t} = 1
+    assert factors[0][0].tolist() == pytest.approx([1.0, 0.5, -0.5, -1.0, -0.5, 0.5], abs=1e-15)
+    assert factors[1] == pytest.approx(factors[0], rel=0.0, abs=1e-15)
+
+
 def test_counterexample_thresholds():
     Y = circle(64, 2 * math.pi)
     # alpha=1, beta=2: no failure expected at p=2, failure at p=3
@@ -846,25 +876,31 @@ def test_a_level_whose_total_weight_overflows_is_read_at_full_width():
                                  rel=1e-13, abs=0.0)
 
 
-@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
 def test_the_median_and_mean_of_weights_whose_total_overflows_are_finite(p):
-    # the same graph: every node weight is finite, their total is not
+    # the same graph: every node weight is finite, their total is not; every
+    # p takes the one rescale at the solver's entry
     G = build_filling_graph(circle(12, 2 * math.pi), EXP1, "exp", 1.0, 709.0, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         reports = {r.name: r for r in filling_verifier(G, p, builtin_filling_family(G))}
     assert all(r.ratio is not None and r.passed and not r.divergent for r in reports.values())
     assert reports["radial_ramp"].c_star == 1.0
-    values, weights = np.array([3.0, -1.0, 2.0, 5.0]), np.array([1e308, 1.7e308, 1e308, 1e308])
+    values, weights = np.array([0.3, -0.1, 0.2, 0.5]), np.array([1e308, 1.7e308, 1e308, 1e308])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         c = optimal_subtracted_constant(values, weights, p)
     assert c == optimal_subtracted_constant(values, weights / 8.0, p)
-    assert c == (2.0 if p == 1.0 else np.average(values, weights=weights / 8.0))
-    # a finite total keeps its bits
-    weights = np.array([1e307, 3e306, 1e-300, 7.0])
-    assert optimal_subtracted_constant(values, weights, p) == (
-        3.0 if p == 1.0 else np.average(values, weights=weights))
+    if p in (1.0, 2.0):
+        assert c == (0.2 if p == 1.0 else np.average(values, weights=weights / 8.0))
+        # a finite total keeps its bits
+        finite = np.array([1e307, 3e306, 1e-300, 7.0])
+        assert optimal_subtracted_constant(values, finite, p) == (
+            0.3 if p == 1.0 else np.average(values, weights=finite))
+    else:
+        scaled = weights / 8.0
+        for nb in (np.nextafter(c, -np.inf), np.nextafter(c, np.inf)):
+            assert _lp_objective(values, scaled, c, p) <= _lp_objective(values, scaled, nb, p)
 
 
 def _oracle_edges(G):

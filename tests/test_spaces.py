@@ -226,6 +226,30 @@ def test_carriers_near_the_top_of_double_range():
     assert kinds == ["triangle"]
 
 
+# the tolerance is 1e-12 times the largest |entry| at every magnitude; a
+# floor of 1e-12 at scale 1 once swallowed every detour below it
+
+@pytest.mark.parametrize("scale", [1.0, 1e-13, 1e-100])
+def test_a_small_carrier_keeps_its_skeleton(scale):
+    D = circle(8, 2 * math.pi).dist * scale
+    assert spaces.CarrierSpace(D, np.ones(8)).adjacency()[0].size == 8
+    assert from_matrix(D).adjacency()[0].size == 8
+    assert from_matrix(D, edges=circle(8, 2 * math.pi).edges).adjacency()[0].size == 8
+
+
+def test_a_small_matrix_reports_its_triangle_violation():
+    D = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]) * 1e-20
+    assert validate_matrix(D) == [("triangle", (0, 2, 1), 5e-20, 2e-20)]
+    # an all-zero matrix has tolerance 0: the sweep runs, not the certificate
+    assert from_matrix(np.zeros((3, 3)), edges=[(0, 1), (1, 2)]).triangle_check == "sweep"
+
+
+def test_a_small_graph_ring_fills_with_horizontal_edges():
+    ring = from_graph([(i, (i + 1) % 6, 1e-14) for i in range(6)])
+    G = build_filling_graph(ring, WarpProfile.exp(1.0), "exp", 1.0, 2.0, 1.0)
+    assert G._horizontal[0].size == 6 * G.n_levels
+
+
 def test_csv_import(tmp_path):
     path = tmp_path / "space.csv"
     path.write_text("0,1,2,1.5\n1,0,1,1.5\n2,1,0,1.5\n")
@@ -472,7 +496,7 @@ def _perturbed_graph_metric(data):
         lengths[small] = scale * tiny * rng.uniform(1.0, 2.0, int(small.sum()))
     s = from_graph([(i, j, w) for (i, j), w in zip(pairs, lengths)], n=n)
     D, edges = s.dist.copy(), s.edges
-    tol = 1e-12 * max(1.0, float(D.max()))
+    tol = 1e-12 * float(D.max())
     for _ in range(data.draw(st.integers(0, 3), label="scaled entries")):
         i, j = (int(v) for v in rng.integers(n, size=2))
         kind = data.draw(st.sampled_from(["ulps", "relative"]), label="factor kind")
@@ -506,7 +530,7 @@ def test_edge_certificate_is_sound(data):
     event(f"relaxed={relaxed} hops={hops}")
     sweep = CarrierSpace(D, measure).adjacency()
     if relaxed and hops:  # the sweep sees no triangle excess over tol
-        tol = 1e-12 * max(1.0, float(D.max()))
+        tol = 1e-12 * float(D.max())
         assert not np.any(np.triu(D - spaces._detours(D), 1) > tol)
     try:
         s = from_matrix(D, measure, edges=edges)
