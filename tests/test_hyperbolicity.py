@@ -102,8 +102,8 @@ def test_boundary_comparison_band_and_warning():
 
 
 def test_the_eps_warning_margin_is_relative():
-    # the guaranteed range ends at 1.33e-16 on this carrier; an absolute
-    # margin of 1e-15 let eps = 1e-15, 7.5 times that, through unwarned
+    # the guaranteed range ends at 1.33e-16 on this carrier, so eps = 1e-15,
+    # 7.5 times that, is warned: the margin is relative, a few ulp
     Y = circle(16, 1e15)
     bound = min(1.0, 1.0 / (5.0 * delta_bound(EXP1, Y)))
     assert bound == pytest.approx(1.3333e-16, rel=1e-4)

@@ -770,7 +770,7 @@ def test_builtin_filling_family_passes_below_threshold():
 
 
 def test_the_harmonic_fiber_factor_is_the_same_on_a_scaled_ring():
-    # a floor of 1e-12 on the diameter made the phase about 0 on the small ring
+    # the phase pi d0 / diam is scale-free, down to a ring of 1e-14 edges
     factors = []
     for scale in (1.0, 1e-14):
         Y = from_graph([(i, (i + 1) % 6, scale) for i in range(6)])

@@ -226,8 +226,8 @@ def test_carriers_near_the_top_of_double_range():
     assert kinds == ["triangle"]
 
 
-# the tolerance is 1e-12 times the largest |entry| at every magnitude; a
-# floor of 1e-12 at scale 1 once swallowed every detour below it
+# the tolerance is 1e-12 times the largest |entry| at every magnitude, so a
+# carrier scaled far below 1 keeps every check and its skeleton
 
 @pytest.mark.parametrize("scale", [1.0, 1e-13, 1e-100])
 def test_a_small_carrier_keeps_its_skeleton(scale):
