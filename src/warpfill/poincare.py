@@ -378,11 +378,28 @@ def _norm_underflows(p: float) -> DomainError:
                        "rescale the function or the weights")
 
 
+def _checked(values, weights) -> tuple:
+    """(values, weights) as float arrays; DomainError naming the argument
+    unless values is nonempty and weights are finite, >= 0 and of the values'
+    shape."""
+    values, weights = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
+    if values.size == 0:
+        raise DomainError("values must be nonempty")
+    if weights.shape != values.shape:
+        raise DomainError(f"weights must have the values' shape {values.shape}, "
+                          f"got {weights.shape}")
+    if not (0.0 <= float(weights.min()) and float(weights.max()) < math.inf):
+        raise DomainError("weights must be finite and >= 0")
+    return values, weights
+
+
 def lp_norm(values: np.ndarray, weights: np.ndarray, p: float) -> float:
     """(sum_i w_i |v_i|^p)^(1/p); inf where the sum overflows. DomainError
-    naming p where the sum underflows to 0 though some v_i of positive
+    naming the argument for a bad p or bad weights (`check_p`, `_checked`),
+    and naming p where the sum underflows to 0 though some v_i of positive
     weight is not 0."""
     check_p(p)
+    values, weights = _checked(values, weights)
     with np.errstate(over="ignore"):
         total = float(np.sum(np.abs(values) ** p * weights))
     if total == 0.0 and np.any((values != 0.0) & (weights > 0.0)):
@@ -436,13 +453,13 @@ def _from_ordered(k: int) -> float:
 
 
 def _downscaled(weights: np.ndarray) -> np.ndarray:
-    """weights, times 2^-k with 2^k > 2 len(weights) where all are finite and
-    total 2^1023 or more: each is then below 2^1023 / len(weights). Under
-    2^1023 no pairwise, cumulative or merged sum of the weights overflows. A
-    power of two is exact unless a result is subnormal, so no weighted mean,
-    median or slope root moves."""
+    """Finite weights, times 2^-k with 2^k > 2 len(weights) where they total
+    2^1023 or more: each is then below 2^1023 / len(weights). Under 2^1023 no
+    pairwise, cumulative or merged sum of the weights overflows. A power of
+    two is exact unless a result is subnormal, so no weighted mean, median or
+    slope root moves."""
     with np.errstate(over="ignore"):
-        if not (weights.sum() >= 2.0 ** 1023 and np.isfinite(weights).all()):
+        if not weights.sum() >= 2.0 ** 1023:
             return weights
     return weights * 2.0 ** -(2 * weights.size).bit_length()
 
@@ -530,10 +547,11 @@ def _known_slope(c: float, known: dict, *args) -> float:
 def optimal_subtracted_constant(values: np.ndarray, weights: np.ndarray, p: float) -> float:
     """Minimizer of c -> ||values - c||_p with the given weights.
 
-    Every p passes one entry: the values must be finite (DomainError
-    otherwise), weights that total 2^1023 or more are scaled once by an
-    exact power of two (`_downscaled`), and a constant input returns its
-    value. Then p = 1 takes the weighted median and p = 2 the weighted mean.
+    Every p passes one entry: p must pass `check_p` and the weights
+    `_checked`, and the values must be finite (DomainError otherwise);
+    weights that total 2^1023 or more are scaled once by an exact power of
+    two (`_downscaled`), and a constant input returns its value. Then p = 1
+    takes the weighted median and p = 2 the weighted mean.
     For any other p the objective is convex and its derivative, p times
     sum_i w_i sign(c - v_i) |c - v_i|^{p-1}, is continuous and nondecreasing.
     Equal values are merged first (`_merge_equal_values`), which leaves the
@@ -544,14 +562,16 @@ def optimal_subtracted_constant(values: np.ndarray, weights: np.ndarray, p: floa
     the sign change to 4 ulp (2e-323 absolute near 0), or raises
     ConvergenceError after _ROOT_MAXITER iterations. The result is the best
     of that root and the nearest data value on each side: with steep weights
-    the optimum often sits exactly on a data value. DomainError is raised
-    when the objective overflows or its derivative underflows to 0 at an end.
+    the optimum often sits exactly on a data value; where the objective
+    overflows at all three, the root. DomainError is raised when the slope
+    overflows or underflows to 0 at an end.
     """
-    values = np.asarray(values, dtype=float)
+    check_p(p)
+    values, weights = _checked(values, weights)
     lo, hi = float(values.min()), float(values.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("values must be finite")
-    weights = _downscaled(np.asarray(weights, dtype=float))
+    weights = _downscaled(weights)
     if lo == hi:
         return lo
     if p == 2.0:
@@ -602,9 +622,10 @@ def optimal_subtracted_constant(values: np.ndarray, weights: np.ndarray, p: floa
     above = float(v[k])
     if above == root:  # then the three candidates tie, and the first is above
         return above
-    below = float(v[k - 1])
-    return min((below, above, root),
-               key=lambda c: _chunked_dot(v, w, c, p, signed=False, buf=buf))
+    candidates = (float(v[k - 1]), above, root)
+    costs = [_chunked_dot(v, w, c, p, signed=False, buf=buf) for c in candidates]
+    least = min(costs)
+    return candidates[costs.index(least)] if least < math.inf else root
 
 
 @dataclass

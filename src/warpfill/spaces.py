@@ -14,7 +14,6 @@ falls back to the sweep whenever the proof fails.
 
 from __future__ import annotations
 
-import functools
 import os
 import warnings
 from dataclasses import asdict, dataclass
@@ -31,7 +30,6 @@ _TILE_CELLS = 1 << 16
 # a tile of `_min_over_k` holds about _TILE_CELLS / _TILE_DEPTH pairs, and
 # its scratch about _TILE_DEPTH values of k for each
 _TILE_DEPTH = 32
-_POOL = None  # `_run_tiles`' thread pool, made on first use
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
@@ -103,9 +101,14 @@ def _min_over_k(A, op):
     The triangle is cut into row tiles, rows r0 <= i < r1 against columns
     j >= r0, of about _TILE_CELLS / _TILE_DEPTH cells each (one row at
     least). A tile sweeps k in chunks whose terms fill a scratch block of
-    about _TILE_CELLS cells, and folds each chunk's min into its cells. A min
-    is exact, so every cell is the least of the same rounded terms however the
-    tiles and chunks fall; `_run_tiles` spreads the tiles over the cores."""
+    about _TILE_CELLS cells, and folds each chunk's min into its cells. The
+    tiles run on a thread pool opened for this call, with at most one thread
+    per tile and per core the process may use, and closed before it returns;
+    the exception of the first tile that raised, in tile order, is raised. A
+    min is exact, so every cell is the least of the same rounded terms however
+    the tiles, chunks and threads fall."""
+    from concurrent.futures import ThreadPoolExecutor  # on use: loading it costs start-up time
+
     n = A.shape[0]
     out = np.full((n, n), np.inf)
     tiles, r0 = [], 0
@@ -113,7 +116,9 @@ def _min_over_k(A, op):
         r1 = min(n - 1, r0 + max(1, _TILE_CELLS // _TILE_DEPTH // (n - r0)))
         tiles.append((r0, r1))
         r0 = r1
-    _run_tiles(functools.partial(_sweep_tile, A, op, out), tiles)
+    with ThreadPoolExecutor(_cores(), thread_name_prefix="warpfill-sweep") as pool:
+        for _ in pool.map(lambda tile: _sweep_tile(A, op, out, tile), tiles):
+            pass
     return out
 
 
@@ -137,40 +142,12 @@ def _sweep_tile(A, op, out, tile):
             np.minimum(acc, np.minimum.reduce(chunk, axis=1, out=least), out=acc)
 
 
-def _run_tiles(fn, tiles) -> None:
-    """fn(tile) for every tile: inline on one core or for a single tile, and
-    otherwise on the module's thread pool, one thread per core the process
-    may use. The exception of the first tile that raised, in tile order, is
-    raised."""
-    global _POOL
-    cores = _cores()
-    if cores < 2 or len(tiles) < 2:
-        for tile in tiles:
-            fn(tile)
-        return
-    if _POOL is None:
-        from concurrent.futures import ThreadPoolExecutor  # on use: loading it costs start-up time
-        _POOL = ThreadPoolExecutor(cores, thread_name_prefix="warpfill-sweep")
-    for _ in _POOL.map(fn, tiles):
-        pass
-
-
 def _cores() -> int:
     """The number of cores the process may run on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
         return os.cpu_count() or 1
-
-
-def _drop_pool() -> None:
-    """Forget the thread pool: a forked child has none of its threads."""
-    global _POOL
-    _POOL = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
 
 
 def _detours(D):

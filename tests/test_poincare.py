@@ -337,6 +337,18 @@ def test_optimal_constant_refuses_values_that_are_not_finite(p, bad):
         optimal_subtracted_constant(np.array([bad, 1.0, 2.0]), np.ones(3), p)
 
 
+def test_the_last_pick_takes_the_root_where_every_objective_overflows():
+    # the objective overflows at both data values around the root and at the
+    # root itself under weights / 8; the entry scales the undivided weights by
+    # 2^-4, under which it does not
+    values, weights = np.array([3.0, -1.0, 2.0, 5.0]), np.array([1e308, 1.7e308, 1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = optimal_subtracted_constant(values, weights, 1.5)
+        assert optimal_subtracted_constant(values, weights / 8.0, 1.5) == c
+    assert c not in values and 1.0 < c < 3.0
+
+
 def test_the_mean_of_a_constant_input_is_its_value():
     # np.average of three 0.1s is 0.10000000000000002
     assert optimal_subtracted_constant(np.full(3, 0.1), np.ones(3), 2.0) == 0.1
@@ -483,8 +495,8 @@ def _stable_merge(values, weights):
 
 
 def test_merge_equal_values_matches_a_stable_sort():
-    # distinct values in short runs take numpy's default sort, the rest the
-    # stable sort; the merged pairs have the bits of a stable sort's
+    # the merge is one stable argsort: the merged pairs have the bits of a
+    # stable sort's, signed zeros included
     rng = np.random.default_rng(24)
     zeros = np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0] * 300)
     cases = [rng.normal(size=5000), np.repeat(rng.normal(size=50), 100)[rng.permutation(5000)],
@@ -831,8 +843,28 @@ def test_counterexample_refuses_bad_p_before_any_graph(monkeypatch, p):
 
 @pytest.mark.parametrize("p", [math.inf, math.nan, 0.5])
 def test_lp_norm_refuses_bad_p(p):
-    with pytest.raises(DomainError, match="^p must be finite and >= 1"):
-        lp_norm(np.ones(3), np.ones(3), p)
+    # the solver too: at p = 0.5 it ran, and numpy warned of a zero to a negative power
+    for f in (lp_norm, optimal_subtracted_constant):
+        with pytest.raises(DomainError, match="^p must be finite and >= 1"):
+            f(np.array([0.0, 1.0, 2.0]), np.ones(3), p)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("values, weights, match", [
+    (np.ones(3), -np.ones(3), "^weights must be finite and >= 0$"),
+    (np.arange(3.0), np.array([1.0, -5.0, 1.0]), "^weights must be finite and >= 0$"),
+    (np.arange(3.0), np.array([1.0, math.nan, 1.0]), "^weights must be finite and >= 0$"),
+    (np.arange(3.0), np.array([1.0, math.inf, 1.0]), "^weights must be finite and >= 0$"),
+    (np.arange(3.0), np.ones(2), r"^weights must have the values' shape \(3,\), got \(2,\)$"),
+    (np.arange(3.0), np.ones((3, 1)), r"^weights must have the values' shape"),
+    (np.array([]), np.array([]), "^values must be nonempty$"),
+], ids=["negative", "one-negative", "nan", "inf", "short", "column", "empty"])
+def test_lp_norm_and_the_solver_refuse_weights_they_cannot_use(p, values, weights, match):
+    # lp_norm returned a complex number for negative weights and nan for a
+    # nan one; the solver returned 0.0, nan, or raised IndexError or ValueError
+    for f in (lp_norm, optimal_subtracted_constant):
+        with pytest.raises(DomainError, match=match):
+            f(values, weights, p)
 
 
 def test_filling_graph_refuses_a_level_where_psi_overflows():

@@ -1,5 +1,7 @@
 import json
 import math
+import multiprocessing
+import sys
 import threading
 import warnings
 
@@ -580,7 +582,7 @@ def test_length_check_matches_brute_force_oracle(monkeypatch):
         detours = _per_k_min(A, np.add)[upper].tobytes()
         # the default tiles, then tiles of 3 rows at the top, taller further
         # down, whose k chunks hold about 2 values (23 is a multiple of
-        # neither); each inline and on 2 threads
+        # neither); each on a pool of 1 thread and of 2
         for cells, depth in ((spaces._TILE_CELLS, spaces._TILE_DEPTH), (6 * s.n, 2)):
             monkeypatch.setattr(spaces, "_TILE_CELLS", cells)
             monkeypatch.setattr(spaces, "_TILE_DEPTH", depth)
@@ -604,7 +606,8 @@ def test_the_sweep_keeps_the_bits_of_signed_zero_ties(monkeypatch):
 
 def test_the_sweep_warns_on_no_thread_near_the_top_of_double_range(monkeypatch):
     # no edges, so from_matrix runs the sweep; every sum of two entries
-    # overflows. 64 points make two tiles, each run on a thread of the pool
+    # overflows. 64 points make two tiles, each run on a thread of the
+    # call's pool, which is gone when the call returns
     rng = np.random.default_rng(42)
     D = np.triu(rng.uniform(1.0, 1.7, size=(64, 64)) * 1e308, 1)
     D = D + D.T
@@ -621,3 +624,27 @@ def test_the_sweep_warns_on_no_thread_near_the_top_of_double_range(monkeypatch):
     upper = np.triu_indices(64, 1)
     assert report.worst_excess == np.max(_per_k_min(D, np.maximum)[upper] - 0.5 * D[upper])
     assert len(names) == 4 and all(name.startswith("warpfill-sweep") for name in names)
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("warpfill-sweep")]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fork is the Linux default")
+def test_a_forked_child_sweeps_as_its_parent(monkeypatch):
+    # the parent sweeps on 2 threads first; the child starts with none
+    monkeypatch.setattr(spaces, "_cores", lambda: 2)
+    s = circle(128, 2 * math.pi)
+    want = approx_length_check(s, 0.05).to_dict()
+    ctx = multiprocessing.get_context("fork")
+    ours, theirs = ctx.Pipe()
+    child = ctx.Process(target=_send_length_check, args=(theirs, s))
+    child.start()
+    try:
+        assert ours.poll(60) and ours.recv() == want
+    finally:
+        child.join(60)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+
+
+def _send_length_check(conn, s):
+    conn.send(approx_length_check(s, 0.05).to_dict())
