@@ -627,7 +627,7 @@ def test_the_sweep_warns_on_no_thread_near_the_top_of_double_range(monkeypatch):
     assert not [t.name for t in threading.enumerate() if t.name.startswith("warpfill-sweep")]
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fork is the Linux default")
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the fork start method is checked on Linux")
 def test_a_forked_child_sweeps_as_its_parent(monkeypatch):
     # the parent sweeps on 2 threads first; the child starts with none
     monkeypatch.setattr(spaces, "_cores", lambda: 2)
