@@ -199,11 +199,18 @@ class FillingGraph:
     column. Its weights (`weights`) are the cell masses times the carrier
     measure, or times the total measure when k = 1.
 
+    The horizontal edges are the carrier's essential edges on every level
+    past the apex level, of length psi(t_i) d_Y, and are kept as those
+    factors (`_horizontal`): the carrier's `adjacency()` and one scale per
+    level. Nothing of size levels times carrier edges is stored; the
+    gradient builds flat indices and lengths a chunk of levels at a time
+    (`_level_chunks`).
+
     The same graph is also listed node by node, for Dijkstra and oracles:
     node_t (radial coordinate), node_y (carrier index, -1 for the apex),
     node_measure (cell mass times carrier measure) and the lazily built
     `edges` (edge_a, edge_b, edge_len), radial edges first, then horizontal
-    edges level by level.
+    edges level by level; no report reads `edges`.
     """
 
     def __init__(self, carrier: CarrierSpace, profile: WarpProfile, weight_kind: str,
@@ -220,6 +227,7 @@ class FillingGraph:
         # the full product grid, less the first n - 1 nodes when the bottom
         # level is one apex node (see node_index)
         self._off = off = n - 1 if self.has_apex else 0
+        self._start = 1 if self.has_apex else 0  # the first level with horizontal edges
         self.node_t = np.repeat(self.levels, n)[off:]
         self.node_y = np.tile(np.arange(n), self.n_levels)[off:]
         self.node_measure = (np.repeat(self.masses, n)
@@ -285,16 +293,19 @@ class FillingGraph:
 
     @functools.cached_property
     def _horizontal(self):
-        """(a, b, lengths) of the horizontal edges, level by level: each
-        level's essential carrier edges as flat indices into the (L, n) grid,
-        of length psi(t_i) d_Y; there are none at the apex level or on a
-        one-point carrier. Refuses a level where psi or a length leaves
-        double range or where a length is 0."""
-        n = self.carrier.n
-        if n == 1:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0)
+        """(rows, cols, dd, scales) of the horizontal edges, kept as factors:
+        the carrier's essential edges (rows, cols, dd) of `adjacency()`, on
+        every level past the apex level, with lengths psi(t_i) dd scaled by
+        scales[i] = psi(t_i) (see `_level_edges`); there are none on a
+        one-point carrier. Refuses a level where psi or a length leaves double
+        range or where a length is 0: scales are positive by then and rounding
+        is monotone, so a level's lengths lie between psi(t_i) min(dd) and
+        psi(t_i) max(dd), which decide."""
+        if self.carrier.n == 1:
+            none = np.empty(0, dtype=np.int64)
+            return none, none, np.empty(0), np.empty(0)
         rows, cols, dd = self.carrier.adjacency()
-        start = 1 if self.has_apex else 0
+        start = self._start
         scales = self.profile.psi(self.levels[start:])
         if not np.all(np.isfinite(scales)):
             i = start + int(np.argmin(np.isfinite(scales)))
@@ -304,17 +315,38 @@ class FillingGraph:
             raise ValidationError(
                 f"horizontal edges at level {start + vanish[0]} would have length 0 "
                 "(psi vanishes away from the apex)")
+        if not dd.size:
+            return rows, cols, dd, scales
         with np.errstate(over="ignore"):
-            lengths = scales[:, None] * dd
-        finite = np.isfinite(lengths).all(axis=1)
+            least, most = scales * dd.min(), scales * dd.max()
+        finite = np.isfinite(least) & np.isfinite(most)
         if not finite.all():
             i = start + int(np.argmin(finite))
             raise DomainError(f"horizontal edge lengths psi(t) * d_Y overflow at level {i} "
                               f"(t = {self.levels[i]:g})")
-        if np.any(lengths <= 0.0):
+        if np.any(least <= 0.0):
             raise ValidationError("graph has a nonpositive edge length")
-        base = np.arange(start, self.n_levels, dtype=np.int64)[:, None] * n
-        return (base + rows).ravel(), (base + cols).ravel(), lengths.ravel()
+        return rows, cols, dd, scales
+
+    def _level_edges(self, lo: int, hi: int):
+        """(a, b, lengths) of the horizontal edges on levels start + lo up to
+        start + hi (exclusive), level by level: flat indices into the (L, n)
+        grid and lengths psi(t_i) d_Y, each level's edges in `adjacency()`
+        order."""
+        rows, cols, dd, scales = self._horizontal
+        levels = np.arange(self._start + lo, self._start + hi, dtype=np.int64)
+        base = levels[:, None] * self.carrier.n
+        return ((base + rows).ravel(), (base + cols).ravel(),
+                (scales[lo:hi, None] * dd).ravel())
+
+    def _level_chunks(self):
+        """`_level_edges` over every level with horizontal edges, in chunks
+        of about _CHUNK edges (one level at least)."""
+        rows, _, _, scales = self._horizontal
+        if rows.size:
+            step = max(1, _CHUNK // rows.size)
+            for lo in range(0, scales.size, step):
+                yield self._level_edges(lo, min(lo + step, scales.size))
 
     @property
     def edges(self):
@@ -324,7 +356,7 @@ class FillingGraph:
             n = self.carrier.n
             ids = np.maximum(np.arange(self.n_levels, dtype=np.int64)[:, None] * n
                              + np.arange(n) - self._off, 0)  # ids[i, j] = node_index(i, j)
-            a, b, lengths = self._horizontal
+            a, b, lengths = self._level_edges(0, self.n_levels - self._start)
             # radial edges between consecutive levels, the apex fanning out to
             # the whole first full level; then the horizontal edges, whose grid
             # indices past the apex level are node ids plus off
@@ -354,20 +386,23 @@ def discrete_upper_gradient(G: FillingGraph, u: np.ndarray) -> np.ndarray:
     """The upper gradient of u (any shape `G.grid` reads), in u's (L, k)
     layout: at each node the largest difference quotient |u(a) - u(b)| / len
     over its edges. Radial quotients are |u_{i+1} - u_i| / dt; horizontal
-    ones run over `G._horizontal` and are 0 when k = 1, though the lengths
-    are still built, for their refusals of a bad graph. The apex takes the
-    largest of its radial quotients."""
+    ones run over the levels' edges a chunk of about _CHUNK edges at a time
+    (`FillingGraph._level_chunks`), and are 0 when k = 1, though the graph's
+    refusals of a bad level still apply. A max is exact, so the chunks give
+    the bits of one pass over every edge. The apex takes the largest of its
+    radial quotients."""
     u = G.grid(u)
-    a, b, lengths = G._horizontal
+    G._horizontal  # its refusals of a bad graph hold at every width
     g = np.zeros(u.shape)
     q = np.abs(np.diff(u, axis=0)) / G.dt
     g[:-1] = q
     np.maximum(g[1:], q, out=g[1:])
     if u.shape[1] > 1:
         flat, g_flat = u.ravel(), g.reshape(-1)  # g is contiguous: a view
-        q = np.abs(flat[a] - flat[b]) / lengths
-        np.maximum.at(g_flat, a, q)
-        np.maximum.at(g_flat, b, q)
+        for a, b, lengths in G._level_chunks():
+            q = np.abs(flat[a] - flat[b]) / lengths
+            np.maximum.at(g_flat, a, q)
+            np.maximum.at(g_flat, b, q)
     if G.has_apex:
         g[0] = g[0].max()
     return g
@@ -548,7 +583,8 @@ def optimal_subtracted_constant(values: np.ndarray, weights: np.ndarray, p: floa
     """Minimizer of c -> ||values - c||_p with the given weights.
 
     Every p passes one entry: p must pass `check_p` and the weights
-    `_checked`, and the values must be finite (DomainError otherwise);
+    `_checked`, some weight must be positive, and the values must be finite
+    (DomainError otherwise);
     weights that total 2^1023 or more are scaled once by an exact power of
     two (`_downscaled`), and a constant input returns its value. Then p = 1
     takes the weighted median and p = 2 the weighted mean.
@@ -568,6 +604,8 @@ def optimal_subtracted_constant(values: np.ndarray, weights: np.ndarray, p: floa
     """
     check_p(p)
     values, weights = _checked(values, weights)
+    if not weights.any():
+        raise DomainError("weights must not all be 0")
     lo, hi = float(values.min()), float(values.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("values must be finite")

@@ -67,11 +67,17 @@ class CarrierSpace:
         return float(self.measure.sum())
 
     def to_dict(self) -> dict:
-        doc = {"n": self.n, "dist": self.dist.tolist(), "measure": self.measure.tolist()}
+        return {key: value.tolist() if isinstance(value, np.ndarray) else value
+                for key, value in self._fields().items()}
+
+    def _fields(self) -> dict:
+        """`to_dict` with C-contiguous arrays in place of the nested lists."""
+        doc = {"n": self.n, "dist": np.ascontiguousarray(self.dist),
+               "measure": np.ascontiguousarray(self.measure)}
         if self.labels is not None:
             doc["labels"] = self.labels
         if self.edges is not None:
-            doc["edges"] = self.edges.tolist()
+            doc["edges"] = np.ascontiguousarray(self.edges)
         return doc
 
     def adjacency(self):
@@ -494,9 +500,13 @@ def approx_length_check(space: CarrierSpace, eps: float) -> LengthCheckReport:
 
 def save_space(space: CarrierSpace, path: str) -> None:
     # shortest round-trip float text, so every double reads back bit for bit;
-    # numpy scalars among the labels are written as the numbers they hold
+    # numpy scalars among the labels are written as the numbers they hold.
+    # orjson writes the arrays themselves, with the bytes it writes for
+    # `to_dict()`'s lists, and appends the newline in place: the only
+    # transient is the file's text
     with open(path, "wb") as fh:
-        fh.write(orjson.dumps(space.to_dict(), option=orjson.OPT_SERIALIZE_NUMPY) + b"\n")
+        fh.write(orjson.dumps(space._fields(), option=orjson.OPT_SERIALIZE_NUMPY
+                              | orjson.OPT_APPEND_NEWLINE))
 
 
 def _numeric_field(path: str, doc: dict, key: str, kind=None):
@@ -509,6 +519,9 @@ def _numeric_field(path: str, doc: dict, key: str, kind=None):
 
 
 def _load_json(path: str) -> CarrierSpace:
+    """The carrier in a JSON space file. The file's bytes are dropped once
+    parsed, and the parsed document once its fields are arrays, so neither
+    is alive while the carrier is validated."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -517,6 +530,7 @@ def _load_json(path: str) -> CarrierSpace:
         doc = orjson.loads(raw)
     except orjson.JSONDecodeError as exc:
         raise SchemaError(f"space file {path!r} is not valid JSON: {exc}") from exc
+    del raw
     if not isinstance(doc, dict) or "dist" not in doc:
         raise SchemaError(f"space file {path!r} must be an object with a 'dist' matrix")
     dist = _numeric_field(path, doc, "dist")
@@ -535,6 +549,7 @@ def _load_json(path: str) -> CarrierSpace:
             edges = _edge_array(edges, n)
         except SchemaError as exc:
             raise SchemaError(f"space file {path!r}: field {exc}") from exc
+    del doc
     return _validated(dist, measure, labels, edges)
 
 

@@ -530,15 +530,20 @@ def test_far_carrier_refusals_exit_2(capsys, far_circle_path, argv, message):
     assert err.startswith("error: invalid input: " + message)
 
 
-def test_far_carrier_below_the_overflow_exit_0(capsys, far_circle_path):
+def test_far_carrier_below_the_overflow_exit_0(capsys, tmp_path, far_circle_path):
     # the last level of --tmax 4 is t = 3.5, where every length is finite; an
-    # explicit eps is not refused
+    # explicit eps is not refused. The side files go under tmp_path, and the
+    # working directory is left as it was
+    before = sorted(os.listdir())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for argv in (["poincare", "--tmax", "4", "--dt", "0.5"],
-                     ["boundary", "--profile", "exp:1", "--eps", "0.5"]):
+                     ["boundary", "--profile", "exp:1", "--eps", "0.5",
+                      "--out-prefix", str(tmp_path / "far")]):
             code, out, err = run(capsys, [argv[0], "--space", far_circle_path] + argv[1:])
             assert code == 0 and err == "", argv
+    assert (tmp_path / "far_premetric.csv").is_file() and (tmp_path / "far_chained.csv").is_file()
+    assert sorted(os.listdir()) == before
 
 
 @pytest.mark.parametrize("argv, cfg, message", [

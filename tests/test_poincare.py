@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -867,6 +868,54 @@ def test_lp_norm_and_the_solver_refuse_weights_they_cannot_use(p, values, weight
             f(values, weights, p)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_the_solver_refuses_weights_that_are_all_zero(p):
+    # every c minimizes: the solver gave 0.5 at p = 1, 0.0 at p = 1.5 and 3,
+    # and raised ZeroDivisionError at p = 2; the norm of anything is 0
+    values, weights = np.arange(3.0), np.zeros(3)
+    with pytest.raises(DomainError, match="^weights must not all be 0$"):
+        optimal_subtracted_constant(values, weights, p)
+    with pytest.raises(DomainError, match="^weights must not all be 0$"):
+        optimal_subtracted_constant(np.ones(3), weights, p)
+    assert lp_norm(values, weights, p) == 0.0
+
+
+def _geometric_carrier(n, seed):
+    """Shortest-path carrier of a random geometric graph on the unit square,
+    as in the benchmark: edges shorter than sqrt(8/(pi n)) and a minimum
+    spanning tree, about 7 edges per node."""
+    from scipy.sparse.csgraph import minimum_spanning_tree
+    pts = np.random.default_rng(seed).uniform(0.0, 1.0, size=(n, 2))
+    d = np.hypot(*(pts[:, None, :] - pts[None, :, :]).transpose(2, 0, 1))
+    tree = minimum_spanning_tree(d).toarray() > 0.0
+    i, j = np.nonzero(np.triu((d < math.sqrt(8.0 / (math.pi * n))) | tree | tree.T, 1))
+    return from_graph(zip(i.tolist(), j.tolist(), d[i, j].tolist()), n=n)
+
+
+def test_a_report_on_a_large_filling_graph_keeps_its_edges_factored():
+    # 256,000 nodes and about 3.6 horizontal edges per node: the flat edge
+    # listing alone is 24 bytes per edge, and the report took 174 bytes per
+    # node when it kept it (with the gradient's edge-sized temporaries). The
+    # horizontal edges are the carrier's edges times the level scales, and the
+    # gradient runs over them a chunk of levels at a time: about 73 bytes per
+    # node, the (L, n) arrays of the function, its gradient and weights, the
+    # solver's sorted copy and the norms' temporaries
+    Y = _geometric_carrier(256, 1)
+    Y.adjacency()
+    G = build_filling_graph(Y, EXP1, "exp", 2.0, 10.0, 0.01)
+    assert G.n_nodes == 256_000
+    u = G.sample(dict(builtin_filling_family(G))["oscillatory_harmonic"])
+    optimal_constant_and_ratio(small_graph(), small_graph().sample(lambda t, y: t * y), 1.5)
+    tracemalloc.start()
+    try:
+        rep = optimal_constant_and_ratio(G, u, 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < rep.ratio < math.inf
+    assert peak < 100 * G.n_nodes, peak / G.n_nodes
+
+
 def test_filling_graph_refuses_a_level_where_psi_overflows():
     # e^{2t} overflows from t = 355, so level 36 (t = 360) has no finite length
     for profile in (WarpProfile.exp(2.0), WarpProfile.sinh_pow(2.0)):
@@ -888,6 +937,20 @@ def test_filling_graph_refuses_a_level_where_a_length_overflows():
             with pytest.raises(DomainError, match=r"^horizontal edge lengths psi\(t\) \* d_Y "
                                                   r"overflow at level 8 \(t = 4\)$"):
                 call()
+
+
+def test_filling_graph_refuses_lengths_that_round_to_0():
+    # adjacent points 5e-324 apart: psi(0.2) = sinh(0.2) times that rounds to
+    # 0 on the first level past the apex; e^t >= 1 keeps it
+    Y = circle(6, 6.0)
+    tiny = CarrierSpace(Y.dist * 5e-324, Y.measure)
+    assert tiny.adjacency()[2].tolist() == [5e-324] * 6
+    G = build_filling_graph(tiny, SINH1, "sinh", 1.0, 1.0, 0.2)
+    u = G.sample(lambda t, y: t * (y + 1.0))
+    for call in (lambda: G.edges, lambda: discrete_upper_gradient(G, u)):
+        with pytest.raises(ValidationError, match="^graph has a nonpositive edge length$"):
+            call()
+    assert build_filling_graph(tiny, EXP1, "exp", 1.0, 1.0, 0.2).edges[2].min() == 5e-324
 
 
 def test_a_level_whose_total_weight_overflows_is_read_at_full_width():

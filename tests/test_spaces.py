@@ -3,9 +3,11 @@ import math
 import multiprocessing
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
@@ -249,7 +251,55 @@ def test_a_small_matrix_reports_its_triangle_violation():
 def test_a_small_graph_ring_fills_with_horizontal_edges():
     ring = from_graph([(i, (i + 1) % 6, 1e-14) for i in range(6)])
     G = build_filling_graph(ring, WarpProfile.exp(1.0), "exp", 1.0, 2.0, 1.0)
-    assert G._horizontal[0].size == 6 * G.n_levels
+    a, b, _ = G.edges
+    flat = G.node_t[a] == G.node_t[b]  # radial edges join consecutive levels
+    assert np.unique(G.node_t[a[flat]], return_counts=True)[1].tolist() == [6] * G.n_levels
+
+
+def _traced_peak(call):
+    """call() and the peak of its traced allocations, in bytes."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_saving_and_loading_a_carrier_hold_one_copy_of_its_text(tmp_path):
+    # circle(512): 262,144 distances, about 19 bytes each as text and 32 as
+    # parsed floats in lists. Saving went through to_dict()'s lists (about 64
+    # bytes per distance at its peak) and loading kept the text alive beside
+    # the parsed document through validation (79): now orjson writes the
+    # arrays (32, the text and its growing buffer) and the loader drops each
+    # of the text and the document once it is read (51)
+    space, path = circle(512, 2 * math.pi), str(tmp_path / "c512.json")
+    save_space(circle(8, 8.0), path)
+    load_space(path)
+    _, saved = _traced_peak(lambda: save_space(space, path))
+    loaded, peak = _traced_peak(lambda: load_space(path))
+    assert np.array_equal(loaded.dist, space.dist) and loaded.triangle_check == "edge certificate"
+    size = space.dist.size
+    assert saved < 48 * size and peak < 64 * size, (saved / size, peak / size)
+
+
+def test_save_space_writes_the_bytes_of_the_carriers_document(tmp_path):
+    # orjson writes a numpy array with the bytes of its nested lists; a
+    # transposed matrix or a strided measure is written contiguous
+    D = circle(5, 5.0).dist
+    carriers = [
+        CarrierSpace(D.T, np.ones((5, 2))[:, 0], labels=[np.float64(0.5), np.int64(-3), "ä",
+                                                           "日本", "emoji \U0001f600"]),
+        CarrierSpace(np.asfortranarray(D) * 1e-310, np.full(5, 5e-324), edges=[(0, 1), (3, 4)]),
+        from_matrix([[0.0, -0.0], [-0.0, 0.0]]),
+        from_graph([], n=1),
+    ]
+    assert not carriers[0].dist.flags.c_contiguous and not carriers[0].measure.flags.c_contiguous
+    path = tmp_path / "space.json"
+    for space in carriers:
+        save_space(space, str(path))
+        want = orjson.dumps(space.to_dict(), option=orjson.OPT_SERIALIZE_NUMPY) + b"\n"
+        assert path.read_bytes() == want
 
 
 def test_csv_import(tmp_path):
