@@ -894,18 +894,19 @@ def _geometric_carrier(n, seed):
 
 def test_a_report_on_a_large_filling_graph_keeps_its_edges_factored():
     # 256,000 nodes and about 3.6 horizontal edges per node: the flat edge
-    # listing alone is 24 bytes per edge, and the report took 174 bytes per
+    # listing alone is 24 bytes per edge, and the report took 166 bytes per
     # node when it kept it (with the gradient's edge-sized temporaries). The
     # horizontal edges are the carrier's edges times the level scales, and the
-    # gradient runs over them a chunk of levels at a time: about 73 bytes per
-    # node, the (L, n) arrays of the function, its gradient and weights, the
+    # gradient runs over them a chunk of levels at a time: 56 bytes per node,
+    # the (L, n) arrays of the function, its gradient and weights, the
     # solver's sorted copy and the norms' temporaries
     Y = _geometric_carrier(256, 1)
     Y.adjacency()
     G = build_filling_graph(Y, EXP1, "exp", 2.0, 10.0, 0.01)
     assert G.n_nodes == 256_000
     u = G.sample(dict(builtin_filling_family(G))["oscillatory_harmonic"])
-    optimal_constant_and_ratio(small_graph(), small_graph().sample(lambda t, y: t * y), 1.5)
+    S = small_graph()  # a first report imports the solver's scipy modules
+    optimal_constant_and_ratio(S, S.sample(lambda t, y: t * y), 1.5)
     tracemalloc.start()
     try:
         rep = optimal_constant_and_ratio(G, u, 1.5)
