@@ -206,11 +206,13 @@ class FillingGraph:
     gradient builds flat indices and lengths a chunk of levels at a time
     (`_level_chunks`).
 
-    The same graph is also listed node by node, for Dijkstra and oracles:
-    node_t (radial coordinate), node_y (carrier index, -1 for the apex),
-    node_measure (cell mass times carrier measure) and the lazily built
-    `edges` (edge_a, edge_b, edge_len), radial edges first, then horizontal
-    edges level by level; no report reads `edges`.
+    The same graph is also listed node by node, for Dijkstra and oracles,
+    each array built on first use: node_t (radial coordinate), node_y
+    (carrier index, -1 for the apex), node_measure (cell mass times carrier
+    measure) and `edges` (edge_a, edge_b, edge_len), radial edges first,
+    then horizontal edges level by level. No report reads the listing, so a
+    graph holds its levels, masses and carrier factors, and n_nodes is
+    L n - off (see node_index).
     """
 
     def __init__(self, carrier: CarrierSpace, profile: WarpProfile, weight_kind: str,
@@ -226,22 +228,38 @@ class FillingGraph:
         self.dt = float(dt)
         # the full product grid, less the first n - 1 nodes when the bottom
         # level is one apex node (see node_index)
-        self._off = off = n - 1 if self.has_apex else 0
+        self._off = n - 1 if self.has_apex else 0
         self._start = 1 if self.has_apex else 0  # the first level with horizontal edges
-        self.node_t = np.repeat(self.levels, n)[off:]
-        self.node_y = np.tile(np.arange(n), self.n_levels)[off:]
-        self.node_measure = (np.repeat(self.masses, n)
-                             * np.tile(carrier.measure, self.n_levels))[off:]
-        if self.has_apex:
-            self.node_y[0] = -1
-            self.node_measure[0] = self.masses[0] * carrier.measure.sum()
         # every node measure is finite, but a level's total may not be
         self._narrow = math.isfinite(float(self.masses.max()) * float(carrier.measure.sum()))
         self._edges = None
 
     @property
     def n_nodes(self) -> int:
-        return self.node_t.size
+        return self.n_levels * self.carrier.n - self._off
+
+    @functools.cached_property
+    def node_t(self) -> np.ndarray:
+        """Radial coordinate of each node; built on first use."""
+        return np.repeat(self.levels, self.carrier.n)[self._off:]
+
+    @functools.cached_property
+    def node_y(self) -> np.ndarray:
+        """Carrier index of each node, -1 for the apex; built on first use."""
+        node_y = np.tile(np.arange(self.carrier.n), self.n_levels)[self._off:]
+        if self.has_apex:
+            node_y[0] = -1
+        return node_y
+
+    @functools.cached_property
+    def node_measure(self) -> np.ndarray:
+        """Cell mass times carrier measure of each node, the apex's times the
+        total measure; built on first use."""
+        mu = self.carrier.measure
+        node_measure = (np.repeat(self.masses, mu.size) * np.tile(mu, self.n_levels))[self._off:]
+        if self.has_apex:
+            node_measure[0] = self.masses[0] * mu.sum()
+        return node_measure
 
     @property
     def n_levels(self) -> int:
@@ -429,17 +447,44 @@ def _checked(values, weights) -> tuple:
 
 
 def lp_norm(values: np.ndarray, weights: np.ndarray, p: float) -> float:
-    """(sum_i w_i |v_i|^p)^(1/p); inf where the sum overflows. DomainError
-    naming the argument for a bad p or bad weights (`check_p`, `_checked`),
-    and naming p where the sum underflows to 0 though some v_i of positive
-    weight is not 0."""
+    """(sum_i w_i |v_i|^p)^(1/p). Where that sum overflows though every v_i
+    is finite, it is taken again relative to its largest term
+    (`_scaled_lp_norm`): the result is inf only where the norm itself leaves
+    double range, and a sum that does not overflow keeps its bits.
+    DomainError naming the argument for a bad p or bad weights (`check_p`,
+    `_checked`), and naming p where the sum underflows to 0 though some v_i
+    of positive weight is not 0."""
     check_p(p)
     values, weights = _checked(values, weights)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is NaN
         total = float(np.sum(np.abs(values) ** p * weights))
+    if not total < math.inf and np.all(np.isfinite(values)):
+        return _scaled_lp_norm(values, weights, p)
     if total == 0.0 and np.any((values != 0.0) & (weights > 0.0)):
         raise _norm_underflows(p)
     return total ** (1.0 / p)
+
+
+def _scaled_lp_norm(values: np.ndarray, weights: np.ndarray, p: float) -> float:
+    """`lp_norm` of finite values whose sum overflows, as
+    |v_j| w_j^(1/p) (sum_i w_i |v_i|^p / (w_j |v_j|^p))^(1/p) with term j
+    the largest. With |v| = m 2^e and w = n 2^f (np.frexp, mantissas in
+    [1/2, 1)), each ratio is one exp2 of p log2(m_i/m_j) + p (e_i - e_j)
+    + f_i - f_j, times n_i/n_j: at most about 1, so their sum is at most
+    about the count of terms, and a ratio that underflows is below 2^-1074.
+    The result is inf only where the norm leaves double range."""
+    a = np.abs(values)
+    keep = (a > 0.0) & (weights > 0.0)  # a term of 0, not inf * 0
+    if not keep.any():
+        return 0.0
+    a, w = a[keep], weights[keep]
+    m, e = np.frexp(a)
+    n, f = np.frexp(w)
+    j = int(np.argmax(p * (e + np.log2(m)) + (f + np.log2(n))))  # log2 of each term
+    with np.errstate(over="ignore"):
+        ratio = np.exp2(p * np.log2(m / m[j]) + (p * (e - e[j]) + (f - f[j]))) * (n / n[j])
+        # term j's root, then the sum's root, which is at least 1
+        return float(a[j] * w[j] ** (1.0 / p) * float(np.sum(ratio)) ** (1.0 / p))
 
 
 def _chunked_dot(values: np.ndarray, weights: np.ndarray, c: float, exponent: float,
@@ -497,6 +542,23 @@ def _downscaled(weights: np.ndarray) -> np.ndarray:
         if not weights.sum() >= 2.0 ** 1023:
             return weights
     return weights * 2.0 ** -(2 * weights.size).bit_length()
+
+
+def _weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
+    """np.average(values, weights=weights) of finite values under weights
+    that total below 2^1023. Where sum_i v_i w_i overflows, the mean of the
+    values times 2^-k, with 2^k above every |v_i|, is taken, kept within
+    their range against rounding, and scaled back: each product is then at
+    most its weight, and a power of two is exact unless a result is
+    subnormal."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN
+        mean = float(np.average(values, weights=weights))
+    if math.isfinite(mean):
+        return mean
+    k = math.frexp(float(np.max(np.abs(values))))[1]
+    scaled = np.ldexp(values, -k)
+    mean = float(np.average(scaled, weights=weights))
+    return math.ldexp(min(max(mean, float(scaled.min())), float(scaled.max())), k)
 
 
 def _merge_equal_values(values: np.ndarray, weights: np.ndarray):
@@ -613,7 +675,7 @@ def optimal_subtracted_constant(values: np.ndarray, weights: np.ndarray, p: floa
     if lo == hi:
         return lo
     if p == 2.0:
-        return float(np.average(values, weights=weights))
+        return _weighted_mean(values, weights)
     if p == 1.0:
         order = np.argsort(values, kind="stable")
         v = values[order]

@@ -546,6 +546,24 @@ def test_far_carrier_below_the_overflow_exit_0(capsys, tmp_path, far_circle_path
     assert sorted(os.listdir()) == before
 
 
+@pytest.mark.parametrize("scale, p", [(1e306, "2"), (1e306, "1.5"), (1e200, "2"), (1e120, "3")])
+def test_a_far_separable_bump_is_judged(capsys, tmp_path, scale, p):
+    # separable_bump is in carrier-distance units: its norms overflowed in
+    # sum |v|^p w, and its report was divergent (ratio null); at 1e306 and
+    # p = 2 the mean overflowed too, c_star was null, and numpy warned
+    Y = circle(12, 2 * math.pi)
+    path = tmp_path / "far.json"
+    save_space(warpfill.CarrierSpace(Y.dist * scale, Y.measure), str(path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["poincare", "--space", str(path), "--model", "exp",
+                                      "--beta", "2", "--tmax", "4", "--dt", "0.1", "--p", p])
+    assert code == 0 and err == ""
+    bump = {r["name"]: r for r in json.loads(out)["result"]["reports"]}["separable_bump"]
+    assert not bump["divergent"] and bump["passed"]
+    assert 0.0 < bump["c_star"] < math.inf and 0.0 < bump["ratio"] < 1.0
+
+
 @pytest.mark.parametrize("argv, cfg, message", [
     (["poincare"], {"slack": "nan"}, "slack must be finite"),
     (["poincare", "--space", "{circle}"], {"p": "inf"}, "p must be finite"),

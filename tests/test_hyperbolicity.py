@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,8 +11,10 @@ from hypothesis.extra.numpy import arrays
 from warpfill import (WarpProfile, WarpedPoint, boundary_metric, circle, default_eps,
                       delta_bound, estimate_delta, from_graph, from_matrix, gromov_product,
                       snowflake_check, sup_G)
+from warpfill import hyperbolicity
 from warpfill.errors import DomainError
 from warpfill.hyperbolicity import _min_plus_closure
+from warpfill.warped import gromov_product_batch
 
 SINH1 = WarpProfile.sinh_pow(1.0)
 EXP1 = WarpProfile.exp(1.0)
@@ -194,6 +197,121 @@ def test_seed_must_be_a_nonnegative_integer(seed):
     with pytest.raises(DomainError, match="seed must be an integer >= 0"):
         estimate_delta(SINH1, Y, t_max=5.0, count=10, seed=seed)
     assert estimate_delta(SINH1, Y, 5.0, 10, np.int64(4)) == estimate_delta(SINH1, Y, 5.0, 10, 4)
+
+
+@pytest.mark.parametrize("count", [0, -3, True, False, 100.0, 2.5, None, "10"])
+def test_count_must_be_an_integer_of_at_least_1(count):
+    # a bool or a float raised numpy's TypeError, or ran as a count
+    with pytest.raises(DomainError, match=rf"^count must be an integer >= 1, got {count!r}$"):
+        estimate_delta(SINH1, circle(8, 2 * math.pi), 5.0, count, 4)
+
+
+def test_samples_is_a_python_int():
+    rep = estimate_delta(SINH1, circle(8, 2 * math.pi), 5.0, np.int64(5), 4)
+    assert type(rep.samples) is int and rep.samples == 5
+    assert rep == estimate_delta(SINH1, circle(8, 2 * math.pi), 5.0, 5, 4)
+
+
+def _random_graph_carrier(n, seed):
+    """A ring of random lengths with n random chords."""
+    rng = np.random.default_rng(seed)
+    ring = [(i, (i + 1) % n, float(w)) for i, w in enumerate(rng.uniform(0.5, 2.0, n))]
+    chords = [(int(a), int(b), float(w)) for a, b, w in
+              zip(rng.integers(0, n, n), rng.integers(0, n, n), rng.uniform(0.5, 4.0, n)) if a != b]
+    return from_graph(ring + chords, n=n)
+
+
+DELTA_PROFILES = {
+    "exp:1": EXP1,
+    "sinh:1": SINH1,
+    "sinh:2": WarpProfile.sinh_pow(2.0),
+    "sinh:1.5": WarpProfile.sinh_pow(1.5),
+    "sinh:0.7": WarpProfile.sinh_pow(0.7),
+    "custom": WarpProfile.custom(lambda t: np.sinh(t) + 0.5 * (np.cosh(t) - 1.0),
+                                 lambda t: np.cosh(t) + 0.5 * np.sinh(t), 1.0),
+}
+B = hyperbolicity._BLOCK
+
+
+def _one_batch_delta(profile, space, t_max, count, seed, basepoint_y):
+    """The defect and witness of one batch over every triple: the three
+    full-size Gromov products and np.argmax."""
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.0, t_max, size=(3, count))
+    y = rng.integers(0, space.n, size=(3, count))
+    g01 = gromov_product_batch(profile, space, basepoint_y, t[0], y[0], t[1], y[1])
+    g02 = gromov_product_batch(profile, space, basepoint_y, t[0], y[0], t[2], y[2])
+    g12 = gromov_product_batch(profile, space, basepoint_y, t[1], y[1], t[2], y[2])
+    defect = np.minimum(g02, g12) - g01
+    k = int(np.argmax(defect))
+    return max(0.0, float(defect[k])), t[:, k].tolist(), y[:, k].tolist()
+
+
+@pytest.mark.parametrize("carrier", ["circle", "graph"])
+@pytest.mark.parametrize("kind", list(DELTA_PROFILES))
+def test_blocked_delta_has_the_bits_of_one_batch(monkeypatch, kind, carrier):
+    # counts on both sides of one and two block edges, and many blocks. The
+    # custom kernel takes about 40 us a triple, so it runs with blocks of 2^9
+    # triples, over the same edges and 20 blocks
+    Y = circle(64, 2 * math.pi) if carrier == "circle" else _random_graph_carrier(48, 3)
+    profile = DELTA_PROFILES[kind]
+    block, many = B, 100_000
+    if kind == "custom":
+        block, many = 2 ** 9, 20 * 2 ** 9
+        monkeypatch.setattr(hyperbolicity, "_BLOCK", block)
+    for count in (1, block - 1, block, block + 1, 2 * block + 1, many):
+        rep = estimate_delta(profile, Y, 9.0, count, 11, basepoint_y=5)
+        delta, t, y = _one_batch_delta(profile, Y, 9.0, count, 11, 5)
+        assert rep.delta_basepoint.hex() == delta.hex(), count
+        assert [p.t.hex() for p in rep.worst_witness[1:]] == [x.hex() for x in t], count
+        assert [p.y for p in rep.worst_witness[1:]] == y, count
+        assert rep.worst_witness[0] == WarpedPoint(0.0, 5)
+        assert type(rep.samples) is int and rep.samples == count
+
+
+@pytest.mark.parametrize("where", [
+    {3: 2.0, B + 7: 2.0, 2 * B: 2.0},               # ties across blocks: the first
+    {B - 1: 1.0, B: 1.5, 2 * B: 1.5},               # the largest, first of a tie
+    {5: 3.0, B + 2: math.nan, 2 * B: math.nan},     # a NaN beats any value
+    {0: math.nan, B + 2: math.nan},                 # the first NaN
+    {2 * B: 4.0},                                   # the last triple
+    {},                                             # all equal: the first triple
+])
+def test_blocked_delta_reduces_as_np_argmax(monkeypatch, where):
+    # the products are replaced by ones whose defect at triple i is defect[i]
+    count = 2 * B + 1
+    defect = np.full(count, -1.0)
+    for i, v in where.items():
+        defect[i] = v
+    t = np.random.default_rng(2).uniform(0.0, 1.0, size=(3, count))
+    index = {x: i for i, x in enumerate(t[0].tolist())}
+
+    def products(profile, space, basepoint_y, t1, y1, t2, y2):
+        g = np.zeros(t1.shape)
+        g[0] = -defect[[index[x] for x in t1[0].tolist()]]
+        return g
+
+    monkeypatch.setattr(hyperbolicity, "gromov_product_batch", products)
+    rep = estimate_delta(SINH1, circle(8, 2 * math.pi), 1.0, count, 2)
+    k = int(np.argmax(defect))
+    assert rep.delta_basepoint == max(0.0, float(defect[k]))
+    assert [p.t for p in rep.worst_witness[1:]] == t[:, k].tolist()
+
+
+def test_delta_holds_the_draws_and_one_block():
+    # the draws are 48 bytes a triple and one block's kernel temporaries about
+    # 5 MB: 72.8 bytes a triple here; the three full-size products and their
+    # temporaries took the peak to 122
+    Y = circle(256, 2 * math.pi)
+    estimate_delta(EXP1, Y, 10.0, 10, 1)
+    count = 200_000
+    tracemalloc.start()
+    try:
+        estimate_delta(EXP1, Y, 10.0, count, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * count, peak / count
 
 
 def _oracle_closure(M):

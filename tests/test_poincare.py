@@ -601,9 +601,88 @@ def test_lp_norm_refuses_a_sum_that_underflows():
     assert lp_norm(np.full(3, 0.1), np.ones(3), 200.0) > 0.0
 
 
+def test_lp_norm_scales_a_sum_that_overflows():
+    # |v|^p w overflowed though the norm is in range: lp_norm([1e200], [1], 2)
+    # was inf, and so a report's norm turned divergent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lp_norm(np.array([1e200]), np.ones(1), 2.0) == pytest.approx(1e200, rel=1e-15)
+        assert lp_norm(np.array([-3e200, 4e200]), np.ones(2), 2.0) == pytest.approx(5e200,
+                                                                                   rel=1e-15)
+        got = lp_norm(np.array([1e200, 2e200]), np.array([1e10, 3e100]), 3.0)
+        want = math.fsum([1e10, 8.0 * 3e100]) ** (1 / 3) * 1e200
+        assert got == pytest.approx(want, rel=1e-14)
+        # a weight of 0 times an overflowing power was NaN
+        assert lp_norm(np.array([1e200, 1.0]), np.array([0.0, 4.0]), 2.0) == pytest.approx(2.0,
+                                                                                      rel=1e-15)
+        # terms of 300 decades: the light large value does not hide the rest
+        assert lp_norm(np.array([1e200, 1.0]), np.array([1e-300, 4.0]), 2.0) == pytest.approx(
+            1e50, rel=1e-15)
+        assert lp_norm(np.array([1e200, 1e50]), np.array([1e-300, 1.0]), 2.0) == pytest.approx(
+            math.sqrt(2.0) * 1e50, rel=1e-15)
+        # the norm itself past double range
+        assert lp_norm(np.array([1e300]), np.array([1e300]), 1.0) == math.inf
+        assert lp_norm(np.array([1e300, math.inf]), np.ones(2), 2.0) == math.inf
+        # the gradient norm of e^{-4t} at p = 700 on the e^t half-line is about
+        # 4 * 2800^(-1/700), though 4^700 overflows; its report was divergent
+        rep = halfline_verifier("exp", 1.0, 700.0, [("exp_decay_4", lambda t: np.exp(-4.0 * t))],
+                                dt=0.01, t_max=10.0)[0]
+    assert not rep.divergent and rep.lp_g == pytest.approx(4.0 * 2800.0 ** (-1 / 700), rel=0.02)
+    assert rep.passed and rep.sharp_passed
+
+
+def test_lp_norm_keeps_the_bits_of_a_sum_in_range():
+    rng = np.random.default_rng(5)
+    v, w = rng.normal(size=1000) * 1e50, rng.uniform(size=1000)
+    for p in (1.0, 1.5, 2.0, 3.0):
+        assert lp_norm(v, w, p) == float(np.sum(np.abs(v) ** p * w)) ** (1.0 / p)
+
+
+def test_the_mean_scales_values_whose_weighted_sum_overflows():
+    # np.average overflowed in sum(v w): the mean was inf, with numpy's
+    # "overflow encountered in reduce", or NaN for values of both signs
+    values = np.array([1e306, 3e306, -2e306, 1e306])
+    weights = np.array([200.0, 100.0, 50.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = optimal_subtracted_constant(values, weights, 2.0)
+    want = math.fsum(values / 1e306 * weights) / weights.sum() * 1e306
+    assert got == pytest.approx(want, rel=1e-15)
+    small = values * 2.0 ** -60
+    assert got == optimal_subtracted_constant(small, weights, 2.0) * 2.0 ** 60
+
+
+def test_a_filling_graph_builds_its_node_listing_on_first_use():
+    for G in (small_graph(), small_graph(SINH1, "sinh")):
+        assert G.n_nodes == G.n_levels * G.carrier.n - (G.carrier.n - 1 if G.has_apex else 0)
+        assert not {"node_t", "node_y", "node_measure"} & set(vars(G))
+        assert G.node_t.size == G.node_y.size == G.node_measure.size == G.n_nodes
+        assert G.node_t is G.node_t
+
+
+def test_a_large_filling_graph_holds_no_node_listing():
+    # the listing (node_t, node_y, node_measure) took 24 bytes per node and the
+    # build peaked at 32; the graph holds levels, masses and carrier factors
+    Y = _geometric_carrier(256, 1)
+    Y.adjacency()
+    build_filling_graph(Y, SINH1, "sinh", 1.0, 1.0, 0.5)
+    tracemalloc.start()
+    try:
+        G = build_filling_graph(Y, SINH1, "sinh", 1.0, 10.0, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.n_nodes == 255_745
+    assert peak < 4 * G.n_nodes, peak / G.n_nodes
+
+
 def test_a_divergent_report_neither_passes_nor_fails():
-    # the gradient norm of e^{-4t} overflows at p = 700 on the e^t half-line
-    rep = halfline_verifier("exp", 1.0, 700.0, [("exp_decay_4", lambda t: np.exp(-4.0 * t))],
+    # level values of +-1e305 in turn: every quotient is 2e307, and their L^1
+    # norm under e^t up to t = 10 is about 4e311, past double range
+    def alternating(t):
+        return np.where(np.rint(t / 0.01) % 2 == 0.0, 1e305, -1e305)
+
+    rep = halfline_verifier("exp", 1.0, 1.0, [("alternating", alternating)],
                             dt=0.01, t_max=10.0)[0]
     assert rep.divergent and rep.lp_g == math.inf
     assert rep.ratio is None
