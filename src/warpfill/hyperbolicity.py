@@ -82,9 +82,11 @@ def delta_bound(profile: WarpProfile, space: CarrierSpace) -> float:
 
 
 def _rng(seed) -> np.random.Generator:
-    """numpy's generator for seed, which must be an integer >= 0 (not a bool)."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
+    """numpy's generator for seed, an integer >= 0 and below 2^64
+    (not a bool): a document holds no larger integer."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or \
+            not 0 <= seed < 2 ** 64:
+        raise DomainError(f"seed must be an integer >= 0 and below 2^64, got {seed!r}")
     return np.random.default_rng(seed)
 
 

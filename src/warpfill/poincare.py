@@ -45,13 +45,11 @@ _CHUNK = 1 << 16
 # holding nearly all the weight
 _ROOT_MAXITER = 3000
 _SPAN = 1 << 52
-# values per block of `_SlopeBounds`; the bound on the magnitudes of a
-# slope's terms under which they decide its sign; and the least count of
-# values they are used for: below about 1000 values a full pass costs no
-# more than the bounds (on a 2-core x86-64 VM, 15 us against 16 us at 200
-# values, 136 us against 25 us at 20,000)
+# values per block of `_SlopeBounds`, and the least count of values they
+# are used for: below about 1000 values a full pass costs no more than the
+# bounds (on a 2-core x86-64 VM, 15 us against 16 us at 200 values, 136 us
+# against 25 us at 20,000)
 _BLOCK = 32
-_SAFE = 2.0 ** 1000
 _BOUNDED = 1024
 
 
@@ -497,7 +495,7 @@ def _chunked_dot(values: np.ndarray, weights: np.ndarray, c: float, exponent: fl
         d, a = buf[:, :min(values.size - s, _CHUNK)]
         np.subtract(c, values[s:s + _CHUNK], out=d)
         np.abs(d, out=a)
-        with np.errstate(over="ignore"):  # the callers refuse or skip inf
+        with np.errstate(over="ignore"):  # the solver rescales where a sum is inf
             np.power(a, exponent, out=a)
             if signed:
                 np.copysign(a, d, out=a)
@@ -505,19 +503,22 @@ def _chunked_dot(values: np.ndarray, weights: np.ndarray, c: float, exponent: fl
     return total
 
 
+class _Overflow(Exception):
+    """A sum formed by the subtracted-constant solver is not finite."""
+
+
 def _slope(c: float, values: np.ndarray, weights: np.ndarray, p: float,
-           buf: np.ndarray, ends: tuple) -> float:
+           buf: np.ndarray, ends: tuple, e: int = 0) -> float:
     """sum_i w_i sign(c - v_i) |c - v_i|^{p-1}, the derivative of the L^p
-    objective over p. At an end of the bracket `ends` every term has one
-    sign, so it is 0 there only by underflow, unless no other value has
-    positive weight."""
+    objective over p, for values that are the caller's times 2^-e. At an
+    end of the bracket `ends` every term has one sign, so it is 0 there only
+    by underflow, unless no other value has positive weight."""
     s = _chunked_dot(values, weights, c, p - 1.0, signed=True, buf=buf)
     if not math.isfinite(s):
-        raise DomainError(f"the L^{p} objective overflows double precision at c = {c!r}; "
-                          "rescale the function or the weights")
+        raise _Overflow
     if s == 0.0 and c in ends and np.any((values != c) & (weights > 0.0)):
         raise DomainError(f"the L^{p} objective's slope underflows double precision at "
-                          f"c = {c!r}; rescale the function or the weights")
+                          f"c = {math.ldexp(c, e)!r}; rescale the function or the weights")
     return s
 
 
@@ -542,23 +543,6 @@ def _downscaled(weights: np.ndarray) -> np.ndarray:
         if not weights.sum() >= 2.0 ** 1023:
             return weights
     return weights * 2.0 ** -(2 * weights.size).bit_length()
-
-
-def _weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
-    """np.average(values, weights=weights) of finite values under weights
-    that total below 2^1023. Where sum_i v_i w_i overflows, the mean of the
-    values times 2^-k, with 2^k above every |v_i|, is taken, kept within
-    their range against rounding, and scaled back: each product is then at
-    most its weight, and a power of two is exact unless a result is
-    subnormal."""
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN
-        mean = float(np.average(values, weights=weights))
-    if math.isfinite(mean):
-        return mean
-    k = math.frexp(float(np.max(np.abs(values))))[1]
-    scaled = np.ldexp(values, -k)
-    mean = float(np.average(scaled, weights=weights))
-    return math.ldexp(min(max(mean, float(scaled.min())), float(scaled.max())), k)
 
 
 def _merge_equal_values(values: np.ndarray, weights: np.ndarray):
@@ -593,9 +577,9 @@ class _SlopeBounds:
     (N + K + B + 2p + 8) u S + 2^-1074 (2 sum W + N + K) of their exact
     values together, K being the block count. `sign` takes
     2 (N + K + B + 2p + 16) u S + 2^-1070 (sum W + N + K), from the
-    computed S and sum W, as its margin: a decided sign is the full pass's,
-    and the full pass is not 0 there. Where S is 2^1000 or more no sign is
-    decided, so a full pass that would overflow runs, and refuses.
+    computed S and sum W, as its margin: a decided sign is the exact
+    slope's, and the full pass's wherever that pass is finite, and the full
+    pass is not 0 there.
     """
 
     def __init__(self, v: np.ndarray, w: np.ndarray, p: float):
@@ -618,8 +602,6 @@ class _SlopeBounds:
             lower = float(np.dot(np.copysign(a_near, near), self.weight))
             size = float(np.dot(a_far + a_near, self.weight))
         margin = self.rel * size + self.floor
-        if not size < _SAFE:
-            return 0.0
         if lower > margin:
             return 1.0
         return -1.0 if upper < -margin else 0.0
@@ -627,8 +609,8 @@ class _SlopeBounds:
 
 def _slope_sign(c: float, bounds: _SlopeBounds | None, known: dict, args: tuple) -> float:
     """`_slope(c, *args)` or, where `bounds` decide it, its sign (then the
-    full pass would not be 0 and would raise nothing). A computed slope is
-    kept in `known`."""
+    slope is not 0, so no underflow is refused). A computed slope is kept
+    in `known`."""
     s = 0.0 if bounds is None else bounds.sign(c)
     if s == 0.0:
         s = known[c] = _slope(c, *args)
@@ -660,9 +642,10 @@ def optimal_subtracted_constant(values: np.ndarray, weights: np.ndarray, p: floa
     the sign change to 4 ulp (2e-323 absolute near 0), or raises
     ConvergenceError after _ROOT_MAXITER iterations. The result is the best
     of that root and the nearest data value on each side: with steep weights
-    the optimum often sits exactly on a data value; where the objective
-    overflows at all three, the root. DomainError is raised when the slope
-    overflows or underflows to 0 at an end.
+    the optimum often sits exactly on a data value. Where the mean, a slope
+    or the least of the three objectives is not finite, all is solved again
+    on the values times 2^-e < 1/(2 max |v_i|), where no term exceeds its
+    weight, and scaled back. DomainError: the slope underflows to 0 at an end.
     """
     check_p(p)
     values, weights = _checked(values, weights)
@@ -674,8 +657,6 @@ def optimal_subtracted_constant(values: np.ndarray, weights: np.ndarray, p: floa
     weights = _downscaled(weights)
     if lo == hi:
         return lo
-    if p == 2.0:
-        return _weighted_mean(values, weights)
     if p == 1.0:
         order = np.argsort(values, kind="stable")
         v = values[order]
@@ -685,6 +666,23 @@ def optimal_subtracted_constant(values: np.ndarray, weights: np.ndarray, p: floa
         if k + 1 < v.size and abs(cum[k] - half) <= 1e-15 * cum[-1]:
             return 0.5 * (float(v[k]) + float(v[k + 1]))
         return float(v[min(k, v.size - 1)])
+    try:
+        return _solve(values, weights, p, (lo, hi), 0)
+    except _Overflow:
+        e = math.frexp(max(-lo, hi))[1] + 1
+        ends = (math.ldexp(lo, -e), math.ldexp(hi, -e))
+        c = _solve(np.ldexp(values, -e), weights, p, ends, e)
+        return math.ldexp(min(max(c, ends[0]), ends[1]), e)  # a rounded mean may leave them
+
+
+def _solve(values: np.ndarray, weights: np.ndarray, p: float, ends: tuple, e: int) -> float:
+    """The solve past the entry, p != 1, on the caller's values times 2^-e."""
+    if p == 2.0:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN
+            mean = float(np.average(values, weights=weights))
+        if not math.isfinite(mean):
+            raise _Overflow
+        return mean
     from scipy.optimize import brentq  # on use: loading it costs start-up time
 
     v, w = _merge_equal_values(values, weights)
@@ -692,16 +690,16 @@ def optimal_subtracted_constant(values: np.ndarray, weights: np.ndarray, p: floa
     # brentq's wrapper sits in a reference cycle, and a closure over the
     # arrays would keep them alive until the next garbage collection
     buf = np.empty((2, min(v.size, _CHUNK)))
-    args = (v, w, p, buf, (lo, hi))
-    # both ends first, for their overflow and underflow checks; the splits
-    # stop at a slope of exactly 0. Up to there only signs are needed, which
-    # the bounds give where they can, and a full pass runs where they cannot.
+    args = (v, w, p, buf, ends, e)
+    # both ends first, for their underflow checks; the splits stop at a
+    # slope of exactly 0. Up to there only signs are needed, which the
+    # bounds give where they can, and a full pass runs where they cannot.
     # brentq is handed the slopes at the ends of the final bracket, so it
     # runs as if every sign had come from a full pass
     bounds = _SlopeBounds(v, w, p) if v.size >= _BOUNDED else None
     known = {}
-    a, b = lo, hi
-    sa, sb = _slope_sign(lo, bounds, known, args), _slope_sign(hi, bounds, known, args)
+    a, b = ends
+    sa, sb = _slope_sign(a, bounds, known, args), _slope_sign(b, bounds, known, args)
     while sa < 0.0 < sb and _ordered(b) - _ordered(a) > _SPAN:
         m = 0.0 if a < 0.0 < b else _from_ordered((_ordered(a) + _ordered(b)) // 2)
         s = _slope_sign(m, bounds, known, args)
@@ -724,8 +722,9 @@ def optimal_subtracted_constant(values: np.ndarray, weights: np.ndarray, p: floa
         return above
     candidates = (float(v[k - 1]), above, root)
     costs = [_chunked_dot(v, w, c, p, signed=False, buf=buf) for c in candidates]
-    least = min(costs)
-    return candidates[costs.index(least)] if least < math.inf else root
+    if not min(costs) < math.inf:
+        raise _Overflow
+    return candidates[costs.index(min(costs))]
 
 
 @dataclass
@@ -783,9 +782,12 @@ def optimal_constant_and_ratio(G: FillingGraph, u: np.ndarray, p: float,
     `G.weights` of its width: a function that ignores y is reported from its
     L level values. A function with zero gradient norm is constant: it
     keeps c = u[0, 0] and ratio 0. A report whose gradient norm overflows is
-    divergent: its ratio is None, and it neither passes nor fails."""
+    divergent: its ratio is None, and it neither passes nor fails. A u that
+    is not finite is refused (DomainError naming the function)."""
     check_p_and_slack(p, slack)
     u = G.grid(u)
+    if not np.isfinite(u).all():
+        raise DomainError(f"function {name!r} is not finite on the level grid")
     w = G.weights(u.shape[1])
     lp_g = lp_norm(discrete_upper_gradient(G, u), w, p)
     if lp_g == 0.0:

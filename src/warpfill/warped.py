@@ -54,12 +54,21 @@ def distance(profile: WarpProfile, space: CarrierSpace,
 
 
 def distance_batch(profile: WarpProfile, space: CarrierSpace, t1, y1, t2, y2) -> np.ndarray:
-    """Vectorized `distance` over index arrays."""
+    """Vectorized `distance` over index arrays. DomainError naming the first
+    pair whose distance is not finite in double precision."""
     t1, y1 = _check_points(space, t1, y1)
     t2, y2 = _check_points(space, t2, y2)
     d_y = space.dist[y1, y2]
     _, fmin = minimize_F_batch(profile, d_y, np.minimum(t1, t2))
-    return t1 + t2 + fmin
+    with np.errstate(over="ignore"):
+        d = t1 + t2 + fmin
+    bad = ~np.isfinite(d)
+    if bad.any():
+        k = int(np.flatnonzero(bad)[0])
+        ta, ya, tb, yb = (np.broadcast_to(x, d.shape).flat[k].item() for x in (t1, y1, t2, y2))
+        raise DomainError(f"the warped distance from ({ta!r}, {ya}) to ({tb!r}, {yb}) "
+                          "is not finite in double precision")
+    return d
 
 
 def gromov_product(profile: WarpProfile, space: CarrierSpace, basepoint_y: int,

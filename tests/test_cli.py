@@ -1,12 +1,17 @@
+import contextlib
+import functools
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import warpfill
 import warpfill.cli as cli
@@ -908,3 +913,188 @@ def test_cli_loads_scipy_quadrature_and_root_finder_only_where_they_run(tmp_path
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_solver_rescales_far_carriers_at_every_exponent(capsys, tmp_path):
+    # circle(12) with distances times 10^k: the slope sum w |c - v|^(p-1) of
+    # separable_bump (in carrier-distance units) overflowed at an end of the
+    # bracket from k = 152 at p = 3, and the run exited 2, though the optimum
+    # and both norms are in range
+    Y = circle(12, 2 * math.pi)
+    for k in (152, 153, 154, 180, 203, 204, 250, 300, 305, 306):
+        path = os.path.join(tmp_path, "far.json")
+        save_space(warpfill.CarrierSpace(Y.dist * 10.0 ** k, Y.measure), path)
+        for p in ("1.5", "3", "4"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run(capsys, ["poincare", "--space", path, "--model", "exp",
+                                              "--beta", "2", "--tmax", "4", "--dt", "0.1",
+                                              "--p", p])
+            assert code == 0 and err == "", (k, p, err)
+            reports = json.loads(out)["result"]["reports"]
+            assert not any(r["divergent"] for r in reports), (k, p)
+
+
+def test_a_seed_past_64_bits_exits_2(capsys, tmp_path, circle_path):
+    # numpy took the seed, and orjson could not write it: exit 1, "internal
+    # error: TypeError: Integer exceeds 64-bit range"
+    with pytest.raises(warpfill.DomainError, match=r"^seed must be an integer >= 0 and "
+                                                   r"below 2\^64, got 18446744073709551616$"):
+        warpfill.estimate_delta(WarpProfile.exp(1.0), circle(8, 2 * math.pi), 5.0, 10, 2 ** 64)
+    cfg = tmp_path / "seed.json"
+    cfg.write_text('{"seed": 1180591620717411303424}')
+    argv = ["delta", "--space", circle_path, "--profile", "exp:1", "--count", "10"]
+    for extra in (["--seed", "1180591620717411303424"], ["--config", str(cfg)]):
+        code, out, err = run(capsys, argv + extra)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith("error: invalid input: seed must be an integer >= 0 and below 2^64")
+    code, out, _ = run(capsys, argv + ["--seed", str(2 ** 64 - 1)])
+    assert code == 0 and json.loads(out)["seed"] == 2 ** 64 - 1
+
+
+@pytest.mark.parametrize("norm", [[], ["--norm", "l2"]])
+def test_a_distance_past_double_range_exits_2(capsys, circle_path, norm):
+    # t1 + t2 overflowed with numpy's "overflow encountered in add", and the
+    # document held a null distance with exit 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["dist", "--space", circle_path, "--profile", "exp:1",
+                                      "--from", "1e308,0", "--to", "1e308,1"] + norm)
+    assert code == 2 and out == "" and err == (
+        "error: invalid input: the warped distance from (1e+308, 0) to (1e+308, 1) is not "
+        "finite in double precision\n")
+
+
+@pytest.mark.parametrize("space", [False, True])
+def test_a_family_member_that_is_not_finite_exits_2_before_its_gradient(capsys, tmp_path,
+                                                                         circle_path, space):
+    # np.interp's slope overflows, and the gradient's np.diff printed
+    # "invalid value encountered in subtract" before the refusal
+    path = tmp_path / "f.json"
+    path.write_text('{"family": [{"name": "a", "t": [0, 1e308], "values": [1e308, -1e308]}]}')
+    argv = ["poincare", "--tmax", "2", "--dt", "0.5", "--family", str(path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, argv + (["--space", circle_path] if space else []))
+    assert code == 2 and out == ""
+    assert err == "error: invalid input: function 'a' is not finite on the level grid\n"
+
+
+def _scaled_path(tmp_path, Y, k):
+    """Y with distances and measures times 10^k, saved under tmp_path."""
+    path = os.path.join(tmp_path, "far.json")
+    save_space(warpfill.CarrierSpace(Y.dist * 10.0 ** k, Y.measure * 10.0 ** k), path)
+    return path
+
+
+@functools.cache
+def _gate_carrier(name: str):
+    """circle(12), a 12-point random geometric graph with a spanning tree,
+    or a 3-point carrier."""
+    if name == "circle":
+        return circle(12, 2 * math.pi)
+    if name == "three":
+        return warpfill.CarrierSpace(np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.6],
+                                               [0.5, 0.6, 0.0]]), np.ones(3))
+    from scipy.sparse.csgraph import minimum_spanning_tree
+    pts = np.random.default_rng(1).uniform(0.0, 1.0, size=(12, 2))
+    d = np.hypot(*(pts[:, None, :] - pts[None, :, :]).transpose(2, 0, 1))
+    tree = minimum_spanning_tree(d).toarray() > 0.0
+    i, j = np.nonzero(np.triu((d < 0.4) | tree | tree.T, 1))
+    return warpfill.from_graph(zip(i.tolist(), j.tolist(), d[i, j].tolist()), n=12)
+
+
+_GATE_POINCARE = ["--model", "exp", "--beta", "2", "--tmax", "4", "--dt", "0.1"]
+
+
+def _gate_runs(path: str, prefix: str) -> list:
+    runs = [["validate", "--eps", "0.05"],
+            ["dist", "--profile", "exp:1", "--from", "3,0", "--to", "4,1"],
+            ["delta", "--profile", "exp:1", "--count", "2000"],
+            ["boundary", "--profile", "exp:1", "--out-prefix", prefix]]
+    runs += [["poincare"] + _GATE_POINCARE + ["--p", p] for p in ("1", "1.5", "2", "3")]
+    runs.append(["counterexample", "--schedule", "3,4"])
+    return [argv[:1] + ["--space", path] + argv[1:] for argv in runs]
+
+
+def _in_process(argv) -> tuple:
+    """(exit code, stdout, stderr) of one CLI run, warnings as errors."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@functools.cache
+def _gate_baseline(name: str) -> list:
+    """The unscaled runs' (exit code, result) for one carrier."""
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = _gate_runs(_scaled_path(tmp, _gate_carrier(name), 0), os.path.join(tmp, "b"))
+        return [(code, json.loads(out)["result"] if code == 0 else None)
+                for code, out, _ in map(_in_process, runs)]
+
+
+def _nulls(ref, got, where=()):
+    """The paths of the numbers of ref that are null in got."""
+    if isinstance(ref, dict) and isinstance(got, dict):
+        for key in ref.keys() & got.keys():
+            yield from _nulls(ref[key], got[key], where + (key,))
+    elif isinstance(ref, list) and isinstance(got, list):
+        for i, (a, b) in enumerate(zip(ref, got)):
+            yield from _nulls(a, b, where + (i,))
+    elif isinstance(ref, (int, float)) and not isinstance(ref, bool) and got is None:
+        yield where
+
+
+def _log_norms(path: str, p: float, reports: list) -> dict:
+    """For each report of a filling run, the natural logs of its gradient
+    norm and of ||u - c_star||_p, summed in log space from the same graph."""
+    from warpfill.poincare import discrete_upper_gradient
+
+    def log_norm(v, w):
+        keep = (v != 0.0) & (w > 0.0)
+        return float(np.logaddexp.reduce(p * np.log(np.abs(v[keep])) + np.log(w[keep]))) / p
+
+    G = warpfill.build_filling_graph(load_space(path), WarpProfile.exp(1.0), "exp", 2.0,
+                                     4.0, 0.1)
+    logs = {}
+    for (name, fn), r in zip(warpfill.builtin_filling_family(G), reports):
+        u = G.sample(fn)
+        w = G.weights(u.shape[1])
+        logs[name] = (log_norm(discrete_upper_gradient(G, u), w), log_norm(u - r["c_star"], w))
+    return logs
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["circle", "graph", "three"]), st.integers(0, 306))
+@example("circle", 306)
+@example("graph", 153)
+@example("three", 306)
+def test_every_subcommand_holds_its_contract_up_to_the_top_of_double_range(name, k):
+    # distances and measures times 10^k: every run exits 0 or 2, one line on
+    # stderr when 2; on exit 0 a number is null only where the unscaled
+    # run's is, or where it is a Poincare norm (or a ratio of one) whose
+    # value, summed in log space, leaves double range
+    top = math.log(sys.float_info.max) - 1e-9
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _scaled_path(tmp, _gate_carrier(name), k)
+        for argv, (ref_code, ref) in zip(_gate_runs(path, os.path.join(tmp, "b")),
+                                         _gate_baseline(name)):
+            code, out, err = _in_process(argv)
+            assert code in (0, 2), (argv, err)
+            if code == 2:
+                assert err.count("\n") == 1, (argv, err)
+                continue
+            assert err == "", (argv, err)
+            got = json.loads(out)["result"]
+            nulls = list(_nulls(ref, got)) if ref_code == 0 else []
+            if nulls and argv[0] == "poincare":
+                logs = _log_norms(path, float(argv[-1]), got["reports"])
+                names = [r["name"] for r in got["reports"]]
+                fields = {"lp_g": (0,), "lp_u_minus_c": (1,), "ratio": (0, 1)}
+                nulls = [n for n in nulls if not (
+                    n[0] == "reports" and n[2] in fields
+                    and max(logs[names[n[1]]][i] for i in fields[n[2]]) > top)]
+            assert not nulls, (argv, nulls)

@@ -313,12 +313,35 @@ def test_optimal_constant_refuses_a_slope_that_underflows_at_an_end():
     assert optimal_subtracted_constant(np.array([0.0, 1.0]), np.array([1.0, 0.0]), 400.0) == 0.0
 
 
-def test_optimal_constant_refuses_an_overflowing_objective_without_a_warning():
-    # the slope at 0 is -(1e308)^2 through the values, whatever the weights;
-    # the suite turns a RuntimeWarning into an error
-    with pytest.raises(DomainError, match=r"^the L\^3.0 objective overflows double "
-                                          r"precision at c = 0.0;"):
-        optimal_subtracted_constant(np.array([0.0, 1e308]), np.ones(2), 3.0)
+def test_optimal_constant_rescales_an_overflowing_objective_without_a_warning():
+    # the slope at 0 is -(1e308)^2 through the values, whatever the weights,
+    # and was refused; the solve on the values times 2^-1024 does not overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = optimal_subtracted_constant(np.array([0.0, 1e308]), np.ones(2), 3.0)
+    assert c == pytest.approx(5e307, rel=1e-15)
+
+
+def test_a_rescaled_solve_is_exact_in_powers_of_two():
+    # past the overflow the values are solved again times 2^-e, so scaling
+    # the input by 2^1000 or 2^1010 reaches the same second solve: the
+    # answers are exactly 2^10 apart, and optimal for the unscaled values.
+    # Weights of about 2^990 make the slope overflow at p = 1.05 too
+    rng = np.random.default_rng(32)
+    for _ in range(40):
+        n = int(rng.integers(2, 60))
+        values = rng.normal(size=n) * np.exp(rng.uniform(-5.0, 0.0))
+        weights = rng.uniform(0.5, 2.0, size=n) * np.exp(rng.uniform(-3.0, 3.0, size=n))
+        weights *= 2.0 ** 990
+        for p in (1.05, 1.5, 2.0, 2.5, 3.0, 4.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                near = optimal_subtracted_constant(np.ldexp(values, 1000), weights, p)
+                far = optimal_subtracted_constant(np.ldexp(values, 1010), weights, p)
+            assert far == math.ldexp(near, 10), (n, p)
+            c = optimal_subtracted_constant(values, weights, p)
+            assert _lp_objective(values, weights, math.ldexp(near, -1000), p) <= \
+                _lp_objective(values, weights, c, p) * (1.0 + 1e-12)
 
 
 def test_optimal_constant_solves_unmerged_where_a_merged_weight_overflows():
@@ -338,10 +361,11 @@ def test_optimal_constant_refuses_values_that_are_not_finite(p, bad):
         optimal_subtracted_constant(np.array([bad, 1.0, 2.0]), np.ones(3), p)
 
 
-def test_the_last_pick_takes_the_root_where_every_objective_overflows():
+def test_the_last_pick_rescales_where_every_objective_overflows():
     # the objective overflows at both data values around the root and at the
-    # root itself under weights / 8; the entry scales the undivided weights by
-    # 2^-4, under which it does not
+    # root itself under weights / 8, so all is solved again on the values
+    # times 2^-4, where it does not; the entry scales the undivided weights
+    # by 2^-4, which moves no answer
     values, weights = np.array([3.0, -1.0, 2.0, 5.0]), np.array([1e308, 1.7e308, 1e308, 1e308])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
