@@ -121,6 +121,8 @@ def _load_family(spec: str) -> list:
     for k, item in enumerate(doc["family"]):
         if not isinstance(item, dict) or not {"name", "t", "values"} <= set(item):
             raise SchemaError(f"family entry {k} must be an object with 'name', 't' and 'values'")
+        if not isinstance(item["name"], str):
+            raise SchemaError(f"family entry {k}: field 'name' must be a string")
         ts = _family_field(k, item, "t")
         vs = _family_field(k, item, "values")
         if ts.shape != vs.shape or ts.ndim != 1 or ts.size == 0:

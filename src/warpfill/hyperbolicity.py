@@ -112,6 +112,7 @@ def estimate_delta(profile: WarpProfile, space: CarrierSpace, t_max: float,
     count = int(count)
     if not (math.isfinite(t_max) and t_max >= 0.0):
         raise DomainError(f"estimate_delta: t_max must be finite and >= 0, got {t_max}")
+    t_max += 0.0  # -0.0 reads as 0.0, which numpy's uniform takes
     rng = _rng(seed)
     t = rng.uniform(0.0, t_max, size=(3, count))
     y = rng.integers(0, space.n, size=(3, count))

@@ -39,7 +39,9 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _STEEP, _TOP, _PANELS = 16.0, 40.0, 8
 _FAR = 700.0
 _CHUNK = 1 << 16
-# brentq iterations before ConvergenceError; on a bracket narrowed to _SPAN
+# the most evenly spaced panels of the counterexample's tail quadrature
+_TAIL_PANELS = 4096
+# Brent iterations before ConvergenceError; on a bracket narrowed to _SPAN
 # doubles (one binade), 3600 seeded adversarial inputs (values over 300 decades,
 # weights e^(-300..600)) took at most 154, on a root within an ulp of a value
 # holding nearly all the weight
@@ -617,10 +619,71 @@ def _slope_sign(c: float, bounds: _SlopeBounds | None, known: dict, args: tuple)
     return s
 
 
-def _known_slope(c: float, known: dict, *args) -> float:
-    """_slope(c, *args), taken from `known` where it was already computed."""
-    s = known.get(c)
-    return _slope(c, *args) if s is None else s
+def _signbit(x: float) -> bool:
+    return math.copysign(1.0, x) < 0.0
+
+
+def _div(n: float, d: float) -> float:
+    """n / d as an IEEE 754 division: a zero d gives inf of the quotient's
+    sign, or NaN for 0/0 and NaN/0, where Python raises ZeroDivisionError."""
+    if d != 0.0:
+        return n / d
+    if n == 0.0 or n != n:
+        return math.nan
+    return math.inf if _signbit(n) == _signbit(d) else -math.inf
+
+
+def _brent(f: Callable, a: float, b: float, fa: float, fb: float, xtol: float, rtol: float,
+           maxiter: int) -> tuple:
+    """(root, iterations): a sign change of f in [a, b] by Brent's method
+    (Brent, Algorithms for Minimization without Derivatives, 1973, ch. 4),
+    given fa = f(a) and fb = f(b) of opposite signs. This is scipy's
+    brentq.c ported one operation at a time, so a root has brentq's bits and
+    iteration count: as in C, a zero denominator gives inf or NaN, MIN(x, y)
+    is `x if x < y else y`, and signs are read from the sign bit. Python
+    float arithmetic raises no warning, so every number is a Python float.
+    ConvergenceError after maxiter iterations."""
+    xpre, xcur, fpre, fcur = float(a), float(b), float(fa), float(fb)
+    xtol, rtol = float(xtol), float(rtol)
+    if fpre == 0.0:
+        return xpre, 0
+    if fcur == 0.0:
+        return xcur, 0
+    if _signbit(fpre) == _signbit(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for i in range(1, maxiter + 1):
+        if fpre != 0.0 and fcur != 0.0 and _signbit(fpre) != _signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        # the root lies between xcur, the best estimate, and xblk; xpre is
+        # the previous estimate
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, i
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = _div(-fcur * (xcur - xpre), fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = _div(fpre - fcur, xpre - xcur)
+                dblk = _div(fblk - fcur, xblk - xcur)
+                stry = _div(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
+            bound = 3.0 * abs(sbis) - delta
+            if 2.0 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry  # a short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = float(f(xcur))
+    raise ConvergenceError(f"Brent's method did not converge in {maxiter} iterations "
+                           f"(bracket around {xcur!r})")
 
 
 def optimal_subtracted_constant(values: np.ndarray, weights: np.ndarray, p: float) -> float:
@@ -638,9 +701,10 @@ def optimal_subtracted_constant(values: np.ndarray, weights: np.ndarray, p: floa
     objective unchanged. The bracket [min v, max v] is split at 0, then at
     the middle of the ordered bit patterns, until it lies within one binade:
     a root many decades below the bracket width, as under steep weights,
-    would otherwise cost brentq a bisection per halving. brentq then finds
-    the sign change to 4 ulp (2e-323 absolute near 0), or raises
-    ConvergenceError after _ROOT_MAXITER iterations. The result is the best
+    would otherwise cost Brent's method a bisection per halving. Brent's
+    method (`_brent`, a port of scipy's brentq) then finds the sign change
+    to 4 ulp (2e-323 absolute near 0), or raises ConvergenceError after
+    _ROOT_MAXITER iterations. The result is the best
     of that root and the nearest data value on each side: with steep weights
     the optimum often sits exactly on a data value. Where the mean, a slope
     or the least of the three objectives is not finite, all is solved again
@@ -683,19 +747,14 @@ def _solve(values: np.ndarray, weights: np.ndarray, p: float, ends: tuple, e: in
         if not math.isfinite(mean):
             raise _Overflow
         return mean
-    from scipy.optimize import brentq  # on use: loading it costs start-up time
-
     v, w = _merge_equal_values(values, weights)
-    # the slope is a module-level function taking the arrays as brentq args:
-    # brentq's wrapper sits in a reference cycle, and a closure over the
-    # arrays would keep them alive until the next garbage collection
     buf = np.empty((2, min(v.size, _CHUNK)))
     args = (v, w, p, buf, ends, e)
     # both ends first, for their underflow checks; the splits stop at a
     # slope of exactly 0. Up to there only signs are needed, which the
     # bounds give where they can, and a full pass runs where they cannot.
-    # brentq is handed the slopes at the ends of the final bracket, so it
-    # runs as if every sign had come from a full pass
+    # Brent's method is handed the slopes at the ends of the final bracket,
+    # so it runs as if every sign had come from a full pass
     bounds = _SlopeBounds(v, w, p) if v.size >= _BOUNDED else None
     known = {}
     a, b = ends
@@ -704,17 +763,10 @@ def _solve(values: np.ndarray, weights: np.ndarray, p: float, ends: tuple, e: in
         m = 0.0 if a < 0.0 < b else _from_ordered((_ordered(a) + _ordered(b)) // 2)
         s = _slope_sign(m, bounds, known, args)
         a, sa, b, sb = (a, sa, m, s) if s >= 0.0 else (m, s, b, sb)
-    for end in (a, b):
-        if end not in known:
-            known[end] = _slope(end, *args)
-    # xtol = 5e-324 would make brentq's stopping test unreachable for a root at 0
-    root, info = brentq(_known_slope, a, b, args=(known,) + args,
-                        xtol=4.0 * math.ulp(0.0), rtol=4.0 * np.finfo(float).eps,
-                        maxiter=_ROOT_MAXITER, full_output=True, disp=False)
-    if not info.converged:
-        raise ConvergenceError(
-            f"subtracted-constant root find did not converge in {_ROOT_MAXITER} "
-            f"iterations (bracket around {root!r})")
+    fa, fb = (known[end] if end in known else _slope(end, *args) for end in (a, b))
+    # xtol = 5e-324 would make the stopping test unreachable for a root at 0
+    root, _ = _brent(lambda c: _slope(c, *args), a, b, fa, fb, xtol=4.0 * math.ulp(0.0),
+                     rtol=4.0 * np.finfo(float).eps, maxiter=_ROOT_MAXITER)
     # v[k - 1] < root <= v[k], and k > 0 unless root is lo; ties go to the data value
     k = int(np.searchsorted(v, root))
     above = float(v[k])
@@ -921,6 +973,46 @@ def builtin_filling_family(G: FillingGraph) -> list:
     ]
 
 
+def _tail_quadrature(lo: float, hi: float, p: float, s: float) -> float:
+    """Integral of f(x) = min(x - 1, 1)^p sinh(x)^s over [lo, hi], 1 <= lo < hi
+    (p = 0 drops the ramp), by composite 16-point Gauss-Legendre (Golub and
+    Welsch, 1969) in y = x - 1.
+
+    Panel edges lie at y = 2^-kh, graded toward y = 0, where (x - 1)^p is
+    not smooth, with h = min(1, 4/(p log 2)) so that y^p changes by at most
+    e^4 across a panel, down to y = 2^-60 or to where y^p < 2^-1100; at
+    y = 2^k for 0 < k <= 60, past the bend of
+    log sinh x = x - log 2 + log(1 - e^(-2x)); and at multiples of
+    min(1, 4/|s|), so that sinh^s changes by about e^4 or less across a
+    panel. At most _TAIL_PANELS such panels are laid: a wider interval gets
+    wider ones, which only an s near 0 meets, where sinh^s is nearly flat.
+    For s < 0, f decreases past y0 = p/|s| (d log f/dy <= p/y - |s|), and at
+    y = (3p + 45)/|s| it is below e^-42 f(y0) and falls at a rate of at least
+    2|s|/3, while the integral over [y0, y0 + 1/|s|] is at least
+    e^-1.4 f(y0)/|s|: the part past there, under 1e-17 of the integral from
+    x = 1, is left out, and hi may be inf. sinh^s is taken in log space, and is inf
+    where it overflows."""
+    width = min(1.0, 4.0 / abs(s)) if s else 1.0
+    if s < 0.0:
+        hi = min(hi, 1.0 + (3.0 * p + 45.0) / -s)
+    a, b = lo - 1.0, hi - 1.0
+    if not a < b:
+        return 0.0
+    width = max(width, (b - a) / _TAIL_PANELS)
+    steps = width * np.arange(math.floor(a / width) + 1, math.ceil(b / width))
+    h, depth = (min(1.0, 4.0 / (p * math.log(2.0))), min(60.0, 1100.0 / p)) if p else (1.0, 60.0)
+    powers = np.concatenate((-h * np.arange(math.ceil(depth / h) + 1), np.arange(1.0, 61.0)))
+    edges = np.union1d(np.exp2(powers), steps)
+    edges = np.concatenate(([a], edges[(edges > a) & (edges < b)], [b]))
+    half = 0.5 * np.diff(edges)
+    y = (edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES
+    x = 1.0 + y
+    log_sinh = x + np.log(-np.expm1(-2.0 * x)) - math.log(2.0)
+    with np.errstate(over="ignore"):
+        f = np.exp(s * log_sinh) * np.minimum(y, 1.0) ** p
+        return float(half @ (f @ _GL_WEIGHTS))
+
+
 @dataclass
 class CounterexampleReport:
     alpha: float
@@ -971,9 +1063,10 @@ def counterexample_suite(carrier: CarrierSpace, y0: int, r: float, alpha: float,
     over levels. For inf_c ||u - c||_p the levels of a prefix with equal u_R
     (all of t <= 1, all of t >= 2) are merged into one level carrying their
     total mass, which leaves the weighted values, and so the objective,
-    unchanged. The tail quadrature is one quad per schedule interval, summed.
+    unchanged. The tail quadrature is one composite Gauss-Legendre sum per
+    schedule interval (`_tail_quadrature`), summed; it agrees with scipy's
+    quad at relative tolerance 1e-13 to within 1e-12 relative.
     """
-    from scipy.integrate import quad  # on use: loading it costs start-up time
     check_p(p)  # before the level grid is laid
     if not (0 <= y0 < carrier.n):
         raise DomainError(f"y0 index {y0} out of range")
@@ -997,14 +1090,6 @@ def counterexample_suite(carrier: CarrierSpace, y0: int, r: float, alpha: float,
     s_exp = beta - p * alpha
     tail_converges = s_exp < 0.0
 
-    def sinh_pow(x: float, s: float) -> float:
-        # sinh(x)^s in log space; safe for large x with negative s
-        if x <= 0.0:
-            return 0.0
-        log_sinh = x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0)
-        arg = s * log_sinh
-        return math.exp(arg) if arg < 700.0 else math.inf
-
     if not all(T >= dt for T in schedule):
         raise DomainError("need dt > 0 and t_max >= dt")
     # the grid at T is the first round(T/dt) levels; sinh^alpha has an apex
@@ -1021,10 +1106,6 @@ def counterexample_suite(carrier: CarrierSpace, y0: int, r: float, alpha: float,
         g_cum = np.cumsum(g_rows)
     tail_cum = np.cumsum(np.where(t >= 1.0, tail_rows, 0.0))
 
-    def f_tail(x: float) -> float:
-        # _ramp on one float, without numpy's per-call cost inside quad
-        return min(max(x - 1.0, 0.0), 1.0) ** p * sinh_pow(x, s_exp)
-
     g_norms, u_devs, tails_d, tails_q = [], [], [], []
     lo, q_total = 1.0, 0.0
     for T in schedule:
@@ -1037,18 +1118,14 @@ def counterexample_suite(carrier: CarrierSpace, y0: int, r: float, alpha: float,
         u_devs.append(lp_norm(vals - c, weights, p))
         tails_d.append(float(tail_cum[L - 1]))
         if T > lo:
-            q, _ = quad(f_tail, lo, T, limit=200)
-            q_total, lo = q_total + float(q), T
+            q_total, lo = q_total + _tail_quadrature(lo, T, p, s_exp), T
         tails_q.append(q_total)
 
     rel_changes = [abs(b - a) / max(abs(b), 1e-300) for a, b in zip(g_norms, g_norms[1:])]
     g_stable = all(ch < 0.01 for ch in rel_changes) if rel_changes else True
     growing = all(b > a for a, b in zip(u_devs, u_devs[1:]))
     tail_rel_err = abs(tails_d[-1] - tails_q[-1]) / max(abs(tails_q[-1]), 1e-300)
-    tail_inf = None
-    if tail_converges:
-        val, _ = quad(lambda x: sinh_pow(x, s_exp), 1.0, math.inf, limit=200)
-        tail_inf = float(val)
+    tail_inf = _tail_quadrature(1.0, math.inf, 0.0, s_exp) if tail_converges else None
 
     if p <= beta / alpha:
         verdict = "no failure expected"

@@ -188,6 +188,17 @@ def test_bad_numbers_exit_2(capsys, circle_path):
     assert code == 2 and "schema mismatch" in err and "--eps" in err and "'abc'" in err
 
 
+def test_delta_reads_a_tmax_of_negative_zero_as_zero(capsys, circle_path):
+    # numpy's uniform refused high - low = -0.0: exit 1, "internal error"
+    results = []
+    for tmax in ("-0.0", "0"):
+        code, out, err = run(capsys, ["delta", "--space", circle_path, "--profile", "exp:1",
+                                      "--tmax", tmax, "--count", "50", "--seed", "3"])
+        assert code == 0 and err == "", err
+        results.append(json.dumps(json.loads(out)["result"]))
+    assert results[0] == results[1]
+
+
 def test_delta_seeded_and_deterministic(capsys, circle_path):
     argv = ["delta", "--space", circle_path, "--profile", "sinh:1", "--tmax", "6",
             "--count", "2000", "--seed", "42"]
@@ -650,6 +661,11 @@ def test_roundtrip_export_import(tmp_path, capsys):
     ({"family": [{"name": "a", "t": [0, 0, 1], "values": [1, 2, 3]}]}, ["entry 0", "'t'", "increase"]),
     ({"family": [{"name": "a", "t": [0, math.nan], "values": [1, 2]}]}, ["entry 0", "'t'", "finite"]),
     ({"family": [{"name": "a", "t": [0, 1], "values": [1, math.inf]}]}, ["entry 0", "'values'", "finite"]),
+    # a name that is not a string was written into the report as it stood
+    ({"family": [{"name": ["x"], "t": [0, 1], "values": [1, 0]}]}, ["entry 0", "'name'", "string"]),
+    ({"family": [{"name": "a", "t": [0, 1], "values": [1, 0]},
+                 {"name": 3, "t": [0, 1], "values": [1, 0]}]}, ["entry 1", "'name'", "string"]),
+    ({"family": [{"name": {"a": 1}, "t": [0, 1], "values": [1, 0]}]}, ["entry 0", "'name'", "string"]),
 ])
 def test_malformed_family_exit_2(capsys, tmp_path, doc, names):
     fam = tmp_path / "family.json"
@@ -896,18 +912,20 @@ from warpfill import circle, save_space
 save_space(circle(32, 2 * math.pi), "c32.json")
 for argv in (["validate"], ["dist", "--profile", "exp:1", "--from", "3,0", "--to", "4,2"],
              ["delta", "--profile", "exp:1", "--count", "100"],
-             ["boundary", "--profile", "exp:1"]):
+             ["boundary", "--profile", "exp:1"],
+             ["poincare", "--p", "1.5", "--tmax", "4", "--dt", "0.5"],
+             ["poincare", "--p", "3", "--tmax", "4", "--dt", "0.5"],
+             ["counterexample", "--p", "3", "--r", "1", "--schedule", "3,4", "--dt", "0.1"]):
     assert cli.main(argv + ["--space", "c32.json"]) == 0, argv
 loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 assert not loaded, loaded
-assert cli.main(["counterexample", "--space", "c32.json", "--p", "3", "--r", "1",
-                 "--schedule", "3,4", "--dt", "0.1"]) == 0
-assert {"scipy.integrate", "scipy.optimize"} <= set(sys.modules)
 """
 
 
-def test_cli_loads_scipy_quadrature_and_root_finder_only_where_they_run(tmp_path):
-    # a fresh interpreter: this one has imported every module already
+def test_cli_loads_no_scipy_root_finder_or_quadrature(tmp_path):
+    # a fresh interpreter: this one has imported every module already. The
+    # subtracted-constant solver (p neither 1 nor 2) and the counterexample's
+    # tail quadrature run without scipy.optimize and scipy.integrate
     src = os.path.dirname(os.path.dirname(warpfill.__file__))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_SET_SCRIPT], cwd=tmp_path,
                           capture_output=True, text=True,

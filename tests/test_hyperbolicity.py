@@ -191,6 +191,13 @@ def test_boundary_gromov_product_is_deep_pair_limit():
         assert abs(finite - boundary_val) <= 1e-6
 
 
+def test_estimate_delta_reads_a_t_max_of_negative_zero_as_zero():
+    # numpy's uniform refused high - low = -0.0 with a ValueError
+    Y = circle(8, 2 * math.pi)
+    got, want = (estimate_delta(SINH1, Y, t_max, 20, 5) for t_max in (-0.0, 0.0))
+    assert repr(got) == repr(want)
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, True, None, "3"])
 def test_seed_must_be_a_nonnegative_integer(seed):
     Y = circle(8, 2 * math.pi)

@@ -1,3 +1,4 @@
+import collections
 import math
 import tracemalloc
 import warnings
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from warpfill import (CarrierSpace, WarpProfile, build_filling_graph, builtin_filling_family,
                       builtin_halfline_family, circle, counterexample_suite,
@@ -476,6 +478,132 @@ def test_slope_bounds_agree_with_the_full_pass_near_the_root(monkeypatch):
                 exact = poincare._slope(float(x), *args)
                 assert exact != 0.0 and math.copysign(1.0, exact) == s, (x, exact, s)
     assert decided > 100
+
+
+def _bits(x: float) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+def _brent_as_brentq(brent, f, a, b, fa, fb, xtol, rtol, maxiter):
+    """brent's (root, iterations), once brent (poincare._brent) and scipy's
+    brentq have found the same root bits in the same iteration count, or
+    both stopped at maxiter (then root and iterations are None)."""
+    try:
+        root, iterations = brent(f, a, b, fa, fb, xtol, rtol, maxiter)
+    except ConvergenceError:
+        root = iterations = None
+    given = {a: fa, b: fb}
+    want, info = brentq(lambda c: given[c] if c in given else f(c), a, b, xtol=xtol,
+                        rtol=rtol, maxiter=maxiter, full_output=True, disp=False)
+    assert (root is None) == (not info.converged), (a, b)
+    if root is not None:
+        assert _bits(root) == _bits(want), (a, b, root, want)
+        if fa != 0.0 and fb != 0.0:  # brentq leaves its count unset at a root on an end
+            assert iterations == info.iterations, (a, b, iterations, info.iterations)
+    return root, iterations
+
+
+def _seeded_brackets():
+    """3000 seeded (f, a, b): sign changes of linear, cubic, tanh and kinked
+    functions at scales from 1e-320 to 1e300, over brackets 1e-3 to 1e12
+    wide, where secant and interpolation steps overflow or divide by 0."""
+    rng = np.random.default_rng(7)
+    for _ in range(3000):
+        r, scale = float(rng.uniform(-1.0, 1.0)), float(10.0 ** rng.uniform(-320.0, 300.0))
+        width = float(10.0 ** rng.uniform(-3.0, 12.0))
+        a = r - width * float(rng.uniform(0.01, 1.0))
+        b = r + width * float(rng.uniform(0.01, 1.0))
+        f = [lambda x, r=r, c=scale: c * (x - r),
+             lambda x, r=r, c=scale: c * ((x - r) * (x - r) * (x - r)),
+             lambda x, r=r, c=scale: c * math.tanh(x - r) + c * 1e-3 * (x - r),
+             lambda x, r=r, c=scale: c * (x - r) * (1.0 + 1e6 * (x > r))][int(rng.integers(4))]
+        yield f, a, b
+
+
+def test_brent_has_the_bits_of_brentq_where_its_steps_overflow(monkeypatch):
+    # every number stays a Python float, so no step warns or raises, and a
+    # zero denominator gives inf or NaN, as in brentq's C
+    div, quotients = poincare._div, []
+
+    def counted(n, d):
+        quotients.append((d == 0.0, div(n, d)))
+        return quotients[-1][1]
+
+    monkeypatch.setattr(poincare, "_div", counted)
+    xtol, rtol = 4.0 * math.ulp(0.0), 4.0 * 2.0 ** -52
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f, a, b in _seeded_brackets():
+            _brent_as_brentq(poincare._brent, f, a, b, f(a), f(b), xtol, rtol,
+                             poincare._ROOT_MAXITER)
+        # a root on an end, and a cap of one iteration
+        assert _brent_as_brentq(poincare._brent, math.sin, 0.0, 1.0, 0.0, math.sin(1.0),
+                                xtol, rtol, 9) == (0.0, 0)
+        assert _brent_as_brentq(poincare._brent, math.tan, -1.0, 1.5, math.tan(-1.0),
+                                math.tan(1.5), xtol, rtol, 1) == (None, None)
+    kinds = collections.Counter((zero, "nan" if math.isnan(q) else "inf" if math.isinf(q)
+                                 else "finite") for zero, q in quotients)
+    # 0/0 and x/0, and quotients that overflow or are inf/inf
+    assert kinds[True, "nan"] > 1000 and kinds[True, "inf"] > 10, kinds
+    assert kinds[False, "inf"] > 100 and kinds[False, "nan"] > 1000, kinds
+
+
+def test_brent_has_the_bits_of_brentq_in_the_solver(monkeypatch):
+    brent, calls = poincare._brent, []
+
+    def checked(*args, **kwargs):
+        calls.append(_brent_as_brentq(brent, *args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(poincare, "_brent", checked)
+    rng = np.random.default_rng(11)
+    inputs = list(_adversarial_inputs()) + [
+        (rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(0.5, 2.0, n))
+        for n in rng.integers(20, 3000, 200)]
+    for values, weights in inputs:
+        for p in (1.05, 1.5, 2.5, 4.0):
+            _solve_or_refuse(values, weights, p)
+    assert len(calls) > 1800
+
+
+def _tail_by_quad(lo, hi, p, s, splits=(2.0,)):
+    """The tail integral of min(x - 1, 1)^p sinh(x)^s by a tight quad,
+    split at the given points."""
+    def f(x):
+        return min(x - 1.0, 1.0) ** p * math.exp(s * (x + math.log1p(-math.exp(-2.0 * x))
+                                                      - math.log(2.0)))
+    cuts = [lo] + [x for x in splits if lo < x < hi] + [hi]
+    return sum(quad(f, x, y, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+               for x, y in zip(cuts, cuts[1:]))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.05, 1.5, 2.0, 4.0, 200.0])
+def test_tail_quadrature_matches_a_tight_quad(p):
+    # the counterexample's tail: summed over the intervals of a schedule,
+    # and over [1, inf) with and without the ramp where it converges; at
+    # s = 1 - p (alpha 1, beta 1) a steep ramp puts the peak near x = 2
+    for s in (-7.0, -1.5, -0.5, 0.0, 0.5, 2.0, 1.0 - p):
+        lo, total, want = 1.0, 0.0, 0.0
+        for T in (1.001, 1.3, 2.5, 6.0, 12.0):
+            total += poincare._tail_quadrature(lo, T, p, s)
+            want += _tail_by_quad(lo, T, p, s)
+            lo = T
+            assert total == pytest.approx(want, rel=1e-12, abs=0.0), (s, T)
+        if s < 0.0:
+            for q in (p, 0.0):
+                got = poincare._tail_quadrature(1.0, math.inf, q, s)
+                assert got == pytest.approx(_tail_by_quad(1.0, math.inf, q, s), rel=1e-12,
+                                            abs=0.0), (s, q)
+
+
+@pytest.mark.parametrize("s", [-1e-4, 1e-4])
+def test_tail_quadrature_over_a_million_wide_interval(s):
+    # more than _TAIL_PANELS unit panels: they are widened, where s near 0
+    # leaves sinh^s nearly flat
+    splits = (2.0, 10.0, 100.0, 1e3, 1e4, 1e5)
+    for p in (1.5, 0.0):
+        got = poincare._tail_quadrature(1.0, 1e6, p, s)
+        assert got == pytest.approx(_tail_by_quad(1.0, 1e6, p, s, splits), rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=200, deadline=None)
