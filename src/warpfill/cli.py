@@ -28,7 +28,7 @@ from .poincare import (build_filling_graph, builtin_filling_family,
                        filling_verifier, halfline_constant_exp, halfline_constant_general,
                        halfline_verifier)
 from .profiles import WarpProfile, minimize_F
-from .spaces import approx_length_check, load_space
+from .spaces import _numeric_field, _read_json, approx_length_check, load_space
 from .warped import WarpedPoint, distance, gromov_product
 
 
@@ -94,25 +94,11 @@ def _envelope(ns, seed, constants: dict, result) -> dict:
     }
 
 
-def _family_field(k: int, item: dict, key: str) -> np.ndarray:
-    try:
-        arr = np.asarray(item[key], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"family entry {k}: field {key!r} is not a list of numbers: {exc}") from exc
-    if not np.all(np.isfinite(arr)):
-        raise SchemaError(f"family entry {k}: field {key!r} must hold finite numbers")
-    return arr
-
-
 def _load_family(spec: str) -> list:
     """(name, u) pairs from a family file; u(t, y=None) interpolates the
     entry's table in t and ignores y, so `FillingGraph.sample` gives it one
     value per level, an (L, 1) array, on any graph."""
-    with open(spec, "rb") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-            raise SchemaError(f"family file {spec!r} is not valid JSON: {exc}") from exc
+    doc = _read_json(spec, "family")
     if not isinstance(doc, dict) or "family" not in doc:
         raise SchemaError(f"family file {spec!r} must be {{'family': [...]}}")
     if not isinstance(doc["family"], list):
@@ -123,8 +109,8 @@ def _load_family(spec: str) -> list:
             raise SchemaError(f"family entry {k} must be an object with 'name', 't' and 'values'")
         if not isinstance(item["name"], str):
             raise SchemaError(f"family entry {k}: field 'name' must be a string")
-        ts = _family_field(k, item, "t")
-        vs = _family_field(k, item, "values")
+        ts = _numeric_field(f"family entry {k}", item, "t")
+        vs = _numeric_field(f"family entry {k}", item, "values")
         if ts.shape != vs.shape or ts.ndim != 1 or ts.size == 0:
             raise SchemaError(f"family entry {item['name']!r} has mismatched or empty t/values")
         if np.any(np.diff(ts) <= 0.0):

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, ResourceCapError
 from .profiles import WarpProfile, sup_G_batch
 from .spaces import CarrierSpace
 from .warped import WarpedPoint, gromov_product_batch
@@ -27,32 +27,27 @@ from .warped import WarpedPoint, gromov_product_batch
 # triples per kernel call of estimate_delta, 3 * 2^14 elements: steep sinh
 # solves its Newton roots once per call, and 2^13 cost it 10-15 %
 _BLOCK = 2 ** 14
+# relative tolerance of the fitted snowflake exponent
+_SLOPE_RTOL = 0.02
 
 
 @dataclass
 class DeltaReport:
+    # fields in the order of the delta document
     delta_basepoint: float
     delta_bound_paper: float
     samples: int
-    worst_witness: tuple
     basepoint_y: int
-    seed: int | None = None
+    seed: int
+    worst_witness: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "delta_basepoint": self.delta_basepoint,
-            "delta_bound_paper": self.delta_bound_paper,
-            "samples": self.samples,
-            "basepoint_y": self.basepoint_y,
-            "seed": self.seed,
-            "worst_witness": [{"t": p.t, "y": p.y} for p in self.worst_witness],
-        }
+        return asdict(self)
 
 
 @dataclass
 class BoundaryMetric:
     eps: float
-    basepoint_y: int
     premetric: np.ndarray
     chained: np.ndarray
     delta_used: float
@@ -97,7 +92,8 @@ def estimate_delta(profile: WarpProfile, space: CarrierSpace, t_max: float,
     Draws `count` triples (t, y), seeded by `seed` (an integer >= 0), with
     t uniform on [0, t_max] and reports max(min(<x,z>, <y,z>) - <x,y>, 0)
     together with the witness quadruple. Sampling can only under-report the
-    true supremum. `count` must be an integer >= 1 (not a bool).
+    true supremum. `count` must be an integer >= 1 (not a bool); a count
+    whose draws cannot be allocated raises ResourceCapError.
 
     The draws, (3, count) radial coordinates and carrier indices, are the
     only arrays of size `count`. The triples are then walked in blocks of
@@ -114,8 +110,12 @@ def estimate_delta(profile: WarpProfile, space: CarrierSpace, t_max: float,
         raise DomainError(f"estimate_delta: t_max must be finite and >= 0, got {t_max}")
     t_max += 0.0  # -0.0 reads as 0.0, which numpy's uniform takes
     rng = _rng(seed)
-    t = rng.uniform(0.0, t_max, size=(3, count))
-    y = rng.integers(0, space.n, size=(3, count))
+    try:
+        t = rng.uniform(0.0, t_max, size=(3, count))
+        y = rng.integers(0, space.n, size=(3, count))
+    except (MemoryError, ValueError) as exc:  # ValueError: past the address space
+        raise ResourceCapError(f"{count} triples need {48 * count} bytes of draws, 48 per "
+                               f"triple, which cannot be allocated: {exc}") from exc
     first, second = [0, 0, 1], [1, 2, 2]  # rows of the pairs (0,1), (0,2), (1,2)
     worst, k = math.nan, 0
     for s in range(0, count, _BLOCK):
@@ -132,8 +132,8 @@ def estimate_delta(profile: WarpProfile, space: CarrierSpace, t_max: float,
                WarpedPoint(float(t[0, k]), int(y[0, k])),
                WarpedPoint(float(t[1, k]), int(y[1, k])),
                WarpedPoint(float(t[2, k]), int(y[2, k])))
-    return DeltaReport(max(0.0, worst), delta_bound(profile, space), count, witness,
-                       basepoint_y, seed)
+    return DeltaReport(max(0.0, worst), delta_bound(profile, space), count, basepoint_y,
+                       seed, witness)
 
 
 def default_eps(delta: float) -> float:
@@ -230,8 +230,7 @@ def boundary_metric(profile: WarpProfile, space: CarrierSpace, eps: float | None
     with np.errstate(over="ignore"):
         premetric = np.exp(-eps * 0.5 * two_prod)
     chained, closure_check = _min_plus_closure(premetric)
-    return BoundaryMetric(float(eps), basepoint_y, premetric, chained, delta, eps_warning,
-                          closure_check)
+    return BoundaryMetric(float(eps), premetric, chained, delta, eps_warning, closure_check)
 
 
 def snowflake_pairs(bm: BoundaryMetric, space: CarrierSpace):
@@ -243,11 +242,10 @@ def snowflake_pairs(bm: BoundaryMetric, space: CarrierSpace):
     return d[mask], c[mask]
 
 
-def snowflake_check(bm: BoundaryMetric, space: CarrierSpace, alpha: float,
-                    slope_rtol: float = 0.02) -> SnowflakeReport:
+def snowflake_check(bm: BoundaryMetric, space: CarrierSpace, alpha: float) -> SnowflakeReport:
     """Least-squares exponent of ln(chained) against ln(d_Y) over distinct
-    pairs, compared with eps/alpha, plus the empirical snowflake constant
-    C0 = max(chained / d^s, d^s / chained)."""
+    pairs, compared with eps/alpha to a relative _SLOPE_RTOL, plus the
+    empirical snowflake constant C0 = max(chained / d^s, d^s / chained)."""
     if space.n < 3:
         raise DomainError("snowflake_check needs at least 3 distinct points")
     target = bm.eps / alpha
@@ -260,5 +258,5 @@ def snowflake_check(bm: BoundaryMetric, space: CarrierSpace, alpha: float,
     snow = d ** target
     C0 = float(np.max(np.maximum(c / snow, snow / c)))
     slope, _ = np.polyfit(np.log(d), np.log(c), 1)
-    passed = abs(float(slope) - target) <= slope_rtol * target and math.isfinite(C0)
+    passed = abs(float(slope) - target) <= _SLOPE_RTOL * target and math.isfinite(C0)
     return SnowflakeReport(float(slope), target, C0, passed, int(d.size))

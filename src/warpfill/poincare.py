@@ -70,6 +70,13 @@ def _hat(t):
     return np.maximum(0.0, 1.0 - np.abs(t - 2.0))
 
 
+def _step_down(t):
+    """1/(1 + e^{4(t - 3)}): from 1 down to 0 around t = 3. The exponential
+    overflows past t = 180, where the step is 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(4.0 * (t - 3.0)))
+
+
 def _cell_masses(weight_kind: str, beta: float, levels: np.ndarray, dt: float) -> np.ndarray:
     """Integral of the weight, "exp" or "sinh", over each cell [t_i, t_i + dt)."""
     if weight_kind == "exp":
@@ -211,8 +218,9 @@ class FillingGraph:
     (carrier index, -1 for the apex), node_measure (cell mass times carrier
     measure) and `edges` (edge_a, edge_b, edge_len), radial edges first,
     then horizontal edges level by level. No report reads the listing, so a
-    graph holds its levels, masses and carrier factors, and n_nodes is
-    L n - off (see node_index).
+    graph holds its levels, masses and carrier factors. Carrier node j at
+    level i has id max(i n + j - off, 0), where off = n - 1 when the bottom
+    level is the apex (id 0) and 0 otherwise, so n_nodes is L n - off.
     """
 
     def __init__(self, carrier: CarrierSpace, profile: WarpProfile, weight_kind: str,
@@ -227,7 +235,7 @@ class FillingGraph:
         self.beta = float(beta)
         self.dt = float(dt)
         # the full product grid, less the first n - 1 nodes when the bottom
-        # level is one apex node (see node_index)
+        # level is one apex node (see the class docstring)
         self._off = n - 1 if self.has_apex else 0
         self._start = 1 if self.has_apex else 0  # the first level with horizontal edges
         # every node measure is finite, but a level's total may not be
@@ -264,12 +272,6 @@ class FillingGraph:
     @property
     def n_levels(self) -> int:
         return self.levels.size
-
-    def node_index(self, level: int, j: int) -> int:
-        """Node id of carrier node j at radial level `level`: level*n + j - off,
-        where off = n - 1 when the bottom level is the apex (id 0, where the
-        formula gives j - off <= 0) and 0 otherwise."""
-        return max(level * self.carrier.n + j - self._off, 0)
 
     def grid(self, u) -> np.ndarray:
         """u as a function on the graph: an (L, 1) or (L, n) array as it is,
@@ -373,7 +375,7 @@ class FillingGraph:
         if self._edges is None:
             n = self.carrier.n
             ids = np.maximum(np.arange(self.n_levels, dtype=np.int64)[:, None] * n
-                             + np.arange(n) - self._off, 0)  # ids[i, j] = node_index(i, j)
+                             + np.arange(n) - self._off, 0)  # ids[i, j]: node j at level i
             a, b, lengths = self._level_edges(0, self.n_levels - self._start)
             # radial edges between consecutive levels, the apex fanning out to
             # the whole first full level; then the horizontal edges, whose grid
@@ -926,7 +928,6 @@ def filling_verifier(G: FillingGraph, p: float, family: Sequence,
 
 def builtin_halfline_family() -> list:
     """Twelve test functions with limits at infinity and integrable decay."""
-    from scipy.special import expit  # on use: loading it costs start-up time
     return [
         ("constant_one", lambda t: np.ones_like(t)),
         ("exp_decay_2", lambda t: np.exp(-2.0 * t)),
@@ -939,7 +940,7 @@ def builtin_halfline_family() -> list:
         ("damped_cosine", lambda t: np.cos(2.0 * t) * np.exp(-3.0 * t)),
         ("hat_at_2", _hat),
         ("damped_sine", lambda t: np.sin(5.0 * t) * np.exp(-2.0 * t)),
-        ("smooth_step_down", lambda t: expit(-4.0 * (t - 3.0))),  # 1/(1 + e^{4(t-3)})
+        ("smooth_step_down", _step_down),
     ]
 
 

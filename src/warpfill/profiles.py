@@ -10,10 +10,11 @@ boundary formula in this package reduces to minimizing the tradeoff
 over an interval [0, tmax]: descending/ascending legs pay 2*rho while the
 horizontal crossing at level rho costs psi(rho)*d. `minimize_F_batch`
 returns the largest minimizer, which is the canonical horizontal level of
-the corresponding down-across-up curve; `minimize_F` and `sup_G` are
-batches of one. Branches: closed forms for exp and for sinh with alpha 1
-or 2; for other sinh alphas, a safeguarded Newton iteration (`_newton_root`)
-stopped on a tolerance, not an iteration count; for custom profiles, a
+the corresponding down-across-up curve; `minimize_F` is its batch of
+one, and `sup_G_batch` its negated minimum over [0, inf). Branches:
+closed forms for exp and for sinh with alpha 1 or 2; for other sinh
+alphas, a safeguarded Newton iteration (`_newton_root`) stopped on a
+tolerance, not an iteration count; for custom profiles, a
 knot scan and a golden section. For sinh with alpha > 1 the Newton root
 depends on d alone, so it is solved once per distinct d of a batch and
 then clipped to each element's tmax, bitwise as a per-element solve.
@@ -143,7 +144,6 @@ class FMinResult:
 
     tau: float
     fmin: float
-    interior: bool
 
 
 def _golden_section(f: Callable, a: np.ndarray, b: np.ndarray, tol: float):
@@ -363,7 +363,7 @@ def minimize_F(profile: WarpProfile, d: float, tmax: float) -> FMinResult:
     d > 0; for d = 0 the objective -2*rho is unbounded below on [0, inf)
     and the call is rejected."""
     tau, fmin = minimize_F_batch(profile, [d], [tmax])
-    return FMinResult(float(tau[0]), float(fmin[0]), bool(tau[0] > 0.0))
+    return FMinResult(float(tau[0]), float(fmin[0]))
 
 
 def sup_G_batch(profile: WarpProfile, d) -> np.ndarray:
@@ -378,8 +378,3 @@ def sup_G_batch(profile: WarpProfile, d) -> np.ndarray:
         raise DomainError(f"sup_G requires d > 0, got {d[~(d > 0.0)].flat[0]}")
     _, fmin = minimize_F_batch(profile, d, np.full(d.shape, math.inf))
     return -fmin
-
-
-def sup_G(profile: WarpProfile, d: float) -> float:
-    """`sup_G_batch` for a single d."""
-    return float(sup_G_batch(profile, [d])[0])

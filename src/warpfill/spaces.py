@@ -509,46 +509,53 @@ def save_space(space: CarrierSpace, path: str) -> None:
                               | orjson.OPT_APPEND_NEWLINE))
 
 
-def _numeric_field(path: str, doc: dict, key: str, kind=None):
-    """doc[key] as a float array, or as kind(doc[key]); SchemaError naming the
-    field when it does not convert (non-numeric entries, ragged rows)."""
+def _read_json(path: str, what: str):
+    """The document in a JSON file, parsed by orjson from the file's bytes,
+    which are dropped on return. Strict JSON: NaN, Infinity, out-of-range
+    numbers such as 1e400 and text that is not UTF-8 raise SchemaError,
+    naming the file as a `what` file."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return orjson.loads(raw)
+    except orjson.JSONDecodeError as exc:
+        raise SchemaError(f"{what} file {path!r} is not valid JSON: {exc}") from exc
+
+
+def _numeric_field(where: str, doc: dict, key: str, kind=None):
+    """doc[key] as a float array, or as kind(doc[key]); SchemaError naming
+    `where` and the field when it does not convert (non-numeric entries,
+    ragged rows)."""
     try:
         return kind(doc[key]) if kind else np.asarray(doc[key], dtype=float)
     except (TypeError, ValueError) as exc:
-        raise SchemaError(f"space file {path!r}: field {key!r} is malformed: {exc}") from exc
+        raise SchemaError(f"{where}: field {key!r} is malformed: {exc}") from exc
 
 
 def _load_json(path: str) -> CarrierSpace:
     """The carrier in a JSON space file. The file's bytes are dropped once
     parsed, and the parsed document once its fields are arrays, so neither
     is alive while the carrier is validated."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        # strict JSON: NaN, Infinity and out-of-range numbers such as 1e400
-        # are refused here, as is text that is not UTF-8
-        doc = orjson.loads(raw)
-    except orjson.JSONDecodeError as exc:
-        raise SchemaError(f"space file {path!r} is not valid JSON: {exc}") from exc
-    del raw
+    doc = _read_json(path, "space")
+    where = f"space file {path!r}"
     if not isinstance(doc, dict) or "dist" not in doc:
-        raise SchemaError(f"space file {path!r} must be an object with a 'dist' matrix")
-    dist = _numeric_field(path, doc, "dist")
+        raise SchemaError(f"{where} must be an object with a 'dist' matrix")
+    dist = _numeric_field(where, doc, "dist")
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
-        raise SchemaError(f"space file {path!r}: 'dist' must be a square matrix")
+        raise SchemaError(f"{where}: 'dist' must be a square matrix")
     n = dist.shape[0]
-    if "n" in doc and _numeric_field(path, doc, "n", int) != n:
-        raise SchemaError(f"space file {path!r}: declared n={doc['n']} but matrix is {n}x{n}")
-    measure = _numeric_field(path, doc, "measure") if "measure" in doc else np.ones(n)
+    if "n" in doc and _numeric_field(where, doc, "n", int) != n:
+        raise SchemaError(f"{where}: declared n={doc['n']} but matrix is {n}x{n}")
+    measure = _numeric_field(where, doc, "measure") if "measure" in doc else np.ones(n)
     labels = doc.get("labels")
     if labels is not None and not (isinstance(labels, list) and len(labels) == n):
-        raise SchemaError(f"space file {path!r}: field 'labels' must be a list of {n} labels")
+        raise SchemaError(f"{where}: field 'labels' must be a list of {n} labels")
     edges = doc.get("edges")
     if edges is not None:
         try:
             edges = _edge_array(edges, n)
         except SchemaError as exc:
-            raise SchemaError(f"space file {path!r}: field {exc}") from exc
+            raise SchemaError(f"{where}: field {exc}") from exc
     del doc
     return _validated(dist, measure, labels, edges)
 

@@ -659,8 +659,9 @@ def test_roundtrip_export_import(tmp_path, capsys):
     ({"family": 3}, ["'family'", "list"]),
     ({"family": [{"name": "a", "t": [3, 2, 1], "values": [1, 2, 3]}]}, ["entry 0", "'t'", "increase"]),
     ({"family": [{"name": "a", "t": [0, 0, 1], "values": [1, 2, 3]}]}, ["entry 0", "'t'", "increase"]),
-    ({"family": [{"name": "a", "t": [0, math.nan], "values": [1, 2]}]}, ["entry 0", "'t'", "finite"]),
-    ({"family": [{"name": "a", "t": [0, 1], "values": [1, math.inf]}]}, ["entry 0", "'values'", "finite"]),
+    # strict JSON, as for space files: the parser refuses NaN and Infinity
+    ({"family": [{"name": "a", "t": [0, math.nan], "values": [1, 2]}]}, ["not valid JSON"]),
+    ({"family": [{"name": "a", "t": [0, 1], "values": [1, math.inf]}]}, ["not valid JSON"]),
     # a name that is not a string was written into the report as it stood
     ({"family": [{"name": ["x"], "t": [0, 1], "values": [1, 0]}]}, ["entry 0", "'name'", "string"]),
     ({"family": [{"name": "a", "t": [0, 1], "values": [1, 0]},
@@ -917,6 +918,7 @@ for argv in (["validate"], ["dist", "--profile", "exp:1", "--from", "3,0", "--to
              ["poincare", "--p", "3", "--tmax", "4", "--dt", "0.5"],
              ["counterexample", "--p", "3", "--r", "1", "--schedule", "3,4", "--dt", "0.1"]):
     assert cli.main(argv + ["--space", "c32.json"]) == 0, argv
+assert cli.main(["poincare", "--tmax", "2", "--dt", "0.5"]) == 0  # the half-line
 loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 assert not loaded, loaded
 """
@@ -925,7 +927,8 @@ assert not loaded, loaded
 def test_cli_loads_no_scipy_root_finder_or_quadrature(tmp_path):
     # a fresh interpreter: this one has imported every module already. The
     # subtracted-constant solver (p neither 1 nor 2) and the counterexample's
-    # tail quadrature run without scipy.optimize and scipy.integrate
+    # tail quadrature run without scipy.optimize and scipy.integrate, and the
+    # half-line family's smooth step without scipy.special
     src = os.path.dirname(os.path.dirname(warpfill.__file__))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_SET_SCRIPT], cwd=tmp_path,
                           capture_output=True, text=True,
@@ -951,6 +954,16 @@ def test_the_solver_rescales_far_carriers_at_every_exponent(capsys, tmp_path):
             assert code == 0 and err == "", (k, p, err)
             reports = json.loads(out)["result"]["reports"]
             assert not any(r["divergent"] for r in reports), (k, p)
+
+
+def test_a_delta_count_past_memory_exits_2(capsys, circle_path):
+    # numpy's ValueError for draws past the address space exited 1 as an
+    # internal error; test_hyperbolicity covers the MemoryError past memory
+    argv = ["delta", "--space", circle_path, "--profile", "exp:1", "--count", str(2 ** 62)]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: resource cap: 4611686018427387904 triples need "
+                          "221360928884514619392 bytes of draws, 48 per triple")
 
 
 def test_a_seed_past_64_bits_exits_2(capsys, tmp_path, circle_path):

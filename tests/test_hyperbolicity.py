@@ -10,9 +10,9 @@ from hypothesis.extra.numpy import arrays
 
 from warpfill import (WarpProfile, WarpedPoint, boundary_metric, circle, default_eps,
                       delta_bound, estimate_delta, from_graph, from_matrix, gromov_product,
-                      snowflake_check, sup_G)
+                      snowflake_check, sup_G_batch)
 from warpfill import hyperbolicity
-from warpfill.errors import DomainError
+from warpfill.errors import DomainError, ResourceCapError
 from warpfill.hyperbolicity import _min_plus_closure
 from warpfill.warped import gromov_product_batch
 
@@ -86,7 +86,7 @@ def test_boundary_metric_two_point_example():
     D = [[0.0, 1.0, 1.0], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0]]
     Y = from_matrix(D, [1.0, 1.0, 1.0])
     bm = boundary_metric(EXP1, Y, eps=0.05, basepoint_y=0)
-    assert sup_G(EXP1, 2.0) == pytest.approx(-2.0)
+    assert sup_G_batch(EXP1, [2.0])[0] == pytest.approx(-2.0)
     two_prod = -math.log(bm.premetric[1, 2]) / bm.eps * 2.0
     assert two_prod == pytest.approx(0.0, abs=1e-12)
     assert bm.premetric[1, 2] == pytest.approx(1.0)
@@ -155,7 +155,7 @@ def test_snowflake_exponent_small_circle():
     assert rep.fitted_exponent == pytest.approx(rep.target_exponent, rel=0.02)
     # doubling eps doubles the exponent
     bm2 = boundary_metric(EXP1, Y, eps=2 * bm.eps)
-    rep2 = snowflake_check(bm2, Y, EXP1.alpha, slope_rtol=0.05)
+    rep2 = snowflake_check(bm2, Y, EXP1.alpha)
     assert rep2.fitted_exponent == pytest.approx(2 * rep.fitted_exponent, rel=0.05)
 
 
@@ -217,6 +217,30 @@ def test_samples_is_a_python_int():
     rep = estimate_delta(SINH1, circle(8, 2 * math.pi), 5.0, np.int64(5), 4)
     assert type(rep.samples) is int and rep.samples == 5
     assert rep == estimate_delta(SINH1, circle(8, 2 * math.pi), 5.0, 5, 4)
+
+
+class _RefusingDraws:
+    """A generator whose draws fail as numpy's do past memory."""
+
+    def uniform(self, low, high, size):
+        raise MemoryError(f"Unable to allocate an array with shape {size}")
+
+    integers = uniform
+
+
+def test_a_count_past_memory_is_a_resource_cap(monkeypatch):
+    # numpy's ValueError for draws past the address space and its MemoryError
+    # for draws past memory left estimate_delta as they were
+    with pytest.raises(ResourceCapError, match=r"^4611686018427387904 triples need "
+                                               r"221360928884514619392 bytes of draws, 48 per "
+                                               r"triple, which cannot be allocated: array is "
+                                               r"too big"):
+        estimate_delta(SINH1, circle(8, 2 * math.pi), 5.0, 2 ** 62, 4)
+    monkeypatch.setattr(hyperbolicity, "_rng", lambda seed: _RefusingDraws())
+    with pytest.raises(ResourceCapError, match=r"^1000 triples need 48000 bytes of draws, "
+                                               r"48 per triple, which cannot be allocated: "
+                                               r"Unable to allocate"):
+        estimate_delta(SINH1, circle(8, 2 * math.pi), 5.0, 1000, 4)
 
 
 def _random_graph_carrier(n, seed):

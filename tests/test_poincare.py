@@ -405,15 +405,21 @@ def _adversarial_inputs():
 
 def test_optimal_constant_bounds_the_slope_passes_on_adversarial_inputs(monkeypatch):
     # the root lies many decades below the bracket width, where brentq alone
-    # bisected from the far end (over 300 passes for these inputs)
+    # bisected from the far end (over 300 passes for these inputs). The worst
+    # counts when these bounds were set: 47 passes at p = 1.5, 76 at p = 1.05
+    # and at 2.5, 48 at 4, and 60 with each input's p drawn from U(1.05, 4)
     calls = _counting_slope(monkeypatch)
-    worst = 0
-    for values, weights in _adversarial_inputs():
-        calls.clear()
-        c = optimal_subtracted_constant(values, weights, 1.5)
-        assert values.min() <= c <= values.max()
-        worst = max(worst, len(calls))
-    assert worst <= 64
+    bound = {1.5: 64, 1.05: 80, 2.5: 80, 4.0: 80, "U(1.05, 4)": 80}
+    worst = dict.fromkeys(bound, 0)
+    for case in bound:
+        rng = np.random.default_rng(7)
+        for values, weights in _adversarial_inputs():
+            p = rng.uniform(1.05, 4.0) if case == "U(1.05, 4)" else case
+            calls.clear()
+            c = optimal_subtracted_constant(values, weights, p)
+            assert values.min() <= c <= values.max(), (case, p)
+            worst[case] = max(worst[case], len(calls))
+    assert all(worst[case] <= bound[case] for case in bound), worst
 
 
 def _solve_or_refuse(values, weights, p):
@@ -1293,10 +1299,6 @@ def _edge_cases():
 @pytest.mark.parametrize("name", list(_edge_cases()))
 def test_filling_graph_matches_loop_oracle(name):
     G = _edge_cases()[name]()
-    n = G.carrier.n
-    if G.has_apex:
-        assert G.node_index(0, n - 1) == 0 and G.node_index(1, 0) == 1
-    assert G.node_index(G.n_levels - 1, n - 1) == G.n_nodes - 1
     got = G.edges + (G.node_t, G.node_y, G.node_measure)
     want = _oracle_edges(G) + _oracle_nodes(G)
     for g, w in zip(got, want):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from warpfill import WarpProfile, minimize_F, minimize_F_batch, sup_G, sup_G_batch
+from warpfill import WarpProfile, minimize_F, minimize_F_batch, sup_G_batch
 from warpfill.errors import ConvergenceError, DomainError, SchemaError, UnboundedError
 from warpfill.profiles import FMinResult, _newton_root
 
@@ -46,11 +46,10 @@ def brute_force_tau(profile, d, tmax, step=1e-4):
 def test_minimize_examples():
     p = WarpProfile.exp(1.0)
     r = minimize_F(p, 2.0, 10.0)
-    assert r.tau == 0.0 and r.fmin == pytest.approx(2.0, abs=1e-12) and not r.interior
+    assert r.tau == 0.0 and r.fmin == pytest.approx(2.0, abs=1e-12)
     r = minimize_F(p, 2.0 * math.exp(-5.0), 10.0)
     assert r.tau == pytest.approx(5.0, abs=1e-12)
     assert r.fmin == pytest.approx(-8.0, abs=1e-10)
-    assert r.interior
     r = minimize_F(p, 2.0 * math.exp(-5.0), 3.0)
     assert r.tau == 3.0
     assert r.fmin == pytest.approx(2.0 * math.exp(-2.0) - 6.0, abs=1e-12)
@@ -213,7 +212,7 @@ def test_closed_forms_refuse_a_subnormal_distance_only_past_overflow():
             with pytest.raises(DomainError, match="overflows psi"):
                 minimize_F_batch(p, [1e-320], [math.inf])
             with pytest.raises(DomainError, match="overflows psi"):
-                sup_G(p, 1e-320)
+                sup_G_batch(p, [1e-320])[0]
 
 
 def test_shallow_sinh_minimizer_past_the_overflow_of_sinh():
@@ -315,10 +314,10 @@ def test_scalar_minimizer_is_a_batch_of_one(profile, pairs):
 
 def test_sup_g_examples():
     p = WarpProfile.exp(1.0)
-    assert sup_G(p, 2.0) == pytest.approx(-2.0, abs=1e-12)
-    assert sup_G(p, 2.0 * math.exp(-5.0)) == pytest.approx(8.0, abs=1e-10)
+    assert sup_G_batch(p, [2.0])[0] == pytest.approx(-2.0, abs=1e-12)
+    assert sup_G_batch(p, [2.0 * math.exp(-5.0)])[0] == pytest.approx(8.0, abs=1e-10)
     with pytest.raises(DomainError):
-        sup_G(p, 0.0)
+        sup_G_batch(p, [0.0])[0]
 
 
 def test_sup_g_sinh_within_exponential_envelope():
@@ -326,7 +325,7 @@ def test_sup_g_sinh_within_exponential_envelope():
     # sup of 2 rho - K d e^(alpha rho) over rho >= 0 lies in [-C, C] - (2/alpha) ln d;
     # at K = 1/2 and alpha = d = D = 1 the largest branch constant is
     # C = (2/alpha) |ln(2/(K alpha)) - 1| = 2 (ln 4 - 1)
-    val = sup_G(WarpProfile.sinh_pow(1.0), 1.0)
+    val = sup_G_batch(WarpProfile.sinh_pow(1.0), [1.0])[0]
     C = 2.0 * (math.log(4.0) - 1.0)
     assert -C <= val <= C + 0.5 * 1.0  # slack A*d from the affine lower envelope
     # direct closed form: sup 2 rho - sinh(rho) at cosh(rho) = 2
@@ -341,7 +340,7 @@ def test_sup_g_custom_profile_doubling_bracket():
                               lambda t: np.sinh(np.asarray(t, float)), 1.0)
     rho = math.asinh(2.0)
     expect = 2.0 * rho - math.cosh(rho)
-    assert sup_G(prof, 1.0) == pytest.approx(expect, abs=1e-8)
+    assert sup_G_batch(prof, [1.0])[0] == pytest.approx(expect, abs=1e-8)
 
 
 def test_sup_g_batch():
@@ -349,7 +348,7 @@ def test_sup_g_batch():
     d = np.array([0.01, 0.5, 3.0])
     vals = sup_G_batch(p, d)
     for k in range(3):
-        assert vals[k] == pytest.approx(sup_G(p, float(d[k])), abs=1e-10)
+        assert vals[k] == pytest.approx(sup_G_batch(p, [float(d[k])])[0], abs=1e-10)
 
 
 def test_tail_integral_bound():
